@@ -23,7 +23,6 @@ from .errors import (
 )
 from .hamiltonian import (
     BASIS_LABELS,
-    PairHamiltonian,
     build_pair_hamiltonian,
     dressed_energies,
     quintuplet_frequencies,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,23 +17,15 @@ from .params import SystemParams
 BASIS_LABELS = ("00", "10", "01", "11")
 
 
-@dataclass(frozen=True)
-class PairHamiltonian:
-    """4x4 Hermitian matrix of the rotating-frame pair Hamiltonian."""
-
-    matrix: np.ndarray
-    basis_labels: tuple[str, str, str, str] = field(default=BASIS_LABELS)
-
-
-def build_pair_hamiltonian(p: SystemParams) -> PairHamiltonian:
-    """Rotating-frame Hamiltonian with independent drives on both emitters.
+def build_pair_hamiltonian(p: SystemParams) -> np.ndarray:
+    """4x4 Hermitian rotating-frame Hamiltonian, drives on both emitters.
 
     Exchange coupling g*e^{+i theta} connects |10><01|; the drives connect
     states differing by one excitation of the driven emitter.
     """
     ge = p.g * cmath.exp(1j * p.theta)
     d, w1, w2 = p.delta, p.omega1, p.omega2
-    h = np.array(
+    return np.array(
         [
             [0.0, w1, w2, 0.0],
             [w1, d, ge, w2],
@@ -43,7 +34,6 @@ def build_pair_hamiltonian(p: SystemParams) -> PairHamiltonian:
         ],
         dtype=complex,
     )
-    return PairHamiltonian(matrix=h)
 
 
 def dressed_energies(g: float, omega: float) -> np.ndarray:

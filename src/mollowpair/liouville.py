@@ -60,11 +60,10 @@ def _dissipator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Liouvillian:
-    """Vectorized generator of the master equation, with its jump content."""
+    """Vectorized generator of the master equation."""
 
     matrix: np.ndarray
     params: SystemParams
-    jumps: tuple[tuple[str, complex], ...]
     _eig: tuple | None = field(default=None, repr=False, compare=False)
 
     def eigensystem(self):
@@ -114,20 +113,14 @@ def build_liouvillian(p: SystemParams) -> Liouvillian:
     """Assemble the 16x16 generator from the Hamiltonian and the four
     dissipator lines: one local decay channel per emitter at gamma0 and the
     two phase-carrying cross channels at gamma/2 * e^{+-i phi}."""
-    h = build_pair_hamiltonian(p).matrix
+    h = build_pair_hamiltonian(p)
     eiphi = np.exp(1j * p.phi)
     mat = 1j * (_left_right(EYE4, h) - _left_right(h, EYE4))
     mat += 0.5 * p.gamma0 * _dissipator(SIGMA1, SIGMA1)
     mat += 0.5 * p.gamma0 * _dissipator(SIGMA2, SIGMA2)
     mat += 0.5 * p.gamma * eiphi * _dissipator(SIGMA2, SIGMA1)
     mat += 0.5 * p.gamma * np.conj(eiphi) * _dissipator(SIGMA1, SIGMA2)
-    jumps = (
-        ("sigma1", complex(p.gamma0)),
-        ("sigma2", complex(p.gamma0)),
-        ("sigma1->sigma2 cross", p.gamma * eiphi),
-        ("sigma2->sigma1 cross", p.gamma * np.conj(eiphi)),
-    )
-    return Liouvillian(matrix=mat, params=p, jumps=jumps)
+    return Liouvillian(matrix=mat, params=p)
 
 
 def validate_density_matrix(rho: np.ndarray, context: str = "density matrix") -> None:

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConditionWarning, NumericalError, SingularSystemError, UndefinedCorrelatorError
-from .operators import IDX_N1, IDX_N2, IDX_NX, IDX_S1, IDX_S2, MOMENT_LABELS
+from .operators import IDX_N1, IDX_N2, IDX_NX, IDX_S1, IDX_S2
 from .params import SystemParams, generalized_couplings
 
 #: Tolerance on the imaginary residue of n1, n2, nX.  A larger residue
@@ -25,11 +25,10 @@ IMAG_RESIDUE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class MomentSystem:
-    """Regression matrix M, drive vector P and the frozen index ordering."""
+    """Regression matrix M and drive vector P, ordered as MOMENT_LABELS."""
 
     matrix: np.ndarray
     drive: np.ndarray
-    ordering: tuple[str, ...] = MOMENT_LABELS
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Emitter 1 is the fast index: state k = n1 + 2*n2.  The fifteen moment
 operators listed here fix the index ordering of the moment vector used by the
 regression machinery; together with the identity they form a complete basis
-of the 4x4 operator space.
+of the 4x4 operator space.  Left-multiplying any of them by a raising
+operator gives zero or another one of them, so the two-time seeds are a
+selection of moment coordinates (SEED_SELECTION).
 """
 
 from __future__ import annotations
@@ -50,6 +52,20 @@ IDX_N2 = 5
 IDX_NX = 14
 
 
-def expectations(rho: np.ndarray) -> np.ndarray:
-    """Moment vector <O_i> = Tr(O_i rho) for all 15 operators."""
-    return np.array([np.trace(op @ rho) for op in MOMENT_OPERATORS])
+def _product_selection(left: np.ndarray) -> np.ndarray:
+    """0/1 matrix S with <left O_i> = (S u)_i for every moment vector u.
+
+    Each product left @ O_i must be zero or exactly one moment operator O_j;
+    anything else fails the unpacking below when the module is imported.
+    """
+    sel = np.zeros((len(MOMENT_OPERATORS), len(MOMENT_OPERATORS)))
+    for i, op in enumerate(MOMENT_OPERATORS):
+        prod = left @ op
+        if prod.any():
+            (j,) = [j for j, o in enumerate(MOMENT_OPERATORS) if np.array_equal(o, prod)]
+            sel[i, j] = 1.0
+    return sel
+
+
+#: Two-time seeds <sigma_e^dag O_i> = (SEED_SELECTION[e] @ u)_i, keyed by emitter.
+SEED_SELECTION = {1: _product_selection(SIGMA1_DAG), 2: _product_selection(SIGMA2_DAG)}

@@ -4,12 +4,14 @@ The stationary correlator <sigma_e^dag(0) sigma_e(tau)> obeys the same
 15-dimensional regression system as the one-time moments.  Eigendecomposing
 that system splits the spectrum into Lorentzian/dispersive components with a
 separate coherent (Rayleigh) delta weight; evaluating the components on a
-grid is then trivial.  Parts of the coupling landscape make the full
-regression matrix defective (at zero coherent coupling it carries a Jordan
-chain), but the chain is invisible to the emitter correlator, so the
-decomposition first restricts the system to the subspace that is both
-reachable from the boundary vector and observable by the readout; only a
-defect in that visible part is reported as an error.
+grid is then trivial.  The two-time boundary vector is a selection of the
+one-time moments, so one moment solve per point seeds the whole spectrum.
+Parts of the coupling landscape make the full regression matrix defective
+(at zero coherent coupling it carries a Jordan chain), but the chain is
+invisible to the emitter correlator, so the decomposition first restricts
+the system to the subspace that is both reachable from the boundary vector
+and observable by the readout; only a defect in that visible part is
+reported as an error.
 """
 
 from __future__ import annotations
@@ -19,15 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateEigenvectorError,
-    NumericalError,
-    ParameterError,
-    UnsupportedConfigurationError,
-)
-from .liouville import build_liouvillian, steady_state_dm
+from .errors import DegenerateEigenvectorError, ParameterError, UnsupportedConfigurationError
 from .moments import build_moment_system, steady_state
-from .operators import IDX_S1, IDX_S2, MOMENT_OPERATORS, SIGMA1_DAG, SIGMA2_DAG
+from .operators import IDX_S1, IDX_S2, SEED_SELECTION
 from .params import SystemParams
 
 #: Relative gap below which eigenvalues count as one cluster.
@@ -160,25 +156,26 @@ def _clustered(values: np.ndarray, scale: float) -> list[complex]:
     return [complex(z) for z in sorted(values, key=abs)[:2]]
 
 
-def boundary_vector(rho_ss: np.ndarray, emitter: int = 1) -> np.ndarray:
-    """Zero-delay seeds Tr[O_i rho_ss sigma_e^dag] of the two-time system.
+def boundary_vector(u: np.ndarray, emitter: int = 1) -> np.ndarray:
+    """Zero-delay seeds Tr[O_i rho_ss sigma_e^dag] = <sigma_e^dag O_i> from moments u.
 
-    Operator identities pin several components: the sigma_e coordinate equals
-    the emitter population, while every coordinate whose operator ends in a
-    raising op of the same emitter vanishes (sigma^dag sigma^dag = 0).
+    Each sigma_e^dag O_i is zero or another moment operator, so the seeds
+    are moment coordinates: the sigma_e coordinate reads the emitter
+    population, and every coordinate whose operator already raises the same
+    emitter vanishes (sigma^dag sigma^dag = 0).
     """
-    seed = rho_ss @ (SIGMA1_DAG if emitter == 1 else SIGMA2_DAG)
-    return np.array([np.trace(op @ seed) for op in MOMENT_OPERATORS])
+    return SEED_SELECTION[emitter] @ u
 
 
 def decompose_spectrum(p: SystemParams, emitter: int = 1) -> SpectralDecomposition:
     """Split one emitter's emission spectrum into pole components.
 
-    Procedure: build the regression system; seed the two-time boundary vector
-    from the oracle steady state as Tr[O_i rho_ss sigma_e^dag]; subtract the
-    infinite-delay offset u_ss <sigma_e^dag>; expand the remainder over the
-    eigenvectors of the regression matrix restricted to the subspace it
-    generates; read off each mode's contribution to the emitter correlator.
+    Procedure: build the regression system and solve it for the steady-state
+    moments u; seed the two-time boundary vector <sigma_e^dag O_i> by
+    selecting coordinates of u (boundary_vector); subtract the infinite-delay
+    offset u <sigma_e^dag>; expand the remainder over the eigenvectors of the
+    regression matrix restricted to the subspace it generates; read off each
+    mode's contribution to the emitter correlator.
     Widths are -2 Re and shifts -Im of the regression eigenvalues, and the
     delta weight is |<sigma_e>|^2 / n_e.
 
@@ -206,17 +203,7 @@ def decompose_spectrum(p: SystemParams, emitter: int = 1) -> SpectralDecompositi
     # The correlator <sig_e^dag(0) sig_e(tau)> sits at the sigma_e coordinate.
     readout = IDX_S1 if emitter == 1 else IDX_S2
 
-    rho_ss = steady_state_dm(build_liouvillian(p))
-    v0 = boundary_vector(rho_ss, emitter)
-    sig_dag_ss = np.conj(state.s1 if emitter == 1 else state.s2)
-    w = v0 - state.u * sig_dag_ss
-
-    # Consistency guard: the boundary's correlator component is n_e itself.
-    if abs(v0[readout].imag) > 1e-10 or abs(v0[readout].real - n_e) > 1e-8:
-        raise NumericalError(
-            "boundary vector inconsistent with the moment steady state; "
-            f"<sig^dag sig> boundary {v0[readout]:.3e} vs population {n_e:.3e}"
-        )
+    w = boundary_vector(state.u, emitter) - state.u * np.conj(coh)
 
     m = system.matrix
     scale = max(float(np.linalg.norm(m, ord=np.inf)), p.gamma0)

@@ -17,13 +17,13 @@ SQRT17 = math.sqrt(17.0)
 
 
 def test_zero_matrix_without_drive_or_coupling():
-    h = build_pair_hamiltonian(SystemParams()).matrix
+    h = build_pair_hamiltonian(SystemParams())
     assert np.all(h == 0.0)
 
 
 def test_entry_pattern_single_drive():
     p = SystemParams(g=1.0, theta=0.0, omega1=1.0)
-    h = build_pair_hamiltonian(p).matrix
+    h = build_pair_hamiltonian(p)
     expected = np.array([
         [0, 1, 0, 0],
         [1, 0, 1, 0],
@@ -35,7 +35,7 @@ def test_entry_pattern_single_drive():
 
 def test_exchange_phase_and_second_drive():
     p = SystemParams(delta=0.3, g=2.0, theta=0.7, omega1=1.0, omega2=0.5)
-    h = build_pair_hamiltonian(p).matrix
+    h = build_pair_hamiltonian(p)
     assert h[1, 2] == pytest.approx(2.0 * np.exp(0.7j))
     assert h[2, 1] == pytest.approx(2.0 * np.exp(-0.7j))
     # omega2 couples |00> <-> |01> and |10> <-> |11>
@@ -48,7 +48,7 @@ def test_hermiticity(rng):
         p = SystemParams(delta=rng.uniform(-2, 2), g=rng.uniform(0, 3),
                          theta=rng.uniform(0, 2 * np.pi), omega1=rng.uniform(0, 3),
                          omega2=rng.uniform(0, 3))
-        h = build_pair_hamiltonian(p).matrix
+        h = build_pair_hamiltonian(p)
         assert np.max(np.abs(h - h.conj().T)) < 1e-15
 
 
@@ -57,7 +57,7 @@ def test_eigenvalues_match_dressed_energies(rng):
         g = rng.uniform(0, 3)
         omega = rng.uniform(0, 3)
         p = SystemParams(g=g, theta=rng.uniform(0, 2 * np.pi), omega1=omega)
-        eig = np.sort(np.linalg.eigvalsh(build_pair_hamiltonian(p).matrix))[::-1]
+        eig = np.sort(np.linalg.eigvalsh(build_pair_hamiltonian(p)))[::-1]
         np.testing.assert_allclose(eig, dressed_energies(g, omega), atol=1e-12)
 
 

@@ -32,7 +32,7 @@ def adjoint_moment_system(p):
     {identity} + MOMENT_OPERATORS; the identity coefficient is the drive and
     the rest give -M row by row.
     """
-    h = build_pair_hamiltonian(p).matrix
+    h = build_pair_hamiltonian(p)
     channels = [
         (SIGMA1, SIGMA1, complex(p.gamma0)),
         (SIGMA2, SIGMA2, complex(p.gamma0)),

@@ -10,6 +10,7 @@ from mollowpair.errors import (
 )
 from mollowpair.liouville import build_liouvillian, spectrum_fft, steady_state_dm
 from mollowpair.moments import build_moment_system, steady_state
+from mollowpair.operators import MOMENT_OPERATORS, SIGMA1_DAG, SIGMA2_DAG
 from mollowpair.params import (
     SystemParams,
     asymmetric_pair,
@@ -37,16 +38,33 @@ from conftest import random_params
 
 
 def test_boundary_vector_operator_identities():
-    # sigma^dag sigma^dag = 0 and sigma^dag sigma sigma = sigma pin several
-    # boundary components exactly.
+    # The seeds selected from the moment state equal Tr[O_i rho sigma_e^dag]
+    # on the oracle's density matrix, for both emitters.
     p = asymmetric_pair(0.6, 0.9, 0.8, 1.3)
     rho = steady_state_dm(build_liouvillian(p))
     st = steady_state(build_moment_system(p))
-    v0 = boundary_vector(rho, emitter=1)
+    for emitter, sig_dag in ((1, SIGMA1_DAG), (2, SIGMA2_DAG)):
+        oracle = np.array([np.trace(op @ rho @ sig_dag) for op in MOMENT_OPERATORS])
+        np.testing.assert_allclose(boundary_vector(st.u, emitter), oracle, rtol=0.0, atol=1e-12)
+
+    # sigma^dag sigma^dag = 0 and sigma^dag sigma sigma = sigma pin several
+    # boundary components exactly; the sigma_e component is the population.
+    v0 = boundary_vector(st.u, emitter=1)
     assert v0[0] == pytest.approx(st.n1, abs=1e-10)      # <s1d s1>
     assert v0[2] == pytest.approx(0.0, abs=1e-14)        # <s1d s1d>
     assert v0[4] == pytest.approx(0.0, abs=1e-14)        # <s1d n1> = 0
     assert v0[11] == pytest.approx(st.nX, abs=1e-10)     # <s1d s1 n2>
+
+
+@pytest.mark.parametrize("g", [100.0, 1000.0])
+def test_sum_rule_at_strong_coherent_coupling_weak_drive(g):
+    # Weak drive under strong coupling puts n1 near (omega / g)**2, so the
+    # seeds must be accurate relative to n1, not to the generator's norm.
+    p = coherent_pair(g, 0.01)
+    d = decompose_spectrum(p)
+    st = steady_state(build_moment_system(p))
+    assert d.lorentzian_sum + d.delta_weight == pytest.approx(1.0, abs=1e-9)
+    assert d.delta_weight == pytest.approx(abs(st.s1) ** 2 / st.n1, rel=1e-12)
 
 
 def test_unidirectional_reproduces_single_emitter_components():

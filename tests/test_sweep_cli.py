@@ -113,6 +113,18 @@ def test_decomposition_sweep_blocks():
     assert all(len(b.components) >= 3 for b in result.decompositions)
 
 
+def test_spectrum_sweep_through_trapping_point():
+    # Dissipative pair at gamma = gamma0 down to vanishing drive: the same
+    # sweep as --regime dissipative --set gamma=1 --sweep omega1:1e-6:1:4:log
+    # --observable spectrum.  Near the trapping point the oracle's kernel is
+    # numerically two-dimensional, while the moment system stays solvable.
+    spec = small_spec(fixed={"g": 0.0, "gamma": 1.0}, observables=("spectrum",),
+                      grid=GridSpec(min=1e-6, max=1.0, count=4, scale="log"))
+    result = run_sweep(spec)
+    assert result.paths == ("spectrum:eigendecomposition",) * 4
+    assert len(result.spectra) == 4
+
+
 def test_eigenvalue_sweep_columns():
     spec = small_spec(observables=("eigenvalues",),
                       grid=GridSpec(min=1.0, max=2.0, count=2))
