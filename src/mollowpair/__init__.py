@@ -61,7 +61,6 @@ from .single_emitter import (
     MollowCoefficients,
     SingleParams,
     SingleSpectrum,
-    coefficients_to_spectrum,
     critical_drive,
     dressed_state,
     mollow_coefficients,

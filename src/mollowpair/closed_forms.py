@@ -9,10 +9,6 @@ auditable.
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 from .errors import ParameterError, UnsupportedConfigurationError
 from .moments import Populations
 from .params import SystemParams
@@ -212,26 +208,6 @@ def unidirectional_g2(gamma: float, omega: float, gamma0: float) -> float:
     return num / den
 
 
-def unidirectional_spectrum(grid: np.ndarray, omega: float, gamma0: float) -> np.ndarray:
-    """Emitter-1 emission spectrum under forward one-way coupling.
-
-    With all backaction cancelled, emitter 1 radiates exactly like a solitary
-    emitter: the incoherent terms of the single-emitter closed form with its
-    decay rate replaced by gamma0.  The coherent delta fraction is
-    gamma0**2/(gamma0**2 + 8*omega**2), reported by the callers that need it.
-    """
-    grid = np.asarray(grid, dtype=float)
-    x2 = grid * grid
-    c2, w2 = gamma0 * gamma0, omega * omega
-    central = (0.5 / math.pi) * (0.5 * gamma0) / ((0.5 * gamma0) ** 2 + x2)
-    side = (
-        (gamma0 / math.pi)
-        * (x2 + c2 - 16 * w2)
-        / (4 * x2 * x2 + x2 * (5 * c2 - 32 * w2) + (c2 + 8 * w2) ** 2)
-    )
-    return central - side
-
-
 # ---------------------------------------------------------------------------
 # Regime dispatch used by the sweep fast path
 # ---------------------------------------------------------------------------
@@ -274,6 +250,6 @@ __all__ = [
     "dissipative_populations", "dissipative_strong_drive_populations",
     "dissipative_g2", "dissipative_g2_weak_limit",
     "unidirectional_populations", "unidirectional_strong_drive_populations",
-    "unidirectional_g2", "unidirectional_spectrum",
+    "unidirectional_g2",
     "regime_populations", "regime_g2", "single_population",
 ]

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateSteadyStateError,
@@ -89,6 +88,8 @@ class Liouvillian:
         vals, vecs, inv = self.eigensystem()
         if inv is not None:
             return vecs @ (np.exp(vals * tau) * (inv @ vec))
+        import scipy.linalg
+
         return scipy.linalg.expm(self.matrix * tau) @ vec
 
     def propagate_grid(self, vec: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -98,6 +99,8 @@ class Liouvillian:
             coeff = inv @ vec
             return (np.exp(np.outer(taus, vals)) * coeff) @ vecs.T
         # Defective generator: step with exponentials between grid points.
+        import scipy.linalg
+
         out = np.empty((len(taus), 16), dtype=complex)
         cur = vec
         prev = 0.0
@@ -149,14 +152,15 @@ def steady_state_dm(lv: Liouvillian) -> np.ndarray:
         raise NumericalError("no Liouvillian eigenvalue within tolerance of zero")
     if kernel_dim > 1:
         raise DegenerateSteadyStateError(kernel_dim)
-    # Kernel vector via a trace-constrained least-squares solve, which is
-    # better conditioned than reading off an eigenvector.
-    trace_row = vectorize(np.eye(4)).conj()
-    weight = max(1.0, float(np.linalg.norm(lv.matrix, ord=np.inf)))
-    a = np.vstack([lv.matrix, weight * trace_row])
-    b = np.zeros(17, dtype=complex)
-    b[16] = weight
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+    # Kernel vector via a square solve with the trace row in place of the
+    # rho_00 equation, which the other fifteen imply (L preserves the trace).
+    # A norm-weighted least-squares fit loses populations far below
+    # eps * ||L||, as under weak drive with strong coherent coupling.
+    a = lv.matrix.copy()
+    a[0] = vectorize(np.eye(4)).conj()
+    b = np.zeros(16, dtype=complex)
+    b[0] = 1.0
+    sol = np.linalg.solve(a, b)
     rho = devectorize(sol)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real

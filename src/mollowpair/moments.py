@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConditionWarning, NumericalError, SingularSystemError, UndefinedCorrelatorError
 from .operators import IDX_N1, IDX_N2, IDX_NX, IDX_S1, IDX_S2
@@ -156,19 +155,20 @@ def build_moment_system(p: SystemParams) -> MomentSystem:
 
 
 def _refined_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """LU solve with extended-precision iterative refinement.
+    """Dense solve with extended-precision iterative refinement.
 
     Weakly driven systems have moments spanning many orders of magnitude
     (u4 ~ omega**4 while u1 ~ omega); refinement with clongdouble residuals
     restores componentwise relative accuracy that a plain double solve loses.
+    At 15x15, re-solving for each correction is no slower than reusing an
+    LU factorization.
     """
-    lu, piv = scipy.linalg.lu_factor(m)
-    u = scipy.linalg.lu_solve((lu, piv), rhs)
+    u = np.linalg.solve(m, rhs)
     m_ld = m.astype(np.clongdouble)
     rhs_ld = rhs.astype(np.clongdouble)
     for _ in range(3):
         resid = rhs_ld - m_ld @ u.astype(np.clongdouble)
-        corr = scipy.linalg.lu_solve((lu, piv), resid.astype(np.complex128))
+        corr = np.linalg.solve(m, resid.astype(np.complex128))
         if not np.all(np.isfinite(corr)):
             break
         u = (u.astype(np.clongdouble) + corr.astype(np.clongdouble)).astype(np.complex128)
@@ -176,7 +176,7 @@ def _refined_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def steady_state(system: MomentSystem) -> MomentState:
-    """Steady-state moment vector u = M^-1 P via a dense LU solve.
+    """Steady-state moment vector u = M^-1 P via a dense refined solve.
 
     M is generically nonsingular for gamma0 > 0 (every moment decays at
     gamma0/2 or faster).  A condition-number estimate is attached to every

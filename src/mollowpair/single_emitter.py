@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, UnsupportedConfigurationError
+from .spectrum import SpectralComponent
 
 #: Width of the window around the critical drive treated as degenerate, in
-#: units of gamma.  Inside it the B/C weights are individually singular
+#: units of gamma.  Inside it the two side weights are individually singular
 #: (removable only in their sum), so the decomposition clamps the merged-pole
 #: rate and flags the result; the summed closed form stays regular.
 CRITICAL_WINDOW = 1e-8
@@ -49,33 +50,24 @@ class DressedState:
 
 
 @dataclass(frozen=True)
-class MollowPeak:
-    """One spectral component: width, shift and Lorentzian/dispersive weights."""
-
-    name: str
-    gamma_zeta: float
-    omega_zeta: float
-    L: float
-    K: float
-
-
-@dataclass(frozen=True)
 class MollowCoefficients:
     """The three-peak decomposition of the single-emitter spectrum.
 
-    delta_weight is the coherent (Rayleigh) fraction, kept separate from the
-    grid-evaluated components.  near_critical marks results where the merged
-    pole at the critical drive was regularized, see CRITICAL_WINDOW.
+    components are ordered (central, +Omega_M, -Omega_M); below the critical
+    drive all three are unshifted.  delta_weight is the coherent (Rayleigh)
+    fraction, kept separate from the grid-evaluated components.
+    near_critical marks results where the merged pole at the critical drive
+    was regularized, see CRITICAL_WINDOW.
     """
 
     regime: str
-    peaks: tuple[MollowPeak, MollowPeak, MollowPeak]
+    components: tuple[SpectralComponent, SpectralComponent, SpectralComponent]
     delta_weight: float
     near_critical: bool = False
 
     @property
     def weight_sum(self) -> float:
-        return sum(pk.L for pk in self.peaks) + self.delta_weight
+        return sum(c.L_zeta for c in self.components) + self.delta_weight
 
 
 def steady_population_coherence(p: SingleParams) -> tuple[float, complex]:
@@ -136,7 +128,7 @@ def mollow_splitting(gamma: float, omega: float) -> float:
 
 
 def mollow_coefficients(p: SingleParams) -> MollowCoefficients:
-    """Peak records (width, shift, weights) of the resonant emission spectrum.
+    """Spectral components (shift, width, weights) of the resonant emission spectrum.
 
     Supercritical drive (omega > gamma/8) gives the central peak plus two
     sidebands at +- the Mollow splitting with complex weights; subcritical
@@ -168,25 +160,25 @@ def mollow_coefficients(p: SingleParams) -> MollowCoefficients:
             * (16.0 * w**2 - g**2 + (4.0 * wm) ** 2)
             / ((4.0 * wm) ** 2 + g**2)
         )
-        peaks = (
-            MollowPeak("A", g, 0.0, 0.5, 0.0),
-            MollowPeak("B", 1.5 * g, +wm, common, +disp),
-            MollowPeak("C", 1.5 * g, -wm, common, -disp),
+        components = (
+            SpectralComponent(0.0, g, 0.5, 0.0),
+            SpectralComponent(+wm, 1.5 * g, common, +disp),
+            SpectralComponent(-wm, 1.5 * g, common, -disp),
         )
-        return MollowCoefficients("supercritical", peaks, delta_weight)
+        return MollowCoefficients("supercritical", components, delta_weight)
 
     gm_sq = (0.25 * g) ** 2 - (2.0 * w) ** 2
     gm = math.sqrt(gm_sq) if gm_sq > 0.0 else 0.0
-    # Merged-pole regularization: below this floor the B/C denominators
+    # Merged-pole regularization: below this floor the side denominators
     # 16*gm**2 -+ 4*g*gm lose all significance (they cancel only in the sum).
     gm_floor = 0.25 * g * math.sqrt(1.0 - (1.0 - CRITICAL_WINDOW) ** 2)
     near = gm < gm_floor
     if near:
         gm = gm_floor
     num = g**2 - 16.0 * w**2
-    # The direct B denominator 16*gm**2 - 4*g*gm cancels catastrophically as
-    # omega -> 0 (gm -> g/4); with g**2 - 16 gm**2 = 64 omega**2 it factors
-    # into the cancellation-free form below.
+    # The narrow side's direct denominator 16*gm**2 - 4*g*gm cancels
+    # catastrophically as omega -> 0 (gm -> g/4); with g**2 - 16 gm**2 =
+    # 64 omega**2 it factors into the cancellation-free form below.
     den_b = -256.0 * gm * w**2 / (g + 4.0 * gm)
     den_c = 4.0 * gm * (4.0 * gm + g)
     lb = share * (num + 4.0 * g * gm) / den_b
@@ -198,12 +190,12 @@ def mollow_coefficients(p: SingleParams) -> MollowCoefficients:
         scale = target / (lb + lc)
         lb *= scale
         lc *= scale
-    peaks = (
-        MollowPeak("A", g, 0.0, 0.5, 0.0),
-        MollowPeak("B", 1.5 * g - 2.0 * gm, 0.0, lb, 0.0),
-        MollowPeak("C", 1.5 * g + 2.0 * gm, 0.0, lc, 0.0),
+    components = (
+        SpectralComponent(0.0, g, 0.5, 0.0),
+        SpectralComponent(0.0, 1.5 * g - 2.0 * gm, lb, 0.0),
+        SpectralComponent(0.0, 1.5 * g + 2.0 * gm, lc, 0.0),
     )
-    return MollowCoefficients("subcritical", peaks, delta_weight, near_critical=near)
+    return MollowCoefficients("subcritical", components, delta_weight, near_critical=near)
 
 
 @dataclass(frozen=True)
@@ -245,17 +237,3 @@ def single_spectrum(p: SingleParams, grid: np.ndarray) -> SingleSpectrum:
     delta_weight = g**2 / (g**2 + 8.0 * w**2)
     return SingleSpectrum(central - side, delta_weight)
 
-
-def coefficients_to_spectrum(coeffs: MollowCoefficients, grid: np.ndarray) -> np.ndarray:
-    """Rebuild the incoherent spectrum from its peak records.
-
-    Sum of the standard Lorentzian-plus-dispersive lineshape over the three
-    components; the delta weight is excluded.
-    """
-    grid = np.asarray(grid, dtype=float)
-    out = np.zeros_like(grid)
-    for pk in coeffs.peaks:
-        half = 0.5 * pk.gamma_zeta
-        shift = grid - pk.omega_zeta
-        out += (half * pk.L - shift * pk.K) / (half * half + shift * shift) / math.pi
-    return out

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,6 +26,9 @@ from .errors import DegenerateEigenvectorError, ParameterError, UnsupportedConfi
 from .moments import build_moment_system, steady_state
 from .operators import IDX_S1, IDX_S2, SEED_SELECTION
 from .params import SystemParams
+
+if TYPE_CHECKING:
+    from .single_emitter import MollowCoefficients
 
 #: Relative gap below which eigenvalues count as one cluster.
 CLUSTER_GAP = 1e-8
@@ -253,10 +257,14 @@ def decompose_spectrum(p: SystemParams, emitter: int = 1) -> SpectralDecompositi
     return SpectralDecomposition(tuple(components), float(delta_weight), emitter)
 
 
-def evaluate_spectrum(d: SpectralDecomposition, grid: np.ndarray) -> np.ndarray:
+def evaluate_spectrum(
+    d: SpectralDecomposition | MollowCoefficients, grid: np.ndarray
+) -> np.ndarray:
     """Pointwise sum of the Lorentzian-plus-dispersive lineshapes.
 
-    The delta weight is never rasterized onto the grid.
+    Reads only d.components, so it evaluates a SpectralDecomposition and a
+    single-emitter MollowCoefficients alike.  The delta weight is never
+    rasterized onto the grid.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0.0):

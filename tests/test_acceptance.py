@@ -251,7 +251,7 @@ def test_criterion_10_spectrum_pipeline_cross_validation():
 def test_criterion_11_single_emitter_mollow():
     coeffs = mollow_coefficients(SingleParams(gamma=1.0, omega=1.0))
     wm = mollow_splitting(1.0, 1.0)
-    side = [pk for pk in coeffs.peaks if pk.name == "B"][0]
+    side = coeffs.components[1]
     ok = (abs(wm - np.sqrt(63.0) / 4.0) < 1e-12
           and abs(side.omega_zeta - wm) < 1e-12
           and abs(coeffs.delta_weight - 1.0 / 9.0) < 1e-12)

@@ -13,7 +13,7 @@ from mollowpair.params import (
     dissipative_pair,
     unidirectional_pair,
 )
-from mollowpair.single_emitter import SingleParams, single_population, single_spectrum
+from mollowpair.single_emitter import single_population
 
 
 # --- coherent ---------------------------------------------------------------
@@ -99,15 +99,6 @@ def test_unidirectional_g2_values():
     assert cf.unidirectional_g2(1.0, 1.0, 1.0) == pytest.approx(117 / 156)
     assert cf.unidirectional_g2(0.7, 1e-5, 1.0) == pytest.approx(0.25, abs=1e-6)
     assert cf.unidirectional_g2(0.7, 1e2, 1.0) == pytest.approx(1.0, abs=1e-3)
-
-
-def test_unidirectional_spectrum_equals_single_emitter():
-    grid = np.linspace(-9.0, 9.0, 1501)
-    for omega in (0.5, 1.0, 2.0):
-        got = cf.unidirectional_spectrum(grid, omega, 1.0)
-        ref = single_spectrum(SingleParams(gamma=1.0, omega=omega), grid).values
-        np.testing.assert_allclose(got, ref, atol=1e-14)
-        np.testing.assert_allclose(got, got[::-1], atol=1e-15)
 
 
 # --- cross-regime consistency ------------------------------------------------

@@ -20,6 +20,7 @@ from mollowpair.liouville import (
     two_time_correlator,
     vectorize,
 )
+from mollowpair.moments import build_moment_system, steady_state
 from mollowpair.operators import N1, SIGMA1, SIGMA2
 from mollowpair.params import (
     SystemParams,
@@ -27,8 +28,8 @@ from mollowpair.params import (
     dissipative_pair,
     unidirectional_pair,
 )
-from mollowpair.single_emitter import SingleParams, regression_system
-from mollowpair.spectrum import local_maxima
+from mollowpair.single_emitter import SingleParams, regression_system, single_spectrum
+from mollowpair.spectrum import decompose_spectrum, local_maxima
 
 from conftest import random_params
 
@@ -105,6 +106,22 @@ def test_steady_state_matches_closed_form():
     np.testing.assert_allclose(np.diag(rho).real, ref, atol=1e-10)
 
 
+@pytest.mark.parametrize("g", [100.0, 1000.0])
+def test_steady_state_at_strong_coherent_coupling_weak_drive(g):
+    # n1 ~ (omega / g)**2 lies far below eps * ||L||, so the kernel solve
+    # must resolve it relative to its own size, as the moment solve does.
+    p = coherent_pair(g, 0.01)
+    rho = steady_state_dm(build_liouvillian(p))
+    st = steady_state(build_moment_system(p))
+    assert np.trace(N1 @ rho).real == pytest.approx(st.n1, rel=1e-9)
+
+
+def test_fft_delta_weight_at_strong_coherent_coupling():
+    p = coherent_pair(1000.0, 0.01)
+    _, delta = spectrum_fft(build_liouvillian(p), np.linspace(-50.0, 50.0, 1001))
+    assert delta == pytest.approx(decompose_spectrum(p).delta_weight, rel=1e-9)
+
+
 def test_evolution_identity_trace_and_attractor(rng):
     p = coherent_pair(0.8, 1.2)
     lv = build_liouvillian(p)
@@ -116,6 +133,17 @@ def test_evolution_identity_trace_and_attractor(rng):
     np.testing.assert_allclose(final, steady_state_dm(lv), atol=1e-8)
     with pytest.raises(ParameterError):
         evolve_dm(lv, rho0, -1.0)
+
+
+def test_defective_generator_evolves_to_steady_state():
+    # At the one-way critical drive the generator does not diagonalize, so
+    # propagation takes the matrix-exponential branch.
+    lv = build_liouvillian(unidirectional_pair(1.0, 0.125))
+    assert lv.eigensystem()[2] is None
+    ground = np.zeros((4, 4), dtype=complex)
+    ground[0, 0] = 1.0
+    np.testing.assert_allclose(evolve_dm(lv, ground, 200.0), steady_state_dm(lv),
+                               rtol=0.0, atol=1e-10)
 
 
 def test_correlator_boundary_and_plateau():
@@ -173,7 +201,7 @@ def test_spectrum_matches_unidirectional_closed_form():
     lv = build_liouvillian(p)
     grid = np.linspace(-12.0, 12.0, 1201)
     values, delta = spectrum_fft(lv, grid)
-    ref = cf.unidirectional_spectrum(grid, 2.0, 1.0)
+    ref = single_spectrum(SingleParams(gamma=1.0, omega=2.0), grid).values
     assert np.max(np.abs(values - ref)) < 1e-3
     assert delta == pytest.approx(1.0 / 33.0, abs=1e-9)
 
@@ -220,8 +248,6 @@ def test_spectrum_undefined_without_drive():
 
 
 def test_oracle_positivity_and_coherence_consistency(rng):
-    from mollowpair.moments import build_moment_system, steady_state
-
     for _ in range(25):
         p = random_params(rng, with_detuning=True, with_second_drive=True)
         rho = steady_state_dm(build_liouvillian(p))

@@ -6,7 +6,6 @@ import pytest
 from mollowpair.errors import ParameterError, UnsupportedConfigurationError
 from mollowpair.single_emitter import (
     SingleParams,
-    coefficients_to_spectrum,
     critical_drive,
     dressed_state,
     mollow_coefficients,
@@ -15,6 +14,7 @@ from mollowpair.single_emitter import (
     single_spectrum,
     steady_population_coherence,
 )
+from mollowpair.spectrum import evaluate_spectrum
 
 
 def test_population_limits():
@@ -84,12 +84,12 @@ def test_regression_eigenvalues_supercritical(rng):
 def test_mollow_coefficients_supercritical_values():
     coeffs = mollow_coefficients(SingleParams(gamma=1.0, omega=1.0))
     assert coeffs.regime == "supercritical"
-    by_name = {pk.name: pk for pk in coeffs.peaks}
-    assert by_name["A"].gamma_zeta == 1.0
-    assert by_name["A"].L == 0.5
+    central, upper, lower = coeffs.components
+    assert central.gamma_zeta == 1.0
+    assert central.L_zeta == 0.5
     wm = np.sqrt(63.0) / 4.0
-    assert by_name["B"].omega_zeta == pytest.approx(wm, abs=1e-12)
-    assert by_name["C"].omega_zeta == pytest.approx(-wm, abs=1e-12)
+    assert upper.omega_zeta == pytest.approx(wm, abs=1e-12)
+    assert lower.omega_zeta == pytest.approx(-wm, abs=1e-12)
     assert coeffs.delta_weight == pytest.approx(1.0 / 9.0, abs=1e-15)
     assert coeffs.weight_sum == pytest.approx(1.0, abs=1e-12)
 
@@ -97,10 +97,10 @@ def test_mollow_coefficients_supercritical_values():
 def test_mollow_coefficients_subcritical_structure():
     coeffs = mollow_coefficients(SingleParams(gamma=1.0, omega=0.05))
     assert coeffs.regime == "subcritical"
-    for pk in coeffs.peaks:
-        assert pk.omega_zeta == 0.0
-        assert pk.K == 0.0
-        assert pk.gamma_zeta > 0.0
+    for c in coeffs.components:
+        assert c.omega_zeta == 0.0
+        assert c.K_zeta == 0.0
+        assert c.gamma_zeta > 0.0
     assert coeffs.weight_sum == pytest.approx(1.0, abs=1e-12)
 
 
@@ -108,7 +108,7 @@ def test_mollow_boundary_is_finite():
     coeffs = mollow_coefficients(SingleParams(gamma=1.0, omega=0.125))
     assert coeffs.regime == "subcritical"
     assert coeffs.near_critical
-    assert np.isfinite([pk.L for pk in coeffs.peaks]).all()
+    assert np.isfinite([c.L_zeta for c in coeffs.components]).all()
     assert coeffs.weight_sum == pytest.approx(1.0, abs=1e-12)
 
 
@@ -127,9 +127,10 @@ def test_detuned_coefficients_rejected():
         single_spectrum(SingleParams(delta=1.0, gamma=1.0, omega=1.0), np.linspace(-1, 1, 11))
 
 
-def test_spectrum_symmetric_and_decaying():
+@pytest.mark.parametrize("omega", [0.125, 0.5, 1.0, 2.0])
+def test_spectrum_symmetric_and_decaying(omega):
     grid = np.linspace(-100.0, 100.0, 4001)
-    spec = single_spectrum(SingleParams(gamma=1.0, omega=0.125), grid)
+    spec = single_spectrum(SingleParams(gamma=1.0, omega=omega), grid)
     np.testing.assert_allclose(spec.values, spec.values[::-1], atol=1e-15)
     assert spec.values[-1] < 1e-4 * spec.values.max()
 
@@ -151,7 +152,7 @@ def test_reconstruction_matches_closed_form(rng):
         if abs(omega - gamma / 8.0) < 1e-3 * gamma:
             omega *= 1.01
         coeffs = mollow_coefficients(SingleParams(gamma=gamma, omega=omega))
-        rebuilt = coefficients_to_spectrum(coeffs, grid)
+        rebuilt = evaluate_spectrum(coeffs, grid)
         closed = single_spectrum(SingleParams(gamma=gamma, omega=omega), grid).values
         np.testing.assert_allclose(rebuilt, closed, atol=1e-10)
 

@@ -125,6 +125,20 @@ def test_spectrum_sweep_through_trapping_point():
     assert len(result.spectra) == 4
 
 
+def test_spectrum_sweep_falls_back_at_critical_drive():
+    # The one-way pair across omega1 = gamma0/8: the middle point carries a
+    # visible Jordan block, so its spectrum comes from the oracle.
+    spec = small_spec(fixed={"g": 0.5, "gamma": 1.0, "theta": np.pi / 2},
+                      observables=("spectrum",),
+                      grid=GridSpec(min=0.124, max=0.126, count=3))
+    result = run_sweep(spec)
+    assert result.paths == ("spectrum:eigendecomposition", "spectrum:fft-fallback",
+                            "spectrum:eigendecomposition")
+    fallback = result.spectra[1]
+    integral = np.trapezoid(fallback.values, fallback.grid)
+    assert integral + fallback.delta_weight == pytest.approx(1.0, abs=1e-3)
+
+
 def test_eigenvalue_sweep_columns():
     spec = small_spec(observables=("eigenvalues",),
                       grid=GridSpec(min=1.0, max=2.0, count=2))
@@ -209,6 +223,14 @@ def test_unknown_preset_rejected():
 def run_cli(*args, **kw):
     return subprocess.run([sys.executable, "-m", "mollowpair", *args],
                           capture_output=True, text=True, **kw)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only the oracle's defective-generator branch.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mollowpair.cli; assert 'scipy' not in sys.modules"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_sweep_to_stdout():
