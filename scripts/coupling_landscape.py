@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from mollowpair.moments import build_moment_system, g2_cross, steady_state
+from mollowpair.moments import build_moment_systems, g2_cross, steady_states
 from mollowpair.params import SystemParams, classify_regime
 
 OMEGA = 1e-3
@@ -28,10 +28,10 @@ def main() -> int:
     out = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "landscape.csv")
     lines = ["g,gamma,regime,g2"]
     for g in GRID_G:
-        for gamma in GRID_GAMMA:
-            p = SystemParams(g=g, gamma=gamma, theta=0.5 * np.pi, phi=0.0, omega1=OMEGA)
-            value = g2_cross(steady_state(build_moment_system(p)))
-            lines.append(f"{g:.8g},{gamma:.8g},{classify_regime(p).value},{value:.17g}")
+        row = [SystemParams(g=g, gamma=gamma, theta=0.5 * np.pi, phi=0.0, omega1=OMEGA)
+               for gamma in GRID_GAMMA]
+        for p, state in zip(row, steady_states(build_moment_systems(row))):
+            lines.append(f"{g:.8g},{p.gamma:.8g},{classify_regime(p).value},{g2_cross(state):.17g}")
     out.write_text("\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} points to {out}")
     return 0

@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .liouville import build_liouvillian, spectrum_fft
-from .moments import build_moment_system, g2_cross, populations, steady_state
+from .moments import MomentSystem, build_moment_systems, g2_cross, populations, steady_states
 from .params import CONFIG_KEYS, Regime, SystemParams, classify_regime
 from .spectrum import decompose_spectrum, default_grid, evaluate_spectrum
 
@@ -169,30 +169,36 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     values = spec.grid.values()
     columns = [spec.param] + _scalar_columns(spec.observables)
     rows: list[tuple] = []
-    regimes: list[str] = []
     paths: list[str] = []
     notes: list[str] = []
     spectra: list[SpectrumBlock] = []
     decomps: list[DecompositionBlock] = []
 
+    points = [spec.point(value) for value in values]
+    regimes = [classify_regime(p) for p in points]
+    fast = [
+        spec.fastpath and regime in _FAST_REGIMES and p.delta == 0.0 and p.omega2 == 0.0
+        for p, regime in zip(points, regimes)
+    ]
+
+    # One moment build and one solve serve the whole sweep.
     want_state = "populations" in spec.observables or "g2" in spec.observables
-    for value in values:
-        p = spec.point(value)
-        regime = classify_regime(p)
-        regimes.append(regime.value)
+    want_eigs = "eigenvalues" in spec.observables
+    solve = [k for k, use_fast in enumerate(fast) if want_state and not use_fast]
+    states = {}
+    if want_eigs or solve:
+        system = build_moment_systems(points if want_eigs else [points[k] for k in solve])
+        if want_eigs:
+            eigs = np.linalg.eigvals(system.matrix)
+            eigs = np.take_along_axis(eigs, np.lexsort((eigs.imag, eigs.real)), axis=-1)
+            system = MomentSystem(matrix=system.matrix[solve], drive=system.drive[solve])
+        states = dict(zip(solve, steady_states(system)))
+
+    for k, (value, p, regime, use_fast) in enumerate(zip(values, points, regimes, fast)):
         point_paths: list[str] = []
         point_notes: list[str] = []
         row: list[float | None] = [float(value)]
-
-        use_fast = (
-            spec.fastpath
-            and regime in _FAST_REGIMES
-            and p.delta == 0.0
-            and p.omega2 == 0.0
-        )
-        state = None
-        if want_state and not use_fast:
-            state = steady_state(build_moment_system(p))
+        state = states.get(k)
 
         if "populations" in spec.observables:
             if use_fast:
@@ -257,10 +263,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 point_notes.append(f"spectrum:{exc.args[0].split(';')[0]}")
                 point_paths.append("spectrum:null")
 
-        if "eigenvalues" in spec.observables:
-            eigs = np.linalg.eigvals(build_moment_system(p).matrix)
-            order = np.lexsort((eigs.imag, eigs.real))
-            for z in eigs[order]:
+        if want_eigs:
+            for z in eigs[k]:
                 row += [float(z.real), float(z.imag)]
             point_paths.append("eigenvalues:moments")
 
@@ -272,7 +276,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         spec=spec,
         columns=tuple(columns),
         rows=tuple(rows),
-        regimes=tuple(regimes),
+        regimes=tuple(regime.value for regime in regimes),
         paths=tuple(paths),
         notes=tuple(notes),
         spectra=tuple(spectra),

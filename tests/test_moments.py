@@ -1,16 +1,26 @@
 """Moment system structure, steady-state solve, and the cross-correlator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from mollowpair.errors import NumericalError, UndefinedCorrelatorError
+from mollowpair.errors import (
+    ConditionWarning,
+    NumericalError,
+    SingularSystemError,
+    UndefinedCorrelatorError,
+)
 from mollowpair.hamiltonian import build_pair_hamiltonian
 from mollowpair.moments import (
+    MomentSystem,
     build_moment_system,
+    build_moment_systems,
     g2_cross,
     populations,
     solve_populations,
     steady_state,
+    steady_states,
 )
 from mollowpair.operators import EYE4, MOMENT_OPERATORS, SIGMA1, SIGMA2
 from mollowpair.params import (
@@ -59,13 +69,49 @@ def adjoint_moment_system(p):
 
 def test_matrix_matches_independent_derivation(rng):
     # Entry-for-entry check of all 225 coefficients against the adjoint
-    # expansion, over generic parameters including detuning and two drives.
-    for _ in range(30):
-        p = random_params(rng, with_detuning=True, with_second_drive=True)
-        system = build_moment_system(p)
+    # expansion, over generic parameters including detuning and two drives,
+    # one point at a time and as rows of one stacked build.
+    ps = [random_params(rng, with_detuning=True, with_second_drive=True) for _ in range(30)]
+    stack = build_moment_systems(ps)
+    assert stack.matrix.shape == (30, 15, 15) and stack.drive.shape == (30, 15)
+    for k, p in enumerate(ps):
         m_ref, p_ref = adjoint_moment_system(p)
-        np.testing.assert_allclose(system.matrix, m_ref, atol=1e-13)
-        np.testing.assert_allclose(system.drive, p_ref, atol=1e-13)
+        for system in (build_moment_system(p), MomentSystem(stack.matrix[k], stack.drive[k])):
+            np.testing.assert_allclose(system.matrix, m_ref, atol=1e-13)
+            np.testing.assert_allclose(system.drive, p_ref, atol=1e-13)
+
+
+def _mixed_batch(rng):
+    """Wide draws (strong coupling, weak drive, detuning, two drives) plus
+    the 41 x 31 weak-drive landscape grid of scripts/coupling_landscape.py."""
+    wide = [
+        SystemParams(delta=rng.uniform(-3.0, 3.0), g=10 ** rng.uniform(-2, 3),
+                     theta=rng.uniform(0.0, 2.0 * np.pi), gamma=rng.uniform(0.0, 1.0),
+                     phi=rng.uniform(0.0, 2.0 * np.pi), omega1=10 ** rng.uniform(-3, 2),
+                     omega2=10 ** rng.uniform(-3, 1))
+        for _ in range(200)
+    ]
+    grid = [SystemParams(g=g, gamma=gamma, theta=0.5 * np.pi, phi=0.0, omega1=1e-3)
+            for g in np.geomspace(0.05, 5.0, 41) for gamma in np.geomspace(0.01, 1.0, 31)]
+    return wide + grid
+
+
+def test_batch_engine_matches_per_point_bitwise(rng):
+    # The stacked build and solve are the per-point functions' own engine:
+    # every bit agrees, signed zeros included.
+    ps = _mixed_batch(rng)
+    stack = build_moment_systems(ps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditionWarning)
+        states = steady_states(stack)
+        for k, p in enumerate(ps):
+            one = build_moment_system(p)
+            assert one.matrix.tobytes() == stack.matrix[k].tobytes()
+            assert one.drive.tobytes() == stack.drive[k].tobytes()
+            st = steady_state(one)
+            assert st.u.tobytes() == states[k].u.tobytes()
+            assert st.cond == states[k].cond
+    assert steady_states(build_moment_systems([])) == []
 
 
 def test_decoupled_matrix_is_diagonal():
@@ -182,22 +228,25 @@ def test_unidirectional_population_identity():
 
 
 def test_singular_system_raises():
-    from mollowpair.errors import SingularSystemError
-    from mollowpair.moments import MomentSystem
-
     m = np.zeros((15, 15), dtype=complex)
     m[0, 0] = 1.0
     with pytest.raises(SingularSystemError):
         steady_state(MomentSystem(matrix=m, drive=np.zeros(15, dtype=complex)))
+    # In a stack after a regular point it is caught before any solve, so
+    # LAPACK never sees it (that would raise LinAlgError).
+    regular = build_moment_system(coherent_pair(1.0, 1.0))
+    stack = MomentSystem(matrix=np.stack([regular.matrix, m]),
+                         drive=np.stack([regular.drive, np.zeros(15, dtype=complex)]))
+    with pytest.raises(SingularSystemError):
+        steady_states(stack)
 
 
 def test_condition_warning():
-    from mollowpair.errors import ConditionWarning
-    from mollowpair.moments import MomentSystem
-
     m = np.diag(np.array([1.0] * 14 + [1e-13], dtype=complex))
-    with pytest.warns(ConditionWarning):
+    with pytest.warns(ConditionWarning) as record:
         steady_state(MomentSystem(matrix=m, drive=np.zeros(15, dtype=complex)))
+    # The warning names the caller's line, not the solver's.
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_imaginary_residue_guard():

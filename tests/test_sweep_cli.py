@@ -7,7 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from mollowpair.errors import SweepSpecError
+import mollowpair.sweep
+from mollowpair import closed_forms
+from mollowpair.errors import ConditionWarning, SweepSpecError
+from mollowpair.moments import build_moment_system, g2_cross, populations, steady_state
+from mollowpair.params import Regime, classify_regime
 from mollowpair.sweep import (
     GridSpec,
     SweepSpec,
@@ -137,6 +141,50 @@ def test_spectrum_sweep_falls_back_at_critical_drive():
     fallback = result.spectra[1]
     integral = np.trapezoid(fallback.values, fallback.grid)
     assert integral + fallback.delta_weight == pytest.approx(1.0, abs=1e-3)
+
+
+def test_trapping_sweep_condition_warning_names_the_sweep():
+    # The moment solve of the whole sweep happens in run_sweep, so the
+    # ill-conditioned point omega1 = 1e-6 is reported from sweep.py.
+    spec = small_spec(fixed={"g": 0.0, "gamma": 1.0}, observables=("populations", "g2"),
+                      grid=GridSpec(min=1e-6, max=1.0, count=4, scale="log"), fastpath=False)
+    with pytest.warns(ConditionWarning) as record:
+        run_sweep(spec)
+    assert [w.filename for w in record] == [mollowpair.sweep.__file__]
+
+
+@pytest.mark.parametrize("observables", [("populations", "g2"),
+                                         ("populations", "g2", "eigenvalues")])
+def test_batched_sweep_matches_per_point_reference(observables):
+    # A g sweep across the one-way diagonal g = gamma/2 (gamma = 1, theta =
+    # pi/2): the middle point takes the closed form, the others the moments.
+    spec = SweepSpec(param="g", grid=GridSpec(min=0.3, max=0.7, count=5),
+                     fixed={"gamma": 1.0, "theta": np.pi / 2, "omega1": 0.7},
+                     observables=observables)
+    result = run_sweep(spec)
+    rows, paths = [], []
+    for value in spec.grid.values():
+        p = spec.point(value)
+        regime = classify_regime(p)
+        if regime is Regime.UNIDIRECTIONAL_FORWARD:
+            pops = closed_forms.regime_populations(p, regime)
+            g2 = closed_forms.regime_g2(p, regime)
+            path = "populations:closed-form;g2:closed-form"
+        else:
+            state = steady_state(build_moment_system(p))
+            pops, g2 = populations(state), g2_cross(state)
+            path = "populations:moments;g2:moments"
+        row = [float(value), pops.rho00, pops.rho10, pops.rho01, pops.rho11, g2]
+        if "eigenvalues" in observables:
+            eigs = np.linalg.eigvals(build_moment_system(p).matrix)
+            for z in eigs[np.lexsort((eigs.imag, eigs.real))]:
+                row += [float(z.real), float(z.imag)]
+            path += ";eigenvalues:moments"
+        rows.append(tuple(row))
+        paths.append(path)
+    assert ["closed-form" in path for path in paths] == [False, False, True, False, False]
+    assert result.rows == tuple(rows)
+    assert result.paths == tuple(paths)
 
 
 def test_eigenvalue_sweep_columns():
