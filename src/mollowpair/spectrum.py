@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DegenerateEigenvectorError, ParameterError, UnsupportedConfigurationError
-from .moments import build_moment_system, steady_state
+from .moments import MomentState, build_moment_system, steady_state
 from .operators import IDX_S1, IDX_S2, SEED_SELECTION
 from .params import SystemParams
 
@@ -189,6 +189,13 @@ def decompose_spectrum(p: SystemParams, emitter: int = 1) -> SpectralDecompositi
         When the restricted regression matrix is defective within tolerance,
         naming the clustered eigenvalues; fall back to the oracle spectrum.
     """
+    _check_defined(p, emitter)
+    system = build_moment_system(p)
+    return _decompose(p, emitter, system.matrix, steady_state(system))
+
+
+def _check_defined(p: SystemParams, emitter: int) -> None:
+    """Reject an emitter whose spectrum is undefined before anything is solved."""
     if emitter not in (1, 2):
         raise ParameterError(f"emitter must be 1 or 2, got {emitter}")
     if emitter == 1 and p.omega1 == 0.0:
@@ -196,8 +203,14 @@ def decompose_spectrum(p: SystemParams, emitter: int = 1) -> SpectralDecompositi
             "emitter 1 is undriven (omega1 = 0); its spectrum is undefined"
         )
 
-    system = build_moment_system(p)
-    state = steady_state(system)
+
+def _decompose(p: SystemParams, emitter: int, m: np.ndarray, state: MomentState
+               ) -> SpectralDecomposition:
+    """decompose_spectrum at a point already solved: its (15, 15) M and moment state.
+
+    The sweep passes the states of its one batched moment solve; of p only
+    gamma0, the floor of the matrix scale, is read.
+    """
     n_e = state.n1 if emitter == 1 else state.n2
     coh = state.s1 if emitter == 1 else state.s2
     if n_e <= 0.0:
@@ -209,7 +222,6 @@ def decompose_spectrum(p: SystemParams, emitter: int = 1) -> SpectralDecompositi
 
     w = boundary_vector(state.u, emitter) - state.u * np.conj(coh)
 
-    m = system.matrix
     scale = max(float(np.linalg.norm(m, ord=np.inf)), p.gamma0)
 
     # Minimal realization of the scalar correlator: restrict to the subspace

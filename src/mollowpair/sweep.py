@@ -3,14 +3,20 @@
 A sweep varies one parameter over a grid, evaluates the requested observables
 at every point, records which computational path produced each value, and
 serializes to CSV or JSON.  Closed forms are used where a pure regime at
-resonance permits them (unless disabled), the moment solver otherwise;
-spectra fall back from the pole decomposition to the integration oracle if
-the regression matrix is defective.
+resonance permits them (unless disabled), the moment solver otherwise; one
+batched moment solve serves every point that needs moments, spectra
+included.  Spectra fall back from the pole decomposition to the integration
+oracle if the regression matrix is defective.
+
+Both formats write floats round-trip exact: CSV as 17 significant digits
+(``nan``, ``inf``), JSON as ``json.dumps(doc, sort_keys=True, indent=1)``
+writes them (``float.__repr__``; ``NaN``, ``Infinity``).  Spectrum blocks are
+written in bulk, one format call per block, with the same bytes.  Identical
+results give identical bytes within one numpy/LAPACK build.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -28,7 +34,7 @@ from .errors import (
 from .liouville import build_liouvillian, spectrum_fft
 from .moments import MomentSystem, build_moment_systems, g2_cross, populations, steady_states
 from .params import CONFIG_KEYS, Regime, SystemParams, classify_regime
-from .spectrum import decompose_spectrum, default_grid, evaluate_spectrum
+from .spectrum import _check_defined, _decompose, default_grid, evaluate_spectrum
 
 OBSERVABLES = ("populations", "g2", "spectrum", "decomposition", "eigenvalues")
 
@@ -37,9 +43,9 @@ OBSERVABLES = ("populations", "g2", "spectrum", "decomposition", "eigenvalues")
 _FAST_REGIMES = (Regime.COHERENT, Regime.DISSIPATIVE, Regime.UNIDIRECTIONAL_FORWARD)
 
 
-def _fmt(x: float) -> str:
-    """Floating-point text with 17 significant digits (round-trip exact)."""
-    return f"{x:.17g}"
+#: CSV float text: 17 significant digits, round-trip exact.  The %-operator
+#: writes the same text as f"{x:.17g}", nan, inf and -0 included.
+_G17 = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -112,14 +118,32 @@ class SweepSpec:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumBlock:
-    """One spectrum: the swept value, its frequency grid and the density."""
+    """One spectrum: the swept value, its frequency grid and the density.
+
+    grid and values are stored as read-only float64 copies of what is passed
+    (a sequence or an array).  Two blocks are equal when all four fields are
+    equal value by value.
+    """
 
     value: float
-    grid: tuple[float, ...]
-    values: tuple[float, ...]
+    grid: np.ndarray
+    values: np.ndarray
     delta_weight: float
+
+    def __post_init__(self):
+        for name in ("grid", "values"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __eq__(self, other):
+        if not isinstance(other, SpectrumBlock):
+            return NotImplemented
+        return (self.value == other.value and self.delta_weight == other.delta_weight
+                and np.array_equal(self.grid, other.grid)
+                and np.array_equal(self.values, other.values))
 
 
 @dataclass(frozen=True)
@@ -181,24 +205,27 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         for p, regime in zip(points, regimes)
     ]
 
-    # One moment build and one solve serve the whole sweep.
+    # One moment build and one solve serve the whole sweep.  Spectra need the
+    # moments even on the fast path; an undriven emitter 1 has no spectrum.
     want_state = "populations" in spec.observables or "g2" in spec.observables
+    want_spectrum = "spectrum" in spec.observables or "decomposition" in spec.observables
     want_eigs = "eigenvalues" in spec.observables
-    solve = [k for k, use_fast in enumerate(fast) if want_state and not use_fast]
-    states = {}
+    solve = [k for k, (p, use_fast) in enumerate(zip(points, fast))
+             if (want_state and not use_fast) or (want_spectrum and p.omega1 != 0.0)]
+    solved = {}
     if want_eigs or solve:
         system = build_moment_systems(points if want_eigs else [points[k] for k in solve])
         if want_eigs:
             eigs = np.linalg.eigvals(system.matrix)
             eigs = np.take_along_axis(eigs, np.lexsort((eigs.imag, eigs.real)), axis=-1)
             system = MomentSystem(matrix=system.matrix[solve], drive=system.drive[solve])
-        states = dict(zip(solve, steady_states(system)))
+        solved = dict(zip(solve, zip(system.matrix, steady_states(system))))
 
     for k, (value, p, regime, use_fast) in enumerate(zip(values, points, regimes, fast)):
         point_paths: list[str] = []
         point_notes: list[str] = []
         row: list[float | None] = [float(value)]
-        state = states.get(k)
+        m, state = solved.get(k, (None, None))
 
         if "populations" in spec.observables:
             if use_fast:
@@ -226,10 +253,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                     point_notes.append("g2:undefined-correlator")
                     point_paths.append("g2:null")
 
-        if "spectrum" in spec.observables or "decomposition" in spec.observables:
+        if want_spectrum:
             grid = default_grid(p, spec.spectrum_points)
             try:
-                d = decompose_spectrum(p)
+                _check_defined(p, 1)
+                d = _decompose(p, 1, m, state)
                 row.append(d.delta_weight)
                 if "decomposition" in spec.observables:
                     decomps.append(DecompositionBlock(
@@ -244,8 +272,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 if "spectrum" in spec.observables:
                     vals = evaluate_spectrum(d, grid)
                     spectra.append(SpectrumBlock(
-                        value=float(value), grid=tuple(grid), values=tuple(vals),
-                        delta_weight=d.delta_weight,
+                        value=float(value), grid=grid, values=vals, delta_weight=d.delta_weight,
                     ))
                     point_paths.append("spectrum:eigendecomposition")
             except DegenerateEigenvectorError:
@@ -254,8 +281,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 vals, delta = spectrum_fft(build_liouvillian(p), grid)
                 row.append(delta)
                 spectra.append(SpectrumBlock(
-                    value=float(value), grid=tuple(grid), values=tuple(vals),
-                    delta_weight=delta,
+                    value=float(value), grid=grid, values=vals, delta_weight=delta,
                 ))
                 point_paths.append("spectrum:fft-fallback")
             except UnsupportedConfigurationError as exc:
@@ -297,8 +323,13 @@ def emit(result: SweepResult, format: str = "csv") -> bytes:
     raise SweepSpecError(f"unknown output format {format!r} (valid: csv, json)")
 
 
+def _csv_table(rows: np.ndarray) -> str:
+    """Rows of a float table as CSV lines, written by one %-format call."""
+    n, k = rows.shape
+    return ((",".join([_G17] * k) + "\n") * n) % tuple(rows.ravel().tolist())
+
+
 def _emit_csv(result: SweepResult) -> bytes:
-    out = io.StringIO()
     meta = {
         "schema": "mollowpair.sweep",
         "schema_version": 1,
@@ -308,29 +339,55 @@ def _emit_csv(result: SweepResult) -> bytes:
         "paths": list(result.paths),
         "notes": list(result.notes),
     }
-    out.write(f"# {json.dumps(meta, sort_keys=True)}\n")
+    out = [f"# {json.dumps(meta, sort_keys=True)}\n"]
     if result.spec.observables:
-        out.write(",".join(result.columns) + "\n")
-        for row in result.rows:
-            out.write(",".join("" if v is None else _fmt(v) for v in row) + "\n")
+        out.append(",".join(result.columns) + "\n")
+        out += [",".join("" if v is None else _G17 % v for v in row) + "\n"
+                for row in result.rows]
     else:
-        out.write(result.spec.param + "\n")
+        out.append(result.spec.param + "\n")
     for block in result.spectra:
-        out.write(f"\n# spectrum {result.spec.param} = {_fmt(block.value)} "
-                  f"delta_weight = {_fmt(block.delta_weight)}\n")
-        out.write("omega,spectral_density\n")
-        for w, s in zip(block.grid, block.values):
-            out.write(f"{_fmt(w)},{_fmt(s)}\n")
+        out.append(f"\n# spectrum {result.spec.param} = {_G17 % block.value} "
+                   f"delta_weight = {_G17 % block.delta_weight}\n")
+        out.append("omega,spectral_density\n")
+        out.append(_csv_table(np.column_stack((block.grid, block.values))))
     for block in result.decompositions:
-        out.write(f"\n# decomposition {result.spec.param} = {_fmt(block.value)} "
-                  f"delta_weight = {_fmt(block.delta_weight)}\n")
-        out.write("omega_zeta,gamma_zeta,L_zeta,K_zeta\n")
-        for comp in block.components:
-            out.write(",".join(_fmt(x) for x in comp) + "\n")
-    return out.getvalue().encode()
+        out.append(f"\n# decomposition {result.spec.param} = {_G17 % block.value} "
+                   f"delta_weight = {_G17 % block.delta_weight}\n")
+        out.append("omega_zeta,gamma_zeta,L_zeta,K_zeta\n")
+        out.append(_csv_table(np.array(block.components, dtype=float).reshape(-1, 4)))
+    return "".join(out).encode()
+
+
+def _json_floats(values: np.ndarray, depth: int) -> str:
+    """A float array as json.dumps(..., indent=1) writes it at nesting depth.
+
+    The compact encoder writes each float as the indented one does
+    (float.__repr__; NaN, Infinity, -Infinity); its item separator carries
+    the newline and indentation of the next item.
+    """
+    if values.size == 0:
+        return "[]"
+    inner = "\n" + " " * (depth + 1)
+    text = json.dumps(values.tolist(), separators=("," + inner, ":"))
+    return "[" + inner + text[1:-1] + "\n" + " " * depth + "]"
+
+
+def _json_spectrum(b: SpectrumBlock) -> str:
+    """One spectrum block as the element of a list at depth 1 (keys sorted)."""
+    return (f'{{\n   "delta_weight": {json.dumps(b.delta_weight)},'
+            f'\n   "grid": {_json_floats(b.grid, 3)},'
+            f'\n   "value": {json.dumps(b.value)},'
+            f'\n   "values": {_json_floats(b.values, 3)}\n  }}')
 
 
 def _emit_json(result: SweepResult) -> bytes:
+    """json.dumps(doc, sort_keys=True, indent=1) of the whole result, spectra in bulk.
+
+    Under sort_keys "spectra" is the last top-level key, so the rest of the
+    document goes through json.dumps and the spectra list is appended whole
+    in place of its closing brace.
+    """
     doc = {
         "schema": "mollowpair.sweep",
         "schema_version": 1,
@@ -341,18 +398,16 @@ def _emit_json(result: SweepResult) -> bytes:
         "regimes": list(result.regimes),
         "paths": list(result.paths),
         "notes": list(result.notes),
-        "spectra": [
-            {"value": b.value, "delta_weight": b.delta_weight,
-             "grid": list(b.grid), "values": list(b.values)}
-            for b in result.spectra
-        ],
         "decompositions": [
             {"value": b.value, "delta_weight": b.delta_weight,
              "components": [list(c) for c in b.components]}
             for b in result.decompositions
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=1).encode()
+    head = json.dumps(doc, sort_keys=True, indent=1)
+    spectra = ",\n  ".join(_json_spectrum(b) for b in result.spectra)
+    spectra = "[\n  " + spectra + "\n ]" if spectra else "[]"
+    return (head[:-2] + ',\n "spectra": ' + spectra + "\n}").encode()
 
 
 def parse_json(data: bytes | str) -> SweepResult:
@@ -377,8 +432,7 @@ def parse_json(data: bytes | str) -> SweepResult:
         paths=tuple(doc["paths"]),
         notes=tuple(doc["notes"]),
         spectra=tuple(
-            SpectrumBlock(b["value"], tuple(b["grid"]), tuple(b["values"]),
-                          b["delta_weight"])
+            SpectrumBlock(b["value"], b["grid"], b["values"], b["delta_weight"])
             for b in doc["spectra"]
         ),
         decompositions=tuple(

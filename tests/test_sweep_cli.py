@@ -7,13 +7,17 @@ import sys
 import numpy as np
 import pytest
 
+import mollowpair.spectrum
 import mollowpair.sweep
 from mollowpair import closed_forms
 from mollowpair.errors import ConditionWarning, SweepSpecError
 from mollowpair.moments import build_moment_system, g2_cross, populations, steady_state
 from mollowpair.params import Regime, classify_regime
+from mollowpair.spectrum import decompose_spectrum, default_grid, evaluate_spectrum
 from mollowpair.sweep import (
+    DecompositionBlock,
     GridSpec,
+    SpectrumBlock,
     SweepSpec,
     emit,
     load_preset,
@@ -185,6 +189,72 @@ def test_batched_sweep_matches_per_point_reference(observables):
     assert ["closed-form" in path for path in paths] == [False, False, True, False, False]
     assert result.rows == tuple(rows)
     assert result.paths == tuple(paths)
+
+
+@pytest.mark.parametrize("observables", [("populations", "spectrum"),
+                                         ("populations", "g2", "decomposition")])
+def test_spectrum_points_share_the_sweep_moment_solve(observables, monkeypatch):
+    # Asymmetric pair (g = 0.7, gamma = 0.4, theta = 1): every point needs the
+    # moment state both for its populations and for its spectrum.
+    spec = SweepSpec(param="omega1", grid=GridSpec(min=0.5, max=2.0, count=4),
+                     fixed={"g": 0.7, "gamma": 0.4, "theta": 1.0}, observables=observables)
+    calls = {"batched": 0, "one-point": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mollowpair.sweep, "steady_states",
+                        counting("batched", mollowpair.sweep.steady_states))
+    monkeypatch.setattr(mollowpair.spectrum, "steady_state",
+                        counting("one-point", mollowpair.spectrum.steady_state))
+    result = run_sweep(spec)
+    assert calls == {"batched": 1, "one-point": 0}
+    monkeypatch.undo()
+
+    rows, spectra, decomps = [], [], []
+    for value in spec.grid.values():
+        p = spec.point(value)
+        pops = populations(steady_state(build_moment_system(p)))
+        d = decompose_spectrum(p)
+        row = [float(value), pops.rho00, pops.rho10, pops.rho01, pops.rho11]
+        if "g2" in observables:
+            row.append(g2_cross(steady_state(build_moment_system(p))))
+        rows.append(tuple(row + [d.delta_weight]))
+        if "spectrum" in observables:
+            grid = default_grid(p, spec.spectrum_points)
+            spectra.append(SpectrumBlock(float(value), grid, evaluate_spectrum(d, grid),
+                                         d.delta_weight))
+        else:
+            decomps.append(DecompositionBlock(
+                float(value),
+                tuple((c.omega_zeta, c.gamma_zeta, c.L_zeta, c.K_zeta) for c in d.components),
+                d.delta_weight))
+    assert result.rows == tuple(rows)
+    assert result.spectra == tuple(spectra)
+    assert result.decompositions == tuple(decomps)
+    for got, ref in zip(result.spectra, spectra):
+        assert got.values.tobytes() == ref.values.tobytes()
+
+
+@pytest.mark.parametrize("fastpath, batched", [(True, 0), (False, 1)])
+def test_undriven_spectrum_is_a_null_cell_and_never_solved(fastpath, batched, monkeypatch):
+    # With the fast path the closed forms give the populations, so nothing is
+    # solved; without it the moments are solved for the populations alone.
+    spec = small_spec(param="g", grid=GridSpec(min=0.5, max=1.0, count=2),
+                      fixed={"omega1": 0.0}, observables=("populations", "spectrum"),
+                      fastpath=fastpath)
+    sizes = []
+    solve = mollowpair.sweep.steady_states
+    monkeypatch.setattr(mollowpair.sweep, "steady_states",
+                        lambda system: sizes.append(len(system.matrix)) or solve(system))
+    result = run_sweep(spec)
+    assert sizes == [2] * batched
+    assert [row[-1] for row in result.rows] == [None, None]
+    assert result.notes == ("spectrum:emitter 1 is undriven (omega1 = 0)",) * 2
+    assert result.spectra == ()
 
 
 def test_eigenvalue_sweep_columns():
