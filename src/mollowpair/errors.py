@@ -38,22 +38,6 @@ class DegenerateSteadyStateError(NumericalError):
         )
 
 
-class DegenerateEigenvectorError(NumericalError):
-    """The regression matrix is defective within tolerance.
-
-    Carries the clustered eigenvalues so the caller can see which poles
-    coalesced; the fallback is the integration-based spectrum.
-    """
-
-    def __init__(self, clustered):
-        self.clustered = tuple(clustered)
-        listing = ", ".join(f"{z:.6g}" for z in self.clustered)
-        super().__init__(
-            "regression matrix is defective within tolerance; "
-            f"clustered eigenvalues: [{listing}]"
-        )
-
-
 class UndefinedCorrelatorError(NumericalError):
     """g2 requested where the normalization n1*n2 underflows (0/0 limit)."""
 

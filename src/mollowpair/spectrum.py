@@ -7,11 +7,13 @@ separate coherent (Rayleigh) delta weight; evaluating the components on a
 grid is then trivial.  The two-time boundary vector is a selection of the
 one-time moments, so one moment solve per point seeds the whole spectrum.
 Parts of the coupling landscape make the full regression matrix defective
-(at zero coherent coupling it carries a Jordan chain), but the chain is
-invisible to the emitter correlator, so the decomposition first restricts
-the system to the subspace that is both reachable from the boundary vector
-and observable by the readout; only a defect in that visible part is
-reported as an error.
+(at zero coherent coupling it carries a Jordan chain, mostly invisible to the
+emitter correlator), so the decomposition first restricts the system to the
+subspace that is both reachable from the boundary vector and observable by
+the readout.  Eigenvalues that still collide there are decomposed through
+their invariant subspace; a visible defect becomes a second-order pole with
+its own lineshape.  The path is numpy only and never calls the
+density-matrix oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateEigenvectorError, ParameterError, UnsupportedConfigurationError
+from .errors import ParameterError, UnsupportedConfigurationError
 from .moments import MomentState, build_moment_system, steady_state
 from .operators import IDX_S1, IDX_S2, SEED_SELECTION
 from .params import SystemParams
@@ -30,24 +32,30 @@ from .params import SystemParams
 if TYPE_CHECKING:
     from .single_emitter import MollowCoefficients
 
-#: Relative gap below which eigenvalues count as one cluster.
-CLUSTER_GAP = 1e-8
-#: Eigenvector condition number above which degenerate clusters get repaired.
+#: Relative gap below which eigenvalues count as one cluster.  A Jordan pair
+#: splits by about sqrt(eps) of the matrix scale, well inside it.
+CLUSTER_GAP = 1e-6
+#: Eigenvector condition number above which clustered poles are decomposed
+#: through their invariant subspaces instead of their eigenvectors.
 SUSPECT_COND = 1e6
-#: Eigenvector condition number that marks the restricted system defective.
-DEFECT_COND = 1e8
-#: Components with both weights below this are zero-projection modes.
+#: Weight pairs with both parts below this (relative to n_e) are zero.
 PRUNE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class SpectralComponent:
-    """One emission pole: shift, full width, and its two real weights."""
+    """One emission pole: shift, full width, and its two real weights.
+
+    A second-order (Jordan) pole also carries the weights L2_zeta, K2_zeta of
+    its tau exp(-lambda tau) term; they are zero at a simple pole.
+    """
 
     omega_zeta: float
     gamma_zeta: float
     L_zeta: float
     K_zeta: float
+    L2_zeta: float = 0.0
+    K2_zeta: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -105,29 +113,39 @@ def _cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
     return [g for g in groups if len(g) > 1]
 
 
-def _repair_semisimple(m_red, vals, vecs, scale):
-    """Rebuild eigenvector columns inside degenerate but semisimple clusters.
+def _cluster_poles(h, vals, vecs, b, c, groups) -> list[tuple[complex, complex, complex]]:
+    """Poles (lambda, b1, b2) of c^H exp(-h tau) b when eigenvalues collide.
 
-    For a non-normal matrix with an exactly repeated eigenvalue the solver
-    may return nearly parallel eigenvectors even when a full eigenspace
-    exists; an orthonormal null-space basis of (M - mu I) restores a
-    well-conditioned expansion.  Returns None when some cluster is genuinely
-    defective (geometric multiplicity below the algebraic one).
+    Each group of k clustered eigenvalues with mean mu is represented by an
+    orthonormal basis X of its invariant subspace, the null space of
+    (h - mu I)^k; the other eigenvalues keep their eigenvectors.  On
+    T = [eigenvectors | X ...] h is block diagonal with blocks C = X^H h X, and
+    exp(-C tau) = exp(-mu tau) (I - (C - mu I) tau + ...) gives the cluster
+    the correlator term (b1 - b2 tau) exp(-mu tau) with b1 = c_X x0 and
+    b2 = c_X (C - mu I) x0, where x0 is the cluster's part of T^-1 b and c_X
+    its part of c^H T.  Exact when (C - mu I)^2 vanishes, as for a Jordan
+    pair.
     """
-    vals = vals.copy()
-    vecs = vecs.copy()
-    for group in _cluster_indices(vals, 1e-6 * scale):
-        mu = vals[group].mean()
-        u, s, vh = np.linalg.svd(m_red - mu * np.eye(m_red.shape[0]))
-        tol = max(1e-8 * scale, 10.0 * np.max(np.abs(vals[group] - mu)))
-        nullity = int(np.sum(s < tol))
-        if nullity < len(group):
-            return None
-        basis = vh.conj().T[:, -len(group):]
-        for col, idx in enumerate(group):
-            vals[idx] = mu
-            vecs[:, idx] = basis[:, col]
-    return vals, vecs
+    n = h.shape[0]
+    clustered = {i for g in groups for i in g}
+    single = [i for i in range(n) if i not in clustered]
+    bases = []
+    for g in groups:
+        mu = vals[g].mean()
+        _, _, vh = np.linalg.svd(np.linalg.matrix_power(h - mu * np.eye(n), len(g)))
+        bases.append((mu, vh[-len(g):].conj().T))
+    t = np.hstack([vecs[:, single]] + [x for _, x in bases])
+    y = np.linalg.solve(t, b)
+    cy = c.conj() @ t
+    poles = [(vals[i], cy[j] * y[j], 0j) for j, i in enumerate(single)]
+    col = len(single)
+    for mu, x in bases:
+        k = x.shape[1]
+        cx, x0 = cy[col:col + k], y[col:col + k]
+        nil = x.conj().T @ h @ x - mu * np.eye(k)
+        poles.append((mu, cx @ x0, cx @ nil @ x0))
+        col += k
+    return poles
 
 
 def _merge_poles(vals, contrib, scale) -> list[tuple[complex, complex]]:
@@ -143,21 +161,9 @@ def _merge_poles(vals, contrib, scale) -> list[tuple[complex, complex]]:
     return [(lam, b) for lam, b in merged]
 
 
-def _clustered(values: np.ndarray, scale: float) -> list[complex]:
-    """Eigenvalues participating in near-degenerate clusters.
-
-    A numerically split Jordan pair separates by about sqrt(eps), so the
-    nominal CLUSTER_GAP threshold is widened until something is found.
-    """
-    for gap in (CLUSTER_GAP, 1e-6, 1e-4):
-        out: list[complex] = []
-        for i in range(len(values)):
-            for j in range(i + 1, len(values)):
-                if abs(values[i] - values[j]) < gap * scale:
-                    out.extend([complex(values[i]), complex(values[j])])
-        if out:
-            return out
-    return [complex(z) for z in sorted(values, key=abs)[:2]]
+def _visible(b: complex, n_e: float) -> bool:
+    """Whether a weight has a part at or above PRUNE_TOL relative to n_e."""
+    return abs(b.real / n_e) >= PRUNE_TOL or abs(b.imag / n_e) >= PRUNE_TOL
 
 
 def boundary_vector(u: np.ndarray, emitter: int = 1) -> np.ndarray:
@@ -177,17 +183,18 @@ def decompose_spectrum(p: SystemParams, emitter: int = 1) -> SpectralDecompositi
     Procedure: build the regression system and solve it for the steady-state
     moments u; seed the two-time boundary vector <sigma_e^dag O_i> by
     selecting coordinates of u (boundary_vector); subtract the infinite-delay
-    offset u <sigma_e^dag>; expand the remainder over the eigenvectors of the
-    regression matrix restricted to the subspace it generates; read off each
-    mode's contribution to the emitter correlator.
+    offset u <sigma_e^dag>; restrict the regression matrix to the part of
+    the subspace it generates that the emitter correlator observes; expand
+    the remainder over that matrix's eigenvectors and read off each mode's
+    contribution to the emitter correlator.
     Widths are -2 Re and shifts -Im of the regression eigenvalues, and the
     delta weight is |<sigma_e>|^2 / n_e.
 
-    Raises
-    ------
-    DegenerateEigenvectorError
-        When the restricted regression matrix is defective within tolerance,
-        naming the clustered eigenvalues; fall back to the oracle spectrum.
+    Where eigenvalues collide and the eigenvector basis degrades (the one-way
+    pair at the critical drive gamma0/8, the trapping line at strong drive),
+    each cluster is expanded over its invariant subspace instead.  A visible
+    Jordan pair becomes one second-order pole, a component with nonzero
+    L2_zeta/K2_zeta; an invisible one has weights below PRUNE_TOL and drops.
     """
     _check_defined(p, emitter)
     system = build_moment_system(p)
@@ -209,7 +216,10 @@ def _decompose(p: SystemParams, emitter: int, m: np.ndarray, state: MomentState
     """decompose_spectrum at a point already solved: its (15, 15) M and moment state.
 
     The sweep passes the states of its one batched moment solve; of p only
-    gamma0, the floor of the matrix scale, is read.
+    gamma0, the floor of the matrix scale, is read.  Eigenvalues that
+    collide in the reduced system are expanded over their invariant
+    subspace (_cluster_poles): a visible Jordan pair yields one component
+    with second-order weights L2_zeta/K2_zeta, an invisible one is pruned.
     """
     n_e = state.n1 if emitter == 1 else state.n2
     coh = state.s1 if emitter == 1 else state.s2
@@ -243,27 +253,32 @@ def _decompose(p: SystemParams, emitter: int, m: np.ndarray, state: MomentState
     c_h = obs.conj().T @ c_r
 
     vals, vecs = np.linalg.eig(h)
-    # A suspicious eigenvector basis means poles have collided: either a
-    # degenerate eigenvalue with a full eigenspace (repairable by replacing
-    # the cluster's eigenvectors with a null-space basis) or a Jordan block
-    # (defective, not representable by simple Lorentzians: raise).
+    # A suspicious eigenvector basis means poles have collided: a cluster is
+    # taken through its invariant subspace, which also covers a Jordan block
+    # (a second-order pole).  Without a cluster the eigenvectors serve as is.
+    groups = []
     if np.linalg.cond(vecs) > SUSPECT_COND:
-        repaired = _repair_semisimple(h, vals, vecs, scale)
-        if repaired is None or np.linalg.cond(repaired[1]) > DEFECT_COND:
-            raise DegenerateEigenvectorError(_clustered(vals, p.gamma0))
-        vals, vecs = repaired
-    contrib = (c_h.conj() @ vecs) * np.linalg.solve(vecs, b_h)
+        groups = _cluster_indices(vals, CLUSTER_GAP * scale)
+    if groups:
+        poles = _cluster_poles(h, vals, vecs, b_h, c_h, groups)
+    else:
+        contrib = (c_h.conj() @ vecs) * np.linalg.solve(vecs, b_h)
+        poles = [(lam, b, 0j) for lam, b in _merge_poles(vals, contrib, scale)]
 
-    components = [
-        SpectralComponent(
+    components = []
+    for lam, b, b2 in poles:
+        if not _visible(b2, n_e):
+            if not _visible(b, n_e):
+                continue
+            b2 = 0j
+        components.append(SpectralComponent(
             omega_zeta=float(lam.imag),
             gamma_zeta=float(2.0 * lam.real),
             L_zeta=float((b / n_e).real),
             K_zeta=float((b / n_e).imag),
-        )
-        for lam, b in _merge_poles(vals, contrib, scale)
-        if abs(b.real / n_e) >= PRUNE_TOL or abs(b.imag / n_e) >= PRUNE_TOL
-    ]
+            L2_zeta=float((b2 / n_e).real),
+            K2_zeta=float((b2 / n_e).imag),
+        ))
     components.sort(key=lambda c: (c.omega_zeta, c.gamma_zeta))
     delta_weight = abs(coh) ** 2 / n_e
     return SpectralDecomposition(tuple(components), float(delta_weight), emitter)
@@ -273,6 +288,9 @@ def evaluate_spectrum(
     d: SpectralDecomposition | MollowCoefficients, grid: np.ndarray
 ) -> np.ndarray:
     """Pointwise sum of the Lorentzian-plus-dispersive lineshapes.
+
+    A second-order pole adds -Re[(L2 + i K2) / (lambda - i omega)^2] / pi,
+    lambda = gamma_zeta / 2 + i omega_zeta.
 
     Reads only d.components, so it evaluates a SpectralDecomposition and a
     single-emitter MollowCoefficients alike.  The delta weight is never
@@ -286,6 +304,10 @@ def evaluate_spectrum(
         half = 0.5 * c.gamma_zeta
         shift = grid - c.omega_zeta
         out += (half * c.L_zeta - shift * c.K_zeta) / (half * half + shift * shift)
+        if c.L2_zeta or c.K2_zeta:
+            # tau exp(-lambda tau) transforms to (lambda - i omega)^-2.
+            z = half - 1j * shift
+            out -= ((c.L2_zeta + 1j * c.K2_zeta) / (z * z)).real
     return out / math.pi
 
 

@@ -5,8 +5,10 @@ at every point, records which computational path produced each value, and
 serializes to CSV or JSON.  Closed forms are used where a pure regime at
 resonance permits them (unless disabled), the moment solver otherwise; one
 batched moment solve serves every point that needs moments, spectra
-included.  Spectra fall back from the pole decomposition to the integration
-oracle if the regression matrix is defective.
+included.  Spectra and decompositions come from the pole decomposition alone;
+the density-matrix oracle is never called.  A decomposition with a
+second-order pole has no (omega, gamma, L, K) table, so it is a null cell
+while the spectrum of the same point is still written.
 
 Both formats write floats round-trip exact: CSV as 17 significant digits
 (``nan``, ``inf``), JSON as ``json.dumps(doc, sort_keys=True, indent=1)``
@@ -25,13 +27,7 @@ import numpy as np
 
 from . import __version__
 from . import closed_forms
-from .errors import (
-    DegenerateEigenvectorError,
-    SweepSpecError,
-    UndefinedCorrelatorError,
-    UnsupportedConfigurationError,
-)
-from .liouville import build_liouvillian, spectrum_fft
+from .errors import SweepSpecError, UndefinedCorrelatorError, UnsupportedConfigurationError
 from .moments import MomentSystem, build_moment_systems, g2_cross, populations, steady_states
 from .params import CONFIG_KEYS, Regime, SystemParams, classify_regime
 from .spectrum import _check_defined, _decompose, default_grid, evaluate_spectrum
@@ -188,7 +184,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the requested observables at every grid point.
 
     Undefined observables (the zero-drive correlator) produce per-row null
-    markers with a reason code instead of failing the run.
+    markers with a reason code instead of failing the run, and so does a
+    decomposition that holds a second-order pole.
     """
     values = spec.grid.values()
     columns = [spec.param] + _scalar_columns(spec.observables)
@@ -260,30 +257,25 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 d = _decompose(p, 1, m, state)
                 row.append(d.delta_weight)
                 if "decomposition" in spec.observables:
-                    decomps.append(DecompositionBlock(
-                        value=float(value),
-                        components=tuple(
-                            (c.omega_zeta, c.gamma_zeta, c.L_zeta, c.K_zeta)
-                            for c in d.components
-                        ),
-                        delta_weight=d.delta_weight,
-                    ))
-                    point_paths.append("decomposition:eigendecomposition")
+                    if any(c.L2_zeta or c.K2_zeta for c in d.components):
+                        point_notes.append("decomposition:second-order-pole")
+                        point_paths.append("decomposition:null")
+                    else:
+                        decomps.append(DecompositionBlock(
+                            value=float(value),
+                            components=tuple(
+                                (c.omega_zeta, c.gamma_zeta, c.L_zeta, c.K_zeta)
+                                for c in d.components
+                            ),
+                            delta_weight=d.delta_weight,
+                        ))
+                        point_paths.append("decomposition:eigendecomposition")
                 if "spectrum" in spec.observables:
                     vals = evaluate_spectrum(d, grid)
                     spectra.append(SpectrumBlock(
                         value=float(value), grid=grid, values=vals, delta_weight=d.delta_weight,
                     ))
                     point_paths.append("spectrum:eigendecomposition")
-            except DegenerateEigenvectorError:
-                if "decomposition" in spec.observables:
-                    raise
-                vals, delta = spectrum_fft(build_liouvillian(p), grid)
-                row.append(delta)
-                spectra.append(SpectrumBlock(
-                    value=float(value), grid=grid, values=vals, delta_weight=delta,
-                ))
-                point_paths.append("spectrum:fft-fallback")
             except UnsupportedConfigurationError as exc:
                 row.append(None)
                 point_notes.append(f"spectrum:{exc.args[0].split(';')[0]}")

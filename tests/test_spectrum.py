@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from mollowpair.errors import (
-    DegenerateEigenvectorError,
-    ParameterError,
-    UnsupportedConfigurationError,
-)
+from mollowpair.errors import ParameterError, UnsupportedConfigurationError
 from mollowpair.liouville import build_liouvillian, spectrum_fft, steady_state_dm
 from mollowpair.moments import build_moment_system, steady_state
 from mollowpair.operators import MOMENT_OPERATORS, SIGMA1_DAG, SIGMA2_DAG
@@ -84,24 +80,23 @@ def test_unidirectional_reproduces_single_emitter_components():
 def test_semisimple_repair_accepts_ill_conditioned_basis(monkeypatch):
     # A backward one-way pair under weak, unequal drives: the restricted
     # eigenvector basis is ill-conditioned (cond ~6e7, above SUSPECT_COND),
-    # so the decomposition goes through _repair_semisimple, which returns a
-    # usable basis (no cluster is close enough to rebuild, and the result
-    # stays below DEFECT_COND).
+    # but no eigenvalues cluster, so the eigenvectors are used as they are.
     import mollowpair.spectrum as spectrum
 
-    repaired = []
-    original = spectrum._repair_semisimple
+    groups = []
+    original = spectrum._cluster_indices
 
     def spy(*args):
         out = original(*args)
-        repaired.append(out is not None)
+        groups.append(out)
         return out
 
-    monkeypatch.setattr(spectrum, "_repair_semisimple", spy)
+    monkeypatch.setattr(spectrum, "_cluster_indices", spy)
     p = SystemParams(delta=-0.25, g=0.5, theta=1.5 * np.pi, gamma=1.0,
                      omega1=0.0094, omega2=0.0024)
     d = decompose_spectrum(p, emitter=1)
-    assert repaired == [True]
+    assert groups == [[]]
+    assert all(c.L2_zeta == 0.0 and c.K2_zeta == 0.0 for c in d.components)
     assert d.lorentzian_sum + d.delta_weight == pytest.approx(1.0, abs=1e-12)
     grid = np.linspace(-6.0, 6.0, 601)
     oracle, _ = spectrum_fft(build_liouvillian(p), grid)
@@ -216,13 +211,35 @@ def test_emitter2_spectrum_against_oracle():
     assert d.delta_weight == pytest.approx(delta, abs=1e-9)
 
 
-def test_defective_regression_raises():
+def test_critical_drive_second_order_pole():
     # The one-way point at the single-emitter critical drive embeds a Jordan
-    # block in the visible dynamics.
-    p = unidirectional_pair(1.0, critical_drive(1.0))
-    with pytest.raises(DegenerateEigenvectorError) as err:
-        decompose_spectrum(p)
-    assert len(err.value.clustered) >= 2
+    # pair in the visible dynamics: one pole carries a second-order weight,
+    # and the lineshape is the exact closed form through and around it.
+    d = decompose_spectrum(unidirectional_pair(1.0, critical_drive(1.0)))
+    assert any(abs(c.L2_zeta) > 1e-3 for c in d.components)
+    assert d.lorentzian_sum + d.delta_weight == pytest.approx(1.0, abs=1e-12)
+
+    def worst(omega):
+        p = unidirectional_pair(1.0, omega)
+        grid = default_grid(p)
+        ref = single_spectrum(SingleParams(gamma=1.0, omega=omega), grid).values
+        engine = evaluate_spectrum(decompose_spectrum(p), grid)
+        return np.max(np.abs(engine - ref)) / np.max(np.abs(ref))
+
+    assert max(worst(w) for w in np.linspace(0.12, 0.13, 41)) < 1e-10
+    assert max(worst(0.125 + s * 10.0**-k) for k in range(3, 15) for s in (1, -1)) < 1e-9
+
+
+def test_second_order_lineshape_is_the_double_pole():
+    # tau exp(-lambda tau) transforms to (lambda - i omega)^-2: for a real
+    # lambda = 1/2 the term -Re[1 / (1/2 - i omega)^2] / pi.
+    d = SpectralDecomposition(
+        (SpectralComponent(omega_zeta=0.0, gamma_zeta=1.0, L_zeta=0.0, K_zeta=0.0,
+                           L2_zeta=1.0),),
+        delta_weight=0.0, emitter=1)
+    grid = np.linspace(-5.0, 5.0, 1001)
+    expected = -(0.25 - grid**2) / (0.25 + grid**2) ** 2 / np.pi
+    np.testing.assert_allclose(evaluate_spectrum(d, grid), expected, rtol=1e-13, atol=1e-15)
 
 
 def test_undriven_emitter1_rejected():

@@ -1,5 +1,7 @@
 """Sweep machinery, serialization schemas, presets and the CLI contract."""
 
+import ast
+import inspect
 import json
 import subprocess
 import sys
@@ -11,8 +13,10 @@ import mollowpair.spectrum
 import mollowpair.sweep
 from mollowpair import closed_forms
 from mollowpair.errors import ConditionWarning, SweepSpecError
+from mollowpair.liouville import build_liouvillian, spectrum_fft
 from mollowpair.moments import build_moment_system, g2_cross, populations, steady_state
 from mollowpair.params import Regime, classify_regime
+from mollowpair.single_emitter import SingleParams, single_spectrum
 from mollowpair.spectrum import decompose_spectrum, default_grid, evaluate_spectrum
 from mollowpair.sweep import (
     DecompositionBlock,
@@ -133,18 +137,62 @@ def test_spectrum_sweep_through_trapping_point():
     assert len(result.spectra) == 4
 
 
-def test_spectrum_sweep_falls_back_at_critical_drive():
+def test_spectrum_sweep_decomposes_critical_drive():
     # The one-way pair across omega1 = gamma0/8: the middle point carries a
-    # visible Jordan block, so its spectrum comes from the oracle.
+    # visible Jordan pair, a second-order pole of the engine's decomposition.
     spec = small_spec(fixed={"g": 0.5, "gamma": 1.0, "theta": np.pi / 2},
                       observables=("spectrum",),
                       grid=GridSpec(min=0.124, max=0.126, count=3))
     result = run_sweep(spec)
-    assert result.paths == ("spectrum:eigendecomposition", "spectrum:fft-fallback",
-                            "spectrum:eigendecomposition")
-    fallback = result.spectra[1]
-    integral = np.trapezoid(fallback.values, fallback.grid)
-    assert integral + fallback.delta_weight == pytest.approx(1.0, abs=1e-3)
+    assert result.paths == ("spectrum:eigendecomposition",) * 3
+    middle = result.spectra[1]
+    ref = single_spectrum(SingleParams(gamma=1.0, omega=0.125), middle.grid)
+    assert np.max(np.abs(middle.values - ref.values)) < 1e-10 * np.max(ref.values)
+    assert middle.delta_weight == pytest.approx(ref.delta_weight, abs=1e-12)
+
+
+def test_decomposition_sweep_nulls_second_order_pole():
+    # --regime unidirectional-forward --set gamma=1
+    # --sweep omega1:0.124:0.126:3:linear: the 4-column table cannot hold the
+    # middle point's second-order pole, so that cell is null; its spectrum
+    # still lands.
+    spec = small_spec(fixed={"g": 0.5, "gamma": 1.0, "theta": np.pi / 2},
+                      observables=("spectrum", "decomposition"),
+                      grid=GridSpec(min=0.124, max=0.126, count=3))
+    result = run_sweep(spec)
+    assert result.paths[1] == "decomposition:null;spectrum:eigendecomposition"
+    assert result.notes == ("", "decomposition:second-order-pole", "")
+    assert [b.value for b in result.decompositions] == [0.124, 0.126]
+    assert len(result.spectra) == 3
+    assert result.rows[1][1] == result.spectra[1].delta_weight
+
+
+def test_trapping_line_strong_drive_spectra_match_quadrature():
+    # --regime dissipative --set gamma=1 --sweep omega1:4:10:4:linear: M
+    # hides a Jordan pair at lambda = gamma0 that the correlator never sees.
+    spec = small_spec(fixed={"g": 0.0, "gamma": 1.0}, observables=("spectrum",),
+                      grid=GridSpec(min=4.0, max=10.0, count=4))
+    result = run_sweep(spec)
+    assert result.paths == ("spectrum:eigendecomposition",) * 4
+    for block in result.spectra:
+        oracle, delta = spectrum_fft(build_liouvillian(spec.point(block.value)), block.grid,
+                                     method="quadrature")
+        assert np.max(np.abs(block.values - oracle)) < 1e-6 * np.max(oracle)
+        assert block.delta_weight == pytest.approx(delta, abs=1e-9)
+
+
+def test_production_modules_import_nothing_from_the_oracle():
+    # The spectrum path never calls the density-matrix oracle: neither module
+    # imports mollowpair.liouville, at module level or inside a function.
+    for module in (mollowpair.sweep, mollowpair.spectrum):
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            assert all(n.split(".")[-1] != "liouville" for n in names), module.__name__
 
 
 def test_trapping_sweep_condition_warning_names_the_sweep():
@@ -389,11 +437,19 @@ def test_cli_validation_error_exit_2():
 
 
 def test_cli_numerical_error_exit_3():
-    # decomposition at the defective one-way critical point, no fallback
-    proc = run_cli("--regime", "unidirectional-forward", "--set", "gamma=1",
-                   "--sweep", "omega1:0.125:0.125001:2:linear",
-                   "--observable", "decomposition")
+    # The trapping line at omega1 = 1e-8 through the moment solver: the
+    # moment matrix is numerically singular (SingularSystemError).
+    proc = run_cli("--regime", "dissipative", "--set", "gamma=1",
+                   "--sweep", "omega1:1e-8:1e-6:2:log", "--no-fastpath")
     assert proc.returncode == 3
+    assert "numerically singular" in proc.stderr
+
+
+def test_cli_trapping_line_strong_drive_decomposition():
+    proc = run_cli("--regime", "dissipative", "--set", "gamma=1",
+                   "--sweep", "omega1:4:10:4:linear", "--observable", "decomposition")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("# decomposition omega1 = ") == 4
 
 
 def test_cli_io_error_exit_4(tmp_path):
