@@ -57,7 +57,6 @@ from .params import (
     unidirectional_pair,
 )
 from .single_emitter import (
-    MollowCoefficients,
     SingleParams,
     SingleSpectrum,
     critical_drive,

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -108,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.preset:
-            spec = load_preset(args.preset, fastpath=not args.no_fastpath)
+            spec = load_preset(args.preset)
         else:
             if not args.sweep:
                 parser.error("either --preset or --sweep is required")
@@ -130,9 +131,10 @@ def main(argv: list[str] | None = None) -> int:
                 grid=grid,
                 fixed=fixed,
                 observables=tuple(observables),
-                fastpath=not args.no_fastpath,
                 spectrum_points=args.spectrum_points,
             )
+        if args.no_fastpath:
+            spec = dataclasses.replace(spec, fastpath=False)
 
         result = run_sweep(spec)
         payload = emit(result, args.format)

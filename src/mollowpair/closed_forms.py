@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import ParameterError, UnsupportedConfigurationError
 from .moments import Populations
-from .params import SystemParams
+from .params import Regime, SystemParams
 from .single_emitter import single_population
 
 
@@ -212,10 +212,8 @@ def unidirectional_g2(gamma: float, omega: float, gamma0: float) -> float:
 # Regime dispatch used by the sweep fast path
 # ---------------------------------------------------------------------------
 
-def regime_populations(p: SystemParams, regime) -> Populations:
+def regime_populations(p: SystemParams, regime: Regime) -> Populations:
     """Closed-form populations for a classified pure regime."""
-    from .params import Regime
-
     _check_resonant_single_drive(p)
     if regime == Regime.COHERENT:
         return coherent_populations(p.g, p.omega1, p.gamma0)
@@ -228,10 +226,8 @@ def regime_populations(p: SystemParams, regime) -> Populations:
     )
 
 
-def regime_g2(p: SystemParams, regime) -> float:
+def regime_g2(p: SystemParams, regime: Regime) -> float:
     """Closed-form cross-correlator for a classified pure regime."""
-    from .params import Regime
-
     _check_resonant_single_drive(p)
     if regime == Regime.COHERENT:
         return coherent_g2(p.g, p.omega1, p.gamma0)

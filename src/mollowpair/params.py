@@ -11,11 +11,15 @@ from __future__ import annotations
 import enum
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ParameterError
 
 TWO_PI = 2.0 * math.pi
+
+#: Tolerance of classify_regime: couplings below it (in gamma0 units) count
+#: as zero, and g/gamma and theta - phi within it count as one-way.
+REGIME_TOL = 1e-9
 
 #: Keys of the flat key-value config format, in canonical order.  The key
 #: names are part of the CLI contract.
@@ -101,14 +105,6 @@ class SystemParams:
         object.__setattr__(self, "theta", wrap_phase(self.theta))
         object.__setattr__(self, "phi", wrap_phase(self.phi))
 
-    @property
-    def relative_phase(self) -> float:
-        """theta - phi wrapped to (-pi, pi]; the only physical phase."""
-        return wrap_signed(self.theta - self.phi)
-
-    def replace(self, **changes) -> "SystemParams":
-        return replace(self, **changes)
-
     def as_dict(self) -> dict[str, float]:
         return {k: float(getattr(self, k)) for k in CONFIG_KEYS}
 
@@ -125,23 +121,22 @@ def generalized_couplings(p: SystemParams) -> tuple[complex, complex]:
     return 1j * coh + dis, -1j * coh + dis
 
 
-def classify_regime(p: SystemParams, tol: float = 1e-9) -> Regime:
+def classify_regime(p: SystemParams) -> Regime:
     """Classify the coupling regime of a parameter set.
 
     Pure regimes are checked before the unidirectional conditions, so the
-    fully uncoupled point g = gamma = 0 classifies as COHERENT.
+    fully uncoupled point g = gamma = 0 classifies as COHERENT.  Couplings
+    and phase offsets within REGIME_TOL count as exact.
     """
-    if tol <= 0.0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
-    if p.gamma <= tol * p.gamma0:
+    if p.gamma <= REGIME_TOL * p.gamma0:
         return Regime.COHERENT
-    if p.g <= tol * p.gamma0:
+    if p.g <= REGIME_TOL * p.gamma0:
         return Regime.DISSIPATIVE
     rel = p.theta - p.phi
-    if abs(p.g / p.gamma - 0.5) <= tol:
-        if abs(wrap_signed(rel - 0.5 * math.pi)) <= tol:
+    if abs(p.g / p.gamma - 0.5) <= REGIME_TOL:
+        if abs(wrap_signed(rel - 0.5 * math.pi)) <= REGIME_TOL:
             return Regime.UNIDIRECTIONAL_FORWARD
-        if abs(wrap_signed(rel - 1.5 * math.pi)) <= tol:
+        if abs(wrap_signed(rel - 1.5 * math.pi)) <= REGIME_TOL:
             return Regime.UNIDIRECTIONAL_BACKWARD
     return Regime.ASYMMETRIC
 

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, UnsupportedConfigurationError
-from .spectrum import SpectralComponent
-
-#: Width of the window around the critical drive treated as degenerate, in
-#: units of gamma.  Inside it the two side weights are individually singular
-#: (removable only in their sum), so the decomposition clamps the merged-pole
-#: rate and flags the result; the summed closed form stays regular.
-CRITICAL_WINDOW = 1e-8
+from .spectrum import CLUSTER_GAP, SpectralComponent, SpectralDecomposition
 
 
 @dataclass(frozen=True)
@@ -47,27 +41,6 @@ class DressedState:
     energies: tuple[float, float]
     splitting: float
     bogoliubov: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class MollowCoefficients:
-    """The three-peak decomposition of the single-emitter spectrum.
-
-    components are ordered (central, +Omega_M, -Omega_M); below the critical
-    drive all three are unshifted.  delta_weight is the coherent (Rayleigh)
-    fraction, kept separate from the grid-evaluated components.
-    near_critical marks results where the merged pole at the critical drive
-    was regularized, see CRITICAL_WINDOW.
-    """
-
-    regime: str
-    components: tuple[SpectralComponent, SpectralComponent, SpectralComponent]
-    delta_weight: float
-    near_critical: bool = False
-
-    @property
-    def weight_sum(self) -> float:
-        return sum(c.L_zeta for c in self.components) + self.delta_weight
 
 
 def steady_population_coherence(p: SingleParams) -> tuple[float, complex]:
@@ -127,14 +100,18 @@ def mollow_splitting(gamma: float, omega: float) -> float:
     return math.sqrt((2.0 * omega) ** 2 - (0.25 * gamma) ** 2)
 
 
-def mollow_coefficients(p: SingleParams) -> MollowCoefficients:
-    """Spectral components (shift, width, weights) of the resonant emission spectrum.
+def mollow_coefficients(p: SingleParams) -> SpectralDecomposition:
+    """Pole decomposition of the resonant emission spectrum, in closed form.
 
     Supercritical drive (omega > gamma/8) gives the central peak plus two
     sidebands at +- the Mollow splitting with complex weights; subcritical
     drive gives three unshifted peaks with purely Lorentzian weights.  The
-    coherent delta fraction gamma**2/(gamma**2 + 8*omega**2) is returned
-    separately in both cases.
+    components are ordered (central, +Omega_M, -Omega_M).  Where the two
+    side poles lie closer than CLUSTER_GAP * gamma, as at the critical drive
+    gamma/8, they form one second-order pole at width 3 gamma/2, the rule
+    decompose_spectrum applies to colliding eigenvalues: (central, merged).
+    The coherent delta fraction gamma**2/(gamma**2 + 8*omega**2) is the
+    delta_weight; the record is emitter 1's.
 
     Raises
     ------
@@ -149,9 +126,23 @@ def mollow_coefficients(p: SingleParams) -> MollowCoefficients:
     g, w = p.gamma, p.omega
     delta_weight = g**2 / (g**2 + 8.0 * w**2)
     share = 8.0 * w**2 / (g**2 + 8.0 * w**2)
-    omega_c = critical_drive(g)
+    central = SpectralComponent(0.0, g, 0.5, 0.0)
+    num = g**2 - 16.0 * w**2
+    gm_sq = (0.25 * g) ** 2 - (2.0 * w) ** 2
 
-    if w > omega_c + CRITICAL_WINDOW * g:
+    if 2.0 * math.sqrt(abs(gm_sq)) < CLUSTER_GAP * g:
+        # The side poles 3 gamma/4 -+ gm merge: their weights diverge as
+        # -+1/gm, but lb exp(gm tau) + lc exp(-gm tau) tends to
+        # (lb + lc) - gm (lc - lb) tau, and both coefficients have regular
+        # limits in omega (the supercritical pair tends to the same).
+        merged = SpectralComponent(
+            0.0, 1.5 * g,
+            L_zeta=-share * (num + g * g) / (32.0 * w**2), K_zeta=0.0,
+            L2_zeta=share * num * (0.25 / g + g / (256.0 * w**2)),
+        )
+        return SpectralDecomposition((central, merged), delta_weight, emitter=1)
+
+    if gm_sq < 0.0:
         wm = mollow_splitting(g, w)
         common = share * (16.0 * w**2 - 2.0 * g**2) / ((4.0 * wm) ** 2 + g**2)
         disp = (
@@ -161,21 +152,13 @@ def mollow_coefficients(p: SingleParams) -> MollowCoefficients:
             / ((4.0 * wm) ** 2 + g**2)
         )
         components = (
-            SpectralComponent(0.0, g, 0.5, 0.0),
+            central,
             SpectralComponent(+wm, 1.5 * g, common, +disp),
             SpectralComponent(-wm, 1.5 * g, common, -disp),
         )
-        return MollowCoefficients("supercritical", components, delta_weight)
+        return SpectralDecomposition(components, delta_weight, emitter=1)
 
-    gm_sq = (0.25 * g) ** 2 - (2.0 * w) ** 2
-    gm = math.sqrt(gm_sq) if gm_sq > 0.0 else 0.0
-    # Merged-pole regularization: below this floor the side denominators
-    # 16*gm**2 -+ 4*g*gm lose all significance (they cancel only in the sum).
-    gm_floor = 0.25 * g * math.sqrt(1.0 - (1.0 - CRITICAL_WINDOW) ** 2)
-    near = gm < gm_floor
-    if near:
-        gm = gm_floor
-    num = g**2 - 16.0 * w**2
+    gm = math.sqrt(gm_sq)
     # The narrow side's direct denominator 16*gm**2 - 4*g*gm cancels
     # catastrophically as omega -> 0 (gm -> g/4); with g**2 - 16 gm**2 =
     # 64 omega**2 it factors into the cancellation-free form below.
@@ -183,19 +166,12 @@ def mollow_coefficients(p: SingleParams) -> MollowCoefficients:
     den_c = 4.0 * gm * (4.0 * gm + g)
     lb = share * (num + 4.0 * g * gm) / den_b
     lc = share * (num - 4.0 * g * gm) / den_c
-    if near:
-        # Pin the merged pair to the analytic value of its summed weight,
-        # which stays regular through the critical point.
-        target = -share * (num + g * g) / (32.0 * w**2)
-        scale = target / (lb + lc)
-        lb *= scale
-        lc *= scale
     components = (
-        SpectralComponent(0.0, g, 0.5, 0.0),
+        central,
         SpectralComponent(0.0, 1.5 * g - 2.0 * gm, lb, 0.0),
         SpectralComponent(0.0, 1.5 * g + 2.0 * gm, lc, 0.0),
     )
-    return MollowCoefficients("subcritical", components, delta_weight, near_critical=near)
+    return SpectralDecomposition(components, delta_weight, emitter=1)
 
 
 @dataclass(frozen=True)

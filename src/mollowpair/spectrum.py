@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,9 +27,6 @@ from .errors import ParameterError, UnsupportedConfigurationError
 from .moments import MomentState, build_moment_system, steady_state
 from .operators import IDX_S1, IDX_S2, SEED_SELECTION
 from .params import SystemParams
-
-if TYPE_CHECKING:
-    from .single_emitter import MollowCoefficients
 
 #: Relative gap below which eigenvalues count as one cluster.  A Jordan pair
 #: splits by about sqrt(eps) of the matrix scale, well inside it.
@@ -233,21 +229,21 @@ def _decompose(p: SystemParams, emitter: int, m: np.ndarray, state: MomentState
     w = boundary_vector(state.u, emitter) - state.u * np.conj(coh)
 
     scale = max(float(np.linalg.norm(m, ord=np.inf)), p.gamma0)
+    delta_weight = float(abs(coh) ** 2 / n_e)
 
     # Minimal realization of the scalar correlator: restrict to the subspace
     # reached from the boundary, then to the part observed by the readout
     # functional.  Sectors that are reachable but invisible to the emitter
     # correlator (at zero coherent coupling they hide a Jordan chain) drop
-    # out here instead of poisoning the eigenvector basis.
+    # out here instead of poisoning the eigenvector basis.  An empty reachable
+    # subspace leaves an empty observed one.
     reach = _invariant_basis(m, w, scale)
-    if reach.shape[1] == 0:
-        return SpectralDecomposition((), float(abs(coh) ** 2 / n_e), emitter)
     m_r = reach.conj().T @ m @ reach
     b_r = reach.conj().T @ w
     c_r = np.conj(reach[readout, :])
     obs = _invariant_basis(m_r.conj().T, c_r, scale)
     if obs.shape[1] == 0:
-        return SpectralDecomposition((), float(abs(coh) ** 2 / n_e), emitter)
+        return SpectralDecomposition((), delta_weight, emitter)
     h = obs.conj().T @ m_r @ obs
     b_h = obs.conj().T @ b_r
     c_h = obs.conj().T @ c_r
@@ -280,20 +276,17 @@ def _decompose(p: SystemParams, emitter: int, m: np.ndarray, state: MomentState
             K2_zeta=float((b2 / n_e).imag),
         ))
     components.sort(key=lambda c: (c.omega_zeta, c.gamma_zeta))
-    delta_weight = abs(coh) ** 2 / n_e
-    return SpectralDecomposition(tuple(components), float(delta_weight), emitter)
+    return SpectralDecomposition(tuple(components), delta_weight, emitter)
 
 
-def evaluate_spectrum(
-    d: SpectralDecomposition | MollowCoefficients, grid: np.ndarray
-) -> np.ndarray:
+def evaluate_spectrum(d: SpectralDecomposition, grid: np.ndarray) -> np.ndarray:
     """Pointwise sum of the Lorentzian-plus-dispersive lineshapes.
 
     A second-order pole adds -Re[(L2 + i K2) / (lambda - i omega)^2] / pi,
     lambda = gamma_zeta / 2 + i omega_zeta.
 
-    Reads only d.components, so it evaluates a SpectralDecomposition and a
-    single-emitter MollowCoefficients alike.  The delta weight is never
+    Serves the pair engine's decompose_spectrum and the single-emitter
+    closed form mollow_coefficients alike.  The delta weight is never
     rasterized onto the grid.
     """
     grid = np.asarray(grid, dtype=float)

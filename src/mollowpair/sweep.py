@@ -19,6 +19,7 @@ results give identical bytes within one numpy/LAPACK build.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -234,21 +235,18 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             row += [pops.rho00, pops.rho10, pops.rho01, pops.rho11]
 
         if "g2" in spec.observables:
-            if p.omega1 == 0.0 and p.omega2 == 0.0:
-                row.append(None)
+            # Undefined without drive, or where the moment path's n1 * n2
+            # underflows: a null cell either way.
+            g2 = None
+            if p.omega1 != 0.0 or p.omega2 != 0.0:
+                with contextlib.suppress(UndefinedCorrelatorError):
+                    g2 = closed_forms.regime_g2(p, regime) if use_fast else g2_cross(state)
+            row.append(g2)
+            if g2 is None:
                 point_notes.append("g2:undefined-correlator")
                 point_paths.append("g2:null")
-            elif use_fast:
-                row.append(closed_forms.regime_g2(p, regime))
-                point_paths.append("g2:closed-form")
             else:
-                try:
-                    row.append(g2_cross(state))
-                    point_paths.append("g2:moments")
-                except UndefinedCorrelatorError:
-                    row.append(None)
-                    point_notes.append("g2:undefined-correlator")
-                    point_paths.append("g2:null")
+                point_paths.append("g2:closed-form" if use_fast else "g2:moments")
 
         if want_spectrum:
             grid = default_grid(p, spec.spectrum_points)
@@ -321,8 +319,9 @@ def _csv_table(rows: np.ndarray) -> str:
     return ((",".join([_G17] * k) + "\n") * n) % tuple(rows.ravel().tolist())
 
 
-def _emit_csv(result: SweepResult) -> bytes:
-    meta = {
+def _header(result: SweepResult) -> dict:
+    """Document keys shared by the CSV metadata line and the JSON document."""
+    return {
         "schema": "mollowpair.sweep",
         "schema_version": 1,
         "artifact_version": result.version,
@@ -331,7 +330,10 @@ def _emit_csv(result: SweepResult) -> bytes:
         "paths": list(result.paths),
         "notes": list(result.notes),
     }
-    out = [f"# {json.dumps(meta, sort_keys=True)}\n"]
+
+
+def _emit_csv(result: SweepResult) -> bytes:
+    out = [f"# {json.dumps(_header(result), sort_keys=True)}\n"]
     if result.spec.observables:
         out.append(",".join(result.columns) + "\n")
         out += [",".join("" if v is None else _G17 % v for v in row) + "\n"
@@ -381,15 +383,9 @@ def _emit_json(result: SweepResult) -> bytes:
     in place of its closing brace.
     """
     doc = {
-        "schema": "mollowpair.sweep",
-        "schema_version": 1,
-        "artifact_version": result.version,
-        "spec": result.spec.as_dict(),
+        **_header(result),
         "columns": list(result.columns),
         "rows": [list(r) for r in result.rows],
-        "regimes": list(result.regimes),
-        "paths": list(result.paths),
-        "notes": list(result.notes),
         "decompositions": [
             {"value": b.value, "delta_weight": b.delta_weight,
              "components": [list(c) for c in b.components]}
@@ -450,23 +446,24 @@ def preset_names() -> tuple[str, ...]:
     return tuple(sorted(_load_preset_file()["presets"]))
 
 
+def _preset_entry(name: str) -> dict:
+    entry = _load_preset_file()["presets"].get(name)
+    if entry is None:
+        raise SweepSpecError(f"unknown preset {name!r} (valid: {', '.join(preset_names())})")
+    return entry
+
+
 def preset_description(name: str) -> str:
-    entry = _load_preset_file()["presets"].get(name)
-    if entry is None:
-        raise SweepSpecError(f"unknown preset {name!r} (valid: {', '.join(preset_names())})")
-    return entry["description"]
+    return _preset_entry(name)["description"]
 
 
-def load_preset(name: str, fastpath: bool = True) -> SweepSpec:
+def load_preset(name: str) -> SweepSpec:
     """Build the SweepSpec of a named figure-reproduction preset."""
-    entry = _load_preset_file()["presets"].get(name)
-    if entry is None:
-        raise SweepSpecError(f"unknown preset {name!r} (valid: {', '.join(preset_names())})")
+    entry = _preset_entry(name)
     sw = entry["sweep"]
     return SweepSpec(
         param=sw["param"],
         grid=GridSpec(min=sw["min"], max=sw["max"], count=sw["count"], scale=sw["scale"]),
         fixed={k: float(v) for k, v in entry["fixed"].items()},
         observables=tuple(entry["observables"]),
-        fastpath=fastpath,
     )

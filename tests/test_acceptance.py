@@ -176,7 +176,7 @@ def test_criterion_06_weight_normalization():
         gamma = 10 ** rng.uniform(-1, 1)
         omega = gamma * 10 ** rng.uniform(-3, 2)
         coeffs = mollow_coefficients(SingleParams(gamma=gamma, omega=omega))
-        worst_single = max(worst_single, abs(coeffs.weight_sum - 1.0))
+        worst_single = max(worst_single, abs(coeffs.lorentzian_sum + coeffs.delta_weight - 1.0))
     ok = worst_pair < 1e-9 and worst_single < 1e-12
     report("criterion 6 (spectral weight normalization)", ok,
            f"pair {worst_pair:.2e}, single {worst_single:.2e}")

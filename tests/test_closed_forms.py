@@ -50,6 +50,10 @@ def test_trapping_limit():
 def test_dissipative_strong_drive_limit():
     got = cf.dissipative_populations(1.0, 1e3, 1.0).as_array()
     np.testing.assert_allclose(got, [9 / 20, 9 / 20, 1 / 20, 1 / 20], atol=1e-5)
+    for gamma in (0.3, 0.7, 1.0):
+        limit = cf.dissipative_strong_drive_populations(gamma, 1.0).as_array()
+        finite = cf.dissipative_populations(gamma, 1e3, 1.0).as_array()
+        np.testing.assert_allclose(limit, finite, atol=1e-6)
 
 
 def test_dissipative_uncoupled_reduces_to_solitary():
@@ -88,6 +92,10 @@ def test_unidirectional_population_identity_exact():
 def test_unidirectional_strong_drive_limit():
     got = cf.unidirectional_populations(1.0, 1e3, 1.0).as_array()
     np.testing.assert_allclose(got, [3 / 8, 3 / 8, 1 / 8, 1 / 8], atol=1e-5)
+    for gamma in (0.3, 0.7, 1.0):
+        limit = cf.unidirectional_strong_drive_populations(gamma, 1.0).as_array()
+        finite = cf.unidirectional_populations(gamma, 1e3, 1.0).as_array()
+        np.testing.assert_allclose(limit, finite, atol=1e-6)
 
 
 def test_unidirectional_undriven_is_ground():

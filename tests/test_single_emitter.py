@@ -1,5 +1,7 @@
 """Single-emitter closed forms: populations, regression system, Mollow spectrum."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -83,7 +85,7 @@ def test_regression_eigenvalues_supercritical(rng):
 
 def test_mollow_coefficients_supercritical_values():
     coeffs = mollow_coefficients(SingleParams(gamma=1.0, omega=1.0))
-    assert coeffs.regime == "supercritical"
+    assert coeffs.emitter == 1
     central, upper, lower = coeffs.components
     assert central.gamma_zeta == 1.0
     assert central.L_zeta == 0.5
@@ -91,25 +93,44 @@ def test_mollow_coefficients_supercritical_values():
     assert upper.omega_zeta == pytest.approx(wm, abs=1e-12)
     assert lower.omega_zeta == pytest.approx(-wm, abs=1e-12)
     assert coeffs.delta_weight == pytest.approx(1.0 / 9.0, abs=1e-15)
-    assert coeffs.weight_sum == pytest.approx(1.0, abs=1e-12)
+    assert coeffs.lorentzian_sum + coeffs.delta_weight == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mollow_coefficients_subcritical_structure():
     coeffs = mollow_coefficients(SingleParams(gamma=1.0, omega=0.05))
-    assert coeffs.regime == "subcritical"
+    assert len(coeffs.components) == 3
     for c in coeffs.components:
         assert c.omega_zeta == 0.0
         assert c.K_zeta == 0.0
         assert c.gamma_zeta > 0.0
-    assert coeffs.weight_sum == pytest.approx(1.0, abs=1e-12)
+        assert (c.L2_zeta, c.K2_zeta) == (0.0, 0.0)
+    assert coeffs.lorentzian_sum + coeffs.delta_weight == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mollow_boundary_is_finite():
+    # At the critical drive the side poles merge into one second-order pole:
+    # first-order weight -7/18, tau weight gamma/24.
     coeffs = mollow_coefficients(SingleParams(gamma=1.0, omega=0.125))
-    assert coeffs.regime == "subcritical"
-    assert coeffs.near_critical
-    assert np.isfinite([c.L_zeta for c in coeffs.components]).all()
-    assert coeffs.weight_sum == pytest.approx(1.0, abs=1e-12)
+    central, merged = coeffs.components
+    expected = ((0.0, 1.0, 0.5, 0.0, 0.0, 0.0),
+                (0.0, 1.5, -7.0 / 18.0, 0.0, 1.0 / 24.0, 0.0))
+    for got, ref in zip((central, merged), expected):
+        np.testing.assert_allclose(astuple(got), ref, rtol=0.0, atol=1e-12)
+    assert coeffs.lorentzian_sum + coeffs.delta_weight == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.3, 1.0, 3.0])
+def test_critical_window_matches_closed_form_spectrum(gamma):
+    # Both sides of gamma/8 down to the last bit: the split formulas outside
+    # the cluster gap, the second-order pole inside it.
+    grid = np.linspace(-12.0, 12.0, 801) * gamma
+    omegas = [gamma / 8.0] + [gamma / 8.0 * (1.0 + sign * 10.0**-k)
+                              for k in range(1, 17) for sign in (1.0, -1.0)]
+    for omega in omegas:
+        p = SingleParams(gamma=gamma, omega=omega)
+        exact = single_spectrum(p, grid).values
+        rebuilt = evaluate_spectrum(mollow_coefficients(p), grid)
+        assert np.max(np.abs(rebuilt - exact)) <= 1e-10 * np.max(np.abs(exact)), omega
 
 
 def test_weight_normalization_random(rng):
@@ -117,7 +138,7 @@ def test_weight_normalization_random(rng):
         gamma = 10 ** rng.uniform(-1, 1)
         omega = 10 ** rng.uniform(-3, 2) * gamma
         coeffs = mollow_coefficients(SingleParams(gamma=gamma, omega=omega))
-        assert coeffs.weight_sum == pytest.approx(1.0, abs=1e-12)
+        assert coeffs.lorentzian_sum + coeffs.delta_weight == pytest.approx(1.0, abs=1e-12)
 
 
 def test_detuned_coefficients_rejected():
@@ -147,10 +168,8 @@ def test_reconstruction_matches_closed_form(rng):
     grid = np.linspace(-12.0, 12.0, 801)
     for _ in range(60):
         gamma = 10 ** rng.uniform(-0.5, 0.5)
-        # both regimes, away from the critical window
+        # both regimes; the critical window has its own test
         omega = gamma * (10 ** rng.uniform(-2, 1))
-        if abs(omega - gamma / 8.0) < 1e-3 * gamma:
-            omega *= 1.01
         coeffs = mollow_coefficients(SingleParams(gamma=gamma, omega=omega))
         rebuilt = evaluate_spectrum(coeffs, grid)
         closed = single_spectrum(SingleParams(gamma=gamma, omega=omega), grid).values

@@ -1,5 +1,7 @@
 """Pole decomposition of the two-time regression system and grid evaluation."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -214,10 +216,16 @@ def test_emitter2_spectrum_against_oracle():
 def test_critical_drive_second_order_pole():
     # The one-way point at the single-emitter critical drive embeds a Jordan
     # pair in the visible dynamics: one pole carries a second-order weight,
-    # and the lineshape is the exact closed form through and around it.
+    # and the lineshape is the exact closed form through and around it.  The
+    # closed form's merged pole is the same record, component by component.
     d = decompose_spectrum(unidirectional_pair(1.0, critical_drive(1.0)))
     assert any(abs(c.L2_zeta) > 1e-3 for c in d.components)
     assert d.lorentzian_sum + d.delta_weight == pytest.approx(1.0, abs=1e-12)
+    coeffs = mollow_coefficients(SingleParams(gamma=1.0, omega=critical_drive(1.0)))
+    assert len(d.components) == len(coeffs.components) == 2
+    for got, ref in zip(d.components, coeffs.components):
+        np.testing.assert_allclose(astuple(got), astuple(ref), rtol=0.0, atol=1e-12)
+    assert d.delta_weight == pytest.approx(coeffs.delta_weight, abs=1e-12)
 
     def worst(omega):
         p = unidirectional_pair(1.0, omega)

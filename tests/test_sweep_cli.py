@@ -93,6 +93,18 @@ def test_g2_null_marker_at_zero_drive():
     assert all("undefined-correlator" in note for note in result.notes)
 
 
+def test_g2_null_marker_where_moment_product_underflows():
+    # An asymmetric pair at vanishing drive takes the moment path, where
+    # n1 * n2 underflows the correlator's floor: the same null cell.
+    spec = SweepSpec(param="omega1", grid=GridSpec(1e-9, 1e-8, 2, "log"),
+                     fixed={"g": 0.7, "gamma": 0.4, "theta": 1.0}, observables=("g2",))
+    result = run_sweep(spec)
+    assert result.regimes == ("asymmetric", "asymmetric")
+    assert [row[1] for row in result.rows] == [None, None]
+    assert result.paths == ("g2:null", "g2:null")
+    assert result.notes == ("g2:undefined-correlator", "g2:undefined-correlator")
+
+
 def test_fastpath_agrees_with_forced_numeric():
     spec = small_spec(observables=("populations", "g2"),
                       grid=GridSpec(min=0.05, max=20.0, count=7, scale="log"))
