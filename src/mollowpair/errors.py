@@ -25,7 +25,7 @@ class SingularSystemError(NumericalError):
 
     def __init__(self, cond: float):
         self.cond = cond
-        super().__init__(f"moment matrix numerically singular (cond estimate {cond:.3e})")
+        super().__init__(f"moment matrix numerically singular (1-norm condition number {cond:.3e})")
 
 
 class DegenerateSteadyStateError(NumericalError):

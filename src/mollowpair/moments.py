@@ -38,7 +38,7 @@ class MomentSystem:
 
 @dataclass(frozen=True)
 class MomentState:
-    """Steady-state moments and the derived population summary."""
+    """Steady-state moments, population summary and the solve's 1-norm condition number."""
 
     u: np.ndarray
     n1: float
@@ -133,8 +133,8 @@ def build_moment_system(p: SystemParams) -> MomentSystem:
     return MomentSystem(matrix=stack.matrix[0], drive=stack.drive[0])
 
 
-def _refined_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Dense solve of a stack with extended-precision iterative refinement.
+def _refined_solve(m: np.ndarray, rhs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Extended-precision iterative refinement of a stack's first solve u.
 
     Weakly driven systems have moments spanning many orders of magnitude
     (u4 ~ omega**4 while u1 ~ omega); refinement with clongdouble residuals
@@ -142,7 +142,6 @@ def _refined_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     At 15x15, re-solving for each correction is no slower than reusing an
     LU factorization.  A row stops at its first non-finite correction.
     """
-    u = np.linalg.solve(m, rhs[..., None])[..., 0]
     m_ld = m.astype(np.clongdouble)
     rhs_ld = rhs.astype(np.clongdouble)
     live = np.ones(len(m), dtype=bool)
@@ -176,19 +175,27 @@ def _moment_state(u: np.ndarray, cond: float) -> MomentState:
 
 
 def _solve_stack(system: MomentSystem) -> list[MomentState]:
-    # Reached only through the two public solvers: stacklevel 3 names their caller.
-    conds = np.linalg.cond(system.matrix).tolist()
+    # One LU per point solves [P | I]: column 0 is the first solve, the rest M^-1.
+    m = system.matrix
+    try:
+        x = np.linalg.solve(m, np.concatenate(
+            (system.drive[..., None], np.broadcast_to(np.eye(15), m.shape)), axis=-1))
+    except np.linalg.LinAlgError:
+        raise SingularSystemError(math.inf) from None
+    conds = (np.abs(m).sum(axis=-2).max(axis=-1)
+             * np.abs(x[..., 1:]).sum(axis=-2).max(axis=-1)).tolist()
     singular = 1.0 / np.finfo(float).eps
     for cond in conds:
         if not math.isfinite(cond) or cond > singular:
             raise SingularSystemError(cond)
         if cond > 1e12:
+            # Reached only through the two public solvers: stacklevel 3 names their caller.
             warnings.warn(
-                f"moment solve condition number {cond:.3e} exceeds 1e12",
+                f"moment solve 1-norm condition number {cond:.3e} exceeds 1e12",
                 ConditionWarning,
                 stacklevel=3,
             )
-    u = _refined_solve(system.matrix, system.drive)
+    u = _refined_solve(m, system.drive, np.ascontiguousarray(x[..., 0]))
     return [_moment_state(row, cond) for row, cond in zip(u, conds)]
 
 
@@ -196,9 +203,9 @@ def steady_states(system: MomentSystem) -> list[MomentState]:
     """Steady-state moment vectors u = M^-1 P of a stack, one state per point.
 
     M is generically nonsingular for gamma0 > 0 (every moment decays at
-    gamma0/2 or faster).  A condition-number estimate is attached to every
-    solve; poorly conditioned systems warn, singular ones raise, and every
-    point is checked, in order, before any is solved.
+    gamma0/2 or faster).  Each state carries the exact 1-norm condition number
+    ||M||_1 ||M^-1||_1 from the solve's own LU; above 1e12 it warns, and above
+    1/eps or at an exactly singular M it raises, before any state is returned.
     """
     return _solve_stack(system)
 

@@ -116,7 +116,9 @@ def mollow_coefficients(p: SingleParams) -> SpectralDecomposition:
     Raises
     ------
     UnsupportedConfigurationError
-        For delta != 0, where no closed-form decomposition is available.
+        For delta != 0, where no closed-form decomposition is available, and
+        where omega**2 is 0 (undriven or underflowing): the side-pole
+        weights divide by it.
     """
     if p.delta != 0.0:
         raise UnsupportedConfigurationError(
@@ -124,6 +126,10 @@ def mollow_coefficients(p: SingleParams) -> SpectralDecomposition:
             "use the numerical pair machinery for detuned spectra"
         )
     g, w = p.gamma, p.omega
+    if w**2 == 0.0:
+        raise UnsupportedConfigurationError(
+            f"the emitter is undriven or omega**2 underflows (omega = {w:.3g}); "
+            "its spectrum has no pole decomposition")
     delta_weight = g**2 / (g**2 + 8.0 * w**2)
     share = 8.0 * w**2 / (g**2 + 8.0 * w**2)
     central = SpectralComponent(0.0, g, 0.5, 0.0)

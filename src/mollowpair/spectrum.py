@@ -5,7 +5,8 @@ The stationary correlator <sigma_e^dag(0) sigma_e(tau)> obeys the same
 that system splits the spectrum into Lorentzian/dispersive components with a
 separate coherent (Rayleigh) delta weight; evaluating the components on a
 grid is then trivial.  The two-time boundary vector is a selection of the
-one-time moments, so one moment solve per point seeds the whole spectrum.
+one-time moments, so one moment solve per point seeds the whole spectrum,
+and a sweep decomposes all its points in one batched pass.
 Parts of the coupling landscape make the full regression matrix defective
 (at zero coherent coupling it carries a Jordan chain, mostly invisible to the
 emitter correlator), so the decomposition first restricts the system to the
@@ -67,32 +68,40 @@ class SpectralDecomposition:
         return sum(c.L_zeta for c in self.components)
 
 
-def _invariant_basis(m: np.ndarray, w: np.ndarray, scale: float) -> np.ndarray:
-    """Orthonormal basis of the smallest M-invariant subspace containing w.
+def _norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, bit for bit: dots of the same strided real/imag views."""
+    re, im = v.real, v.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
 
-    Arnoldi with full reorthogonalization; terminates when the next direction
-    couples below 1e-10 of the matrix scale.  The restriction of M to this
-    subspace carries exactly the poles that the boundary vector can excite;
-    the cutoff keeps roundoff from dragging in invisible sectors (at zero
-    coherent coupling M hides a Jordan chain the correlator never touches).
+
+def _invariant_bases(m, w, scale) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases q[i, :, :dims[i]] of the smallest M-invariant subspaces containing w.
+
+    Arnoldi with full reorthogonalization, in lockstep over the stack; a row
+    stops when its next direction couples below 1e-10 of its matrix scale,
+    which keeps roundoff from dragging in invisible sectors (at zero coherent
+    coupling M hides a Jordan chain the correlator never touches).  Products
+    take whole-stack views, never row-indexed copies: an operand's memory
+    layout picks the BLAS kernel, and with it the bits.
     """
-    n = m.shape[0]
-    q = np.zeros((n, n), dtype=complex)
-    nw = np.linalg.norm(w)
-    if nw == 0.0:
-        return q[:, :0]
-    q[:, 0] = w / nw
-    dim = 1
-    for k in range(n - 1):
-        v = m @ q[:, k]
-        for _ in range(2):
-            v -= q[:, :dim] @ (q[:, :dim].conj().T @ v)
-        nv = np.linalg.norm(v)
-        if nv < 1e-10 * scale:
+    q = np.zeros(w.shape + w.shape[1:], dtype=complex)
+    nw = _norms(w)
+    live = nw != 0.0
+    q[live, :, 0] = w[live] / nw[live, None]
+    dims = live.astype(int)
+    for k in range(w.shape[1] - 1):
+        if not live.any():
             break
-        q[:, dim] = v / nv
-        dim += 1
-    return q[:, :dim]
+        v = (m @ q[:, :, k, None])[..., 0]
+        basis = q[:, :, :k + 1]
+        basis_h = basis.conj().transpose(0, 2, 1)
+        for _ in range(2):
+            v -= (basis @ (basis_h @ v[..., None]))[..., 0]
+        nv = _norms(v)
+        live &= ~(nv < 1e-10 * scale)
+        q[live, :, k + 1] = v[live] / nv[live, None]
+        dims += live
+    return q, dims
 
 
 def _cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
@@ -157,34 +166,29 @@ def _merge_poles(vals, contrib, scale) -> list[tuple[complex, complex]]:
     return [(lam, b) for lam, b in merged]
 
 
-def _visible(b: complex, n_e: float) -> bool:
-    """Whether a weight has a part at or above PRUNE_TOL relative to n_e."""
-    return abs(b.real / n_e) >= PRUNE_TOL or abs(b.imag / n_e) >= PRUNE_TOL
-
-
 def boundary_vector(u: np.ndarray, emitter: int = 1) -> np.ndarray:
     """Zero-delay seeds Tr[O_i rho_ss sigma_e^dag] = <sigma_e^dag O_i> from moments u.
 
     Each sigma_e^dag O_i is zero or another moment operator, so the seeds
     are moment coordinates: the sigma_e coordinate reads the emitter
     population, and every coordinate whose operator already raises the same
-    emitter vanishes (sigma^dag sigma^dag = 0).
+    emitter vanishes (sigma^dag sigma^dag = 0).  u is one moment vector or
+    a stack of them, one per row.
     """
-    return SEED_SELECTION[emitter] @ u
+    return (SEED_SELECTION[emitter] @ u[..., None])[..., 0]
 
 
 def decompose_spectrum(p: SystemParams, emitter: int = 1) -> SpectralDecomposition:
     """Split one emitter's emission spectrum into pole components.
 
-    Procedure: build the regression system and solve it for the steady-state
-    moments u; seed the two-time boundary vector <sigma_e^dag O_i> by
-    selecting coordinates of u (boundary_vector); subtract the infinite-delay
-    offset u <sigma_e^dag>; restrict the regression matrix to the part of
-    the subspace it generates that the emitter correlator observes; expand
-    the remainder over that matrix's eigenvectors and read off each mode's
-    contribution to the emitter correlator.
-    Widths are -2 Re and shifts -Im of the regression eigenvalues, and the
-    delta weight is |<sigma_e>|^2 / n_e.
+    The batch of one of the sweep's engine, _decompose_stack: build and solve
+    the moment system for u; seed the two-time boundary vector
+    <sigma_e^dag O_i> by selecting coordinates of u (boundary_vector) and
+    subtract the infinite-delay offset u <sigma_e^dag>; restrict the
+    regression matrix to the part of the subspace it generates that the
+    emitter correlator observes; expand the remainder over that matrix's
+    eigenvectors.  Widths are -2 Re and shifts -Im of the regression
+    eigenvalues, and the delta weight is |<sigma_e>|^2 / n_e.
 
     Where eigenvalues collide and the eigenvector basis degrades (the one-way
     pair at the critical drive gamma0/8, the trapping line at strong drive),
@@ -194,7 +198,10 @@ def decompose_spectrum(p: SystemParams, emitter: int = 1) -> SpectralDecompositi
     """
     _check_defined(p, emitter)
     system = build_moment_system(p)
-    return _decompose(p, emitter, system.matrix, steady_state(system))
+    (d,) = _decompose_stack([p], emitter, system.matrix[None], [steady_state(system)])
+    if isinstance(d, UnsupportedConfigurationError):
+        raise d
+    return d
 
 
 def _check_defined(p: SystemParams, emitter: int) -> None:
@@ -207,76 +214,85 @@ def _check_defined(p: SystemParams, emitter: int) -> None:
         )
 
 
-def _decompose(p: SystemParams, emitter: int, m: np.ndarray, state: MomentState
-               ) -> SpectralDecomposition:
-    """decompose_spectrum at a point already solved: its (15, 15) M and moment state.
+def _decompose_stack(ps: list[SystemParams], emitter: int, m: np.ndarray,
+                     states: list[MomentState]) -> list:
+    """decompose_spectrum at points already solved: their (N, 15, 15) M stack and states.
 
-    The sweep passes the states of its one batched moment solve; of p only
-    gamma0, the floor of the matrix scale, is read.  Eigenvalues that
-    collide in the reduced system are expanded over their invariant
-    subspace (_cluster_poles): a visible Jordan pair yields one component
-    with second-order weights L2_zeta/K2_zeta, an invisible one is pruned.
+    Of each p only gamma0, the floor of the matrix scale, is read.  The
+    reductions run over the stack and the reduced systems, grouped by
+    dimension, share one eig, cond and modal solve; only the cluster, merge
+    and prune steps run per point.  A point whose emitter population is zero
+    gets an UnsupportedConfigurationError in place of its decomposition.
     """
-    n_e = state.n1 if emitter == 1 else state.n2
-    coh = state.s1 if emitter == 1 else state.s2
-    if n_e <= 0.0:
-        raise UnsupportedConfigurationError(
-            f"emitter {emitter} population is zero; its spectrum is undefined"
-        )
+    n_e = np.array([st.n1 if emitter == 1 else st.n2 for st in states], dtype=float)
+    coh = np.array([st.s1 if emitter == 1 else st.s2 for st in states], dtype=complex)
+    out: list = [UnsupportedConfigurationError(
+        f"emitter {emitter} population is zero; its spectrum is undefined") for _ in ps]
+    rows = np.flatnonzero(~(n_e <= 0.0))
+    m = m[rows]
+    u = np.array([st.u for st in states]).reshape(-1, 15)[rows]
     # The correlator <sig_e^dag(0) sig_e(tau)> sits at the sigma_e coordinate.
     readout = IDX_S1 if emitter == 1 else IDX_S2
-
-    w = boundary_vector(state.u, emitter) - state.u * np.conj(coh)
-
-    scale = max(float(np.linalg.norm(m, ord=np.inf)), p.gamma0)
-    delta_weight = float(abs(coh) ** 2 / n_e)
+    w = boundary_vector(u, emitter) - u * np.conj(coh[rows])[:, None]
+    scale = np.maximum(np.abs(m).sum(axis=-1).max(axis=-1), [ps[i].gamma0 for i in rows])
 
     # Minimal realization of the scalar correlator: restrict to the subspace
     # reached from the boundary, then to the part observed by the readout
     # functional.  Sectors that are reachable but invisible to the emitter
-    # correlator (at zero coherent coupling they hide a Jordan chain) drop
-    # out here instead of poisoning the eigenvector basis.  An empty reachable
-    # subspace leaves an empty observed one.
-    reach = _invariant_basis(m, w, scale)
-    m_r = reach.conj().T @ m @ reach
-    b_r = reach.conj().T @ w
-    c_r = np.conj(reach[readout, :])
-    obs = _invariant_basis(m_r.conj().T, c_r, scale)
-    if obs.shape[1] == 0:
-        return SpectralDecomposition((), delta_weight, emitter)
-    h = obs.conj().T @ m_r @ obs
-    b_h = obs.conj().T @ b_r
-    c_h = obs.conj().T @ c_r
+    # correlator drop out here instead of poisoning the eigenvector basis.
+    # by_dim collects (rows, h, b_h, c_h) of the nonempty reduced systems.
+    by_dim: dict[int, list] = {}
+    reach, dims = _invariant_bases(m, w, scale)
+    for d in np.unique(dims[dims > 0]):
+        sel = np.flatnonzero(dims == d)
+        q = reach[sel][:, :, :d]
+        qh = q.conj().transpose(0, 2, 1)
+        m_r = qh @ m[sel] @ q
+        b_r = (qh @ w[sel][..., None])[..., 0]
+        c_r = np.conj(q[:, readout, :])
+        obs, odims = _invariant_bases(m_r.conj().transpose(0, 2, 1), c_r, scale[sel])
+        for e in np.unique(odims[odims > 0]):
+            sub = np.flatnonzero(odims == e)
+            o = obs[sub][:, :, :e]
+            oh = o.conj().transpose(0, 2, 1)
+            by_dim.setdefault(int(e), []).append((
+                sel[sub], oh @ m_r[sub] @ o,
+                (oh @ b_r[sub][..., None])[..., 0], (oh @ c_r[sub][..., None])[..., 0]))
 
-    vals, vecs = np.linalg.eig(h)
-    # A suspicious eigenvector basis means poles have collided: a cluster is
-    # taken through its invariant subspace, which also covers a Jordan block
-    # (a second-order pole).  Without a cluster the eigenvectors serve as is.
-    groups = []
-    if np.linalg.cond(vecs) > SUSPECT_COND:
-        groups = _cluster_indices(vals, CLUSTER_GAP * scale)
-    if groups:
-        poles = _cluster_poles(h, vals, vecs, b_h, c_h, groups)
-    else:
-        contrib = (c_h.conj() @ vecs) * np.linalg.solve(vecs, b_h)
-        poles = [(lam, b, 0j) for lam, b in _merge_poles(vals, contrib, scale)]
+    poles: dict[int, list] = {}
+    for parts in by_dim.values():
+        idx, h, b_h, c_h = (np.concatenate(x) for x in zip(*parts))
+        vals, vecs = np.linalg.eig(h)
+        # A suspicious eigenvector basis means poles have collided: a cluster
+        # is taken through its invariant subspace, which also covers a Jordan
+        # block (a second-order pole).
+        suspect = np.linalg.cond(vecs) > SUSPECT_COND
+        plain = []
+        for j, r in enumerate(idx):
+            groups = _cluster_indices(vals[j], CLUSTER_GAP * scale[r]) if suspect[j] else []
+            if groups:
+                poles[r] = _cluster_poles(h[j], vals[j], vecs[j], b_h[j], c_h[j], groups)
+            else:
+                plain.append(j)
+        contrib = ((c_h[plain].conj()[:, None, :] @ vecs[plain])[:, 0, :]
+                   * np.linalg.solve(vecs[plain], b_h[plain][..., None])[..., 0])
+        for j, c in zip(plain, contrib):
+            poles[idx[j]] = [(lam, b, 0j) for lam, b in _merge_poles(vals[j], c, scale[idx[j]])]
+    for r, i in enumerate(rows):
+        out[i] = _prune(poles.get(r, []), float(n_e[i]), complex(coh[i]), emitter)
+    return out
 
-    components = []
-    for lam, b, b2 in poles:
-        if not _visible(b2, n_e):
-            if not _visible(b, n_e):
-                continue
-            b2 = 0j
-        components.append(SpectralComponent(
-            omega_zeta=float(lam.imag),
-            gamma_zeta=float(2.0 * lam.real),
-            L_zeta=float((b / n_e).real),
-            K_zeta=float((b / n_e).imag),
-            L2_zeta=float((b2 / n_e).real),
-            K2_zeta=float((b2 / n_e).imag),
-        ))
-    components.sort(key=lambda c: (c.omega_zeta, c.gamma_zeta))
-    return SpectralDecomposition(tuple(components), delta_weight, emitter)
+
+def _prune(poles, n_e: float, coh: complex, emitter: int) -> SpectralDecomposition:
+    """One point's decomposition from its poles (lambda, b1, b2), invisible weights dropped."""
+    lam, b1, b2 = np.array(poles, dtype=complex).reshape(-1, 3).T
+    b1, b2 = b1 / n_e, b2 / n_e
+    faint1, faint2 = (np.maximum(abs(w.real), abs(w.imag)) < PRUNE_TOL for w in (b1, b2))
+    b2[faint2] = 0.0
+    table = np.column_stack((lam.imag, 2.0 * lam.real, b1.real, b1.imag, b2.real, b2.imag))
+    components = sorted((SpectralComponent(*row) for row in table[~(faint1 & faint2)].tolist()),
+                        key=lambda c: (c.omega_zeta, c.gamma_zeta))
+    return SpectralDecomposition(tuple(components), float(abs(coh) ** 2 / n_e), emitter)
 
 
 def evaluate_spectrum(d: SpectralDecomposition, grid: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from . import closed_forms
 from .errors import SweepSpecError, UndefinedCorrelatorError, UnsupportedConfigurationError
 from .moments import MomentSystem, build_moment_systems, g2_cross, populations, steady_states
 from .params import CONFIG_KEYS, Regime, SystemParams, classify_regime
-from .spectrum import _check_defined, _decompose, default_grid, evaluate_spectrum
+from .spectrum import _check_defined, _decompose_stack, default_grid, evaluate_spectrum
 
 OBSERVABLES = ("populations", "g2", "spectrum", "decomposition", "eigenvalues")
 
@@ -203,27 +203,33 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         for p, regime in zip(points, regimes)
     ]
 
-    # One moment build and one solve serve the whole sweep.  Spectra need the
-    # moments even on the fast path; an undriven emitter 1 has no spectrum.
+    # One moment build, solve and spectral decomposition serve the whole sweep.
+    # Spectra need the moments even on the fast path; an undriven emitter 1 has no spectrum.
     want_state = "populations" in spec.observables or "g2" in spec.observables
     want_spectrum = "spectrum" in spec.observables or "decomposition" in spec.observables
     want_eigs = "eigenvalues" in spec.observables
     solve = [k for k, (p, use_fast) in enumerate(zip(points, fast))
              if (want_state and not use_fast) or (want_spectrum and p.omega1 != 0.0)]
-    solved = {}
+    solved, decomposed = {}, {}
     if want_eigs or solve:
         system = build_moment_systems(points if want_eigs else [points[k] for k in solve])
         if want_eigs:
             eigs = np.linalg.eigvals(system.matrix)
             eigs = np.take_along_axis(eigs, np.lexsort((eigs.imag, eigs.real)), axis=-1)
             system = MomentSystem(matrix=system.matrix[solve], drive=system.drive[solve])
-        solved = dict(zip(solve, zip(system.matrix, steady_states(system))))
+        states = steady_states(system)
+        solved = dict(zip(solve, states))
+        if want_spectrum:
+            driven = [i for i, k in enumerate(solve) if points[k].omega1 != 0.0]
+            decomposed = dict(zip([solve[i] for i in driven], _decompose_stack(
+                [points[solve[i]] for i in driven], 1, system.matrix[driven],
+                [states[i] for i in driven])))
 
     for k, (value, p, regime, use_fast) in enumerate(zip(values, points, regimes, fast)):
         point_paths: list[str] = []
         point_notes: list[str] = []
         row: list[float | None] = [float(value)]
-        m, state = solved.get(k, (None, None))
+        state = solved.get(k)
 
         if "populations" in spec.observables:
             if use_fast:
@@ -252,7 +258,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             grid = default_grid(p, spec.spectrum_points)
             try:
                 _check_defined(p, 1)
-                d = _decompose(p, 1, m, state)
+                d = decomposed[k]
+                if isinstance(d, UnsupportedConfigurationError):
+                    raise d
                 row.append(d.delta_weight)
                 if "decomposition" in spec.observables:
                     if any(c.L2_zeta or c.K2_zeta for c in d.components):

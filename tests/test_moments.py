@@ -232,13 +232,28 @@ def test_singular_system_raises():
     m[0, 0] = 1.0
     with pytest.raises(SingularSystemError):
         steady_state(MomentSystem(matrix=m, drive=np.zeros(15, dtype=complex)))
-    # In a stack after a regular point it is caught before any solve, so
-    # LAPACK never sees it (that would raise LinAlgError).
+    # In a stack, before or after a regular point, LAPACK's LinAlgError for
+    # the exactly singular factor is raised as SingularSystemError.
     regular = build_moment_system(coherent_pair(1.0, 1.0))
-    stack = MomentSystem(matrix=np.stack([regular.matrix, m]),
-                         drive=np.stack([regular.drive, np.zeros(15, dtype=complex)]))
-    with pytest.raises(SingularSystemError):
-        steady_states(stack)
+    zero = np.zeros(15, dtype=complex)
+    for matrices, drives in (([regular.matrix, m], [regular.drive, zero]),
+                             ([m, regular.matrix], [zero, regular.drive])):
+        with pytest.raises(SingularSystemError, match="1-norm condition number inf"):
+            steady_states(MomentSystem(matrix=np.stack(matrices), drive=np.stack(drives)))
+
+
+@pytest.mark.parametrize("p, warns", [(coherent_pair(1.0, 1.0), False),
+                                      (dissipative_pair(1.0, 1e-6), True)])
+def test_cond_is_the_exact_one_norm_condition_number(p, warns):
+    # The solve's own LU gives M^-1, so cond is ||M||_1 ||M^-1||_1, not an
+    # estimate.  The trapping point omega1 = 1e-6 (6.0e12) still warns.
+    system = build_moment_system(p)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        state = steady_state(system)
+    assert state.cond == pytest.approx(np.linalg.cond(system.matrix, 1), rel=1e-12)
+    assert (state.cond > 1e12) is warns
+    assert [w.category for w in record] == [ConditionWarning] * warns
 
 
 def test_condition_warning():

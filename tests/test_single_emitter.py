@@ -141,6 +141,14 @@ def test_weight_normalization_random(rng):
         assert coeffs.lorentzian_sum + coeffs.delta_weight == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("omega", [0.0, 1e-170])
+def test_undriven_coefficients_rejected(omega):
+    # At omega = 0, and wherever omega**2 underflows, the side-pole weights
+    # divide by omega**2: a reason, not a bare ZeroDivisionError.
+    with pytest.raises(UnsupportedConfigurationError, match=r"undriven or omega\*\*2 underflows"):
+        mollow_coefficients(SingleParams(gamma=1.0, omega=omega))
+
+
 def test_detuned_coefficients_rejected():
     with pytest.raises(UnsupportedConfigurationError, match="resonance"):
         mollow_coefficients(SingleParams(delta=1.0, gamma=1.0, omega=1.0))

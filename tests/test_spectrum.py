@@ -5,10 +5,23 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+import mollowpair.spectrum as spectrum
 from mollowpair.errors import ParameterError, UnsupportedConfigurationError
 from mollowpair.liouville import build_liouvillian, spectrum_fft, steady_state_dm
-from mollowpair.moments import build_moment_system, steady_state
-from mollowpair.operators import MOMENT_OPERATORS, SIGMA1_DAG, SIGMA2_DAG
+from mollowpair.moments import (
+    build_moment_system,
+    build_moment_systems,
+    steady_state,
+    steady_states,
+)
+from mollowpair.operators import (
+    IDX_S1,
+    IDX_S2,
+    MOMENT_OPERATORS,
+    SEED_SELECTION,
+    SIGMA1_DAG,
+    SIGMA2_DAG,
+)
 from mollowpair.params import (
     SystemParams,
     asymmetric_pair,
@@ -83,8 +96,6 @@ def test_semisimple_repair_accepts_ill_conditioned_basis(monkeypatch):
     # A backward one-way pair under weak, unequal drives: the restricted
     # eigenvector basis is ill-conditioned (cond ~6e7, above SUSPECT_COND),
     # but no eigenvalues cluster, so the eigenvectors are used as they are.
-    import mollowpair.spectrum as spectrum
-
     groups = []
     original = spectrum._cluster_indices
 
@@ -104,6 +115,68 @@ def test_semisimple_repair_accepts_ill_conditioned_basis(monkeypatch):
     oracle, _ = spectrum_fft(build_liouvillian(p), grid)
     engine = evaluate_spectrum(d, grid)
     assert np.max(np.abs(engine - oracle)) < 1e-6 * np.max(np.abs(oracle))
+
+
+def _per_point_basis(m, w, scale):
+    """The per-point Arnoldi the stack engine replaced: 1-d vectors, strided views."""
+    n = m.shape[0]
+    q = np.zeros((n, n), dtype=complex)
+    nw = np.linalg.norm(w)
+    if nw == 0.0:
+        return q[:, :0]
+    q[:, 0] = w / nw
+    dim = 1
+    for k in range(n - 1):
+        v = m @ q[:, k]
+        for _ in range(2):
+            v -= q[:, :dim] @ (q[:, :dim].conj().T @ v)
+        nv = np.linalg.norm(v)
+        if nv < 1e-10 * scale:
+            break
+        q[:, dim] = v / nv
+        dim += 1
+    return q[:, :dim]
+
+
+def _per_point_decomposition(p, emitter):
+    """One point's reduction, eig and modal solve, as before the stack engine."""
+    system = build_moment_system(p)
+    state, m = steady_state(system), system.matrix
+    n_e, coh = (state.n1, state.s1) if emitter == 1 else (state.n2, state.s2)
+    w = SEED_SELECTION[emitter] @ state.u - state.u * np.conj(coh)
+    scale = max(float(np.linalg.norm(m, ord=np.inf)), p.gamma0)
+    reach = _per_point_basis(m, w, scale)
+    m_r = reach.conj().T @ m @ reach
+    b_r = reach.conj().T @ w
+    c_r = np.conj(reach[IDX_S1 if emitter == 1 else IDX_S2, :])
+    obs = _per_point_basis(m_r.conj().T, c_r, scale)
+    h, b_h, c_h = obs.conj().T @ m_r @ obs, obs.conj().T @ b_r, obs.conj().T @ c_r
+    vals, vecs = np.linalg.eig(h)
+    groups = []
+    if np.linalg.cond(vecs) > spectrum.SUSPECT_COND:
+        groups = spectrum._cluster_indices(vals, spectrum.CLUSTER_GAP * scale)
+    if groups:
+        poles = spectrum._cluster_poles(h, vals, vecs, b_h, c_h, groups)
+    else:
+        contrib = (c_h.conj() @ vecs) * np.linalg.solve(vecs, b_h)
+        poles = [(lam, b, 0j) for lam, b in spectrum._merge_poles(vals, contrib, scale)]
+    return spectrum._prune(poles, n_e, coh, emitter)
+
+
+@pytest.mark.parametrize("emitter", [1, 2])
+def test_stack_engine_matches_per_point_reduction_bitwise(emitter, rng):
+    # One stack mixing reduced dimensions (the trapping line's pruned hidden
+    # block), the cluster path (critical drive) and generic draws: each point
+    # gets the bits of the per-point reduction.  Row-indexed or contiguous
+    # copies of the engine's operands would change BLAS kernels and bits.
+    ps = ([dissipative_pair(1.0, w) for w in (4.0, 6.0, 8.0, 10.0)]
+          + [unidirectional_pair(1.0, w) for w in (0.124, 0.125, 0.126)]
+          + [random_params(rng, with_detuning=True, with_second_drive=True)
+             for _ in range(40)])
+    system = build_moment_systems(ps)
+    got = spectrum._decompose_stack(ps, emitter, system.matrix, steady_states(system))
+    for p, d in zip(ps, got):
+        assert repr(d) == repr(_per_point_decomposition(p, emitter)), p
 
 
 def test_normalization_over_random_draws(rng):

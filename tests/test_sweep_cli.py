@@ -12,7 +12,7 @@ import pytest
 import mollowpair.spectrum
 import mollowpair.sweep
 from mollowpair import closed_forms
-from mollowpair.errors import ConditionWarning, SweepSpecError
+from mollowpair.errors import ConditionWarning, SweepSpecError, UnsupportedConfigurationError
 from mollowpair.liouville import build_liouvillian, spectrum_fft
 from mollowpair.moments import build_moment_system, g2_cross, populations, steady_state
 from mollowpair.params import Regime, classify_regime
@@ -251,13 +251,33 @@ def test_batched_sweep_matches_per_point_reference(observables):
     assert result.paths == tuple(paths)
 
 
-@pytest.mark.parametrize("observables", [("populations", "spectrum"),
-                                         ("populations", "g2", "decomposition")])
-def test_spectrum_points_share_the_sweep_moment_solve(observables, monkeypatch):
-    # Asymmetric pair (g = 0.7, gamma = 0.4, theta = 1): every point needs the
-    # moment state both for its populations and for its spectrum.
-    spec = SweepSpec(param="omega1", grid=GridSpec(min=0.5, max=2.0, count=4),
-                     fixed={"g": 0.7, "gamma": 0.4, "theta": 1.0}, observables=observables)
+#: Asymmetric pair (g = 0.7, gamma = 0.4, theta = 1): every point needs the
+#: moment state both for its populations and for its spectrum.
+_ASYMMETRIC = {"g": 0.7, "gamma": 0.4, "theta": 1.0}
+
+
+@pytest.mark.parametrize("fixed, grid, observables", [
+    pytest.param(_ASYMMETRIC, GridSpec(min=0.5, max=2.0, count=4),
+                 ("populations", "spectrum"), id="observables0"),
+    pytest.param(_ASYMMETRIC, GridSpec(min=0.5, max=2.0, count=4),
+                 ("populations", "g2", "decomposition"), id="observables1"),
+    # The trapping line at strong drive: reduced dimensions differ within the
+    # sweep, and a hidden Jordan block is pruned.
+    pytest.param({"g": 0.0, "gamma": 1.0}, GridSpec(min=4.0, max=10.0, count=4),
+                 ("spectrum", "decomposition"), id="trapping-line"),
+    # The one-way pair across the critical drive: the middle point takes the
+    # cluster path, a second-order pole and a null decomposition cell.
+    pytest.param({"g": 0.5, "gamma": 1.0, "theta": np.pi / 2},
+                 GridSpec(min=0.124, max=0.126, count=3),
+                 ("spectrum", "decomposition"), id="critical-drive"),
+    # A grid from omega1 = 0: the first point is a null spectrum cell.
+    pytest.param(_ASYMMETRIC, GridSpec(min=0.0, max=2.0, count=4),
+                 ("populations", "spectrum", "decomposition"), id="from-zero-drive"),
+])
+def test_spectrum_points_share_the_sweep_moment_solve(fixed, grid, observables, monkeypatch):
+    # The sweep's one batched solve and one batched decomposition give every
+    # point the bits of the per-point decompose_spectrum.
+    spec = SweepSpec(param="omega1", grid=grid, fixed=fixed, observables=observables)
     calls = {"batched": 0, "one-point": 0}
 
     def counting(key, fn):
@@ -274,25 +294,38 @@ def test_spectrum_points_share_the_sweep_moment_solve(observables, monkeypatch):
     assert calls == {"batched": 1, "one-point": 0}
     monkeypatch.undo()
 
-    rows, spectra, decomps = [], [], []
+    rows, notes, spectra, decomps = [], [], [], []
     for value in spec.grid.values():
         p = spec.point(value)
-        pops = populations(steady_state(build_moment_system(p)))
-        d = decompose_spectrum(p)
-        row = [float(value), pops.rho00, pops.rho10, pops.rho01, pops.rho11]
+        row = [float(value)]
+        if "populations" in observables:
+            pops = populations(steady_state(build_moment_system(p)))
+            row += [pops.rho00, pops.rho10, pops.rho01, pops.rho11]
         if "g2" in observables:
             row.append(g2_cross(steady_state(build_moment_system(p))))
+        try:
+            d = decompose_spectrum(p)
+        except UnsupportedConfigurationError as exc:
+            rows.append(tuple(row + [None]))
+            notes.append(f"spectrum:{exc.args[0].split(';')[0]}")
+            continue
         rows.append(tuple(row + [d.delta_weight]))
+        notes.append("")
         if "spectrum" in observables:
             grid = default_grid(p, spec.spectrum_points)
             spectra.append(SpectrumBlock(float(value), grid, evaluate_spectrum(d, grid),
                                          d.delta_weight))
+        if "decomposition" not in observables:
+            continue
+        if any(c.L2_zeta or c.K2_zeta for c in d.components):
+            notes[-1] = "decomposition:second-order-pole"
         else:
             decomps.append(DecompositionBlock(
                 float(value),
                 tuple((c.omega_zeta, c.gamma_zeta, c.L_zeta, c.K_zeta) for c in d.components),
                 d.delta_weight))
     assert result.rows == tuple(rows)
+    assert result.notes == tuple(notes)
     assert result.spectra == tuple(spectra)
     assert result.decompositions == tuple(decomps)
     for got, ref in zip(result.spectra, spectra):
