@@ -90,7 +90,7 @@ def _entries(p: SystemParams) -> tuple:
     g0, d = p.gamma0, p.delta
     w1, w2 = p.omega1, p.omega2
     gam = p.gamma
-    eiphi = np.exp(1j * p.phi)
+    eiphi = complex(math.cos(p.phi), math.sin(p.phi))
     return (
         0.5 * g0 + 1j * d, gp, -2j * w1, -2 * gp,
         gmc, 0.5 * g0 + 1j * d, -2j * w2, -2 * gmc,
@@ -133,45 +133,27 @@ def build_moment_system(p: SystemParams) -> MomentSystem:
     return MomentSystem(matrix=stack.matrix[0], drive=stack.drive[0])
 
 
-def _refined_solve(m: np.ndarray, rhs: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _refined_solve(m: np.ndarray, rhs: np.ndarray, u: np.ndarray, minv: np.ndarray) -> np.ndarray:
     """Extended-precision iterative refinement of a stack's first solve u.
 
     Weakly driven systems have moments spanning many orders of magnitude
     (u4 ~ omega**4 while u1 ~ omega); refinement with clongdouble residuals
     restores componentwise relative accuracy that a plain double solve loses.
-    At 15x15, re-solving for each correction is no slower than reusing an
-    LU factorization.  A row stops at its first non-finite correction.
+    The residual carries the precision, so a correction needs only modest
+    relative accuracy: it is minv @ r with the M^-1 of the stack's one LU
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 12),
+    not a new factorization.  A row stops at its first non-finite correction.
     """
     m_ld = m.astype(np.clongdouble)
     rhs_ld = rhs.astype(np.clongdouble)
     live = np.ones(len(m), dtype=bool)
     for _ in range(3):
-        resid = rhs_ld - (m_ld @ u.astype(np.clongdouble)[..., None])[..., 0]
-        corr = np.linalg.solve(m, resid.astype(np.complex128)[..., None])[..., 0]
+        u_ld = u.astype(np.clongdouble)
+        resid = rhs_ld - (m_ld @ u_ld[..., None])[..., 0]
+        corr = (minv @ resid.astype(np.complex128)[..., None])[..., 0]
         live &= np.isfinite(corr).all(axis=1)
-        np.copyto(u, (u.astype(np.clongdouble) + corr).astype(np.complex128), where=live[:, None])
+        np.copyto(u, (u_ld + corr).astype(np.complex128), where=live[:, None])
     return u
-
-
-def _moment_state(u: np.ndarray, cond: float) -> MomentState:
-    def _real(idx: int, label: str) -> float:
-        z = u[idx]
-        if abs(z.imag) > IMAG_RESIDUE_TOL:
-            raise NumericalError(
-                f"{label} has imaginary residue {z.imag:.3e} beyond {IMAG_RESIDUE_TOL:.0e}; "
-                "the regression matrix is inconsistent"
-            )
-        return float(z.real)
-
-    return MomentState(
-        u=u,
-        n1=_real(IDX_N1, "n1"),
-        n2=_real(IDX_N2, "n2"),
-        nX=_real(IDX_NX, "nX"),
-        s1=complex(u[IDX_S1]),
-        s2=complex(u[IDX_S2]),
-        cond=cond,
-    )
 
 
 def _solve_stack(system: MomentSystem) -> list[MomentState]:
@@ -182,8 +164,8 @@ def _solve_stack(system: MomentSystem) -> list[MomentState]:
             (system.drive[..., None], np.broadcast_to(np.eye(15), m.shape)), axis=-1))
     except np.linalg.LinAlgError:
         raise SingularSystemError(math.inf) from None
-    conds = (np.abs(m).sum(axis=-2).max(axis=-1)
-             * np.abs(x[..., 1:]).sum(axis=-2).max(axis=-1)).tolist()
+    minv = np.ascontiguousarray(x[..., 1:])
+    conds = (np.abs(m).sum(axis=-2).max(axis=-1) * np.abs(minv).sum(axis=-2).max(axis=-1)).tolist()
     singular = 1.0 / np.finfo(float).eps
     for cond in conds:
         if not math.isfinite(cond) or cond > singular:
@@ -195,8 +177,18 @@ def _solve_stack(system: MomentSystem) -> list[MomentState]:
                 ConditionWarning,
                 stacklevel=3,
             )
-    u = _refined_solve(m, system.drive, np.ascontiguousarray(x[..., 0]))
-    return [_moment_state(row, cond) for row, cond in zip(u, conds)]
+    u = _refined_solve(m, system.drive, np.ascontiguousarray(x[..., 0]), minv)
+    excitations = u[:, [IDX_N1, IDX_N2, IDX_NX]]
+    bad = np.argwhere(np.abs(excitations.imag) > IMAG_RESIDUE_TOL)
+    if len(bad):
+        row, col = bad[0]
+        raise NumericalError(
+            f"{('n1', 'n2', 'nX')[col]} has imaginary residue {excitations[row, col].imag:.3e} "
+            f"beyond {IMAG_RESIDUE_TOL:.0e}; the regression matrix is inconsistent"
+        )
+    return [MomentState(u=ui, n1=n1, n2=n2, nX=nX, s1=s1, s2=s2, cond=cond)
+            for ui, (n1, n2, nX), (s1, s2), cond
+            in zip(u, excitations.real.tolist(), u[:, [IDX_S1, IDX_S2]].tolist(), conds)]
 
 
 def steady_states(system: MomentSystem) -> list[MomentState]:

@@ -1,6 +1,7 @@
 """Moment system structure, steady-state solve, and the cross-correlator."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,17 @@ from mollowpair.moments import (
     steady_state,
     steady_states,
 )
-from mollowpair.operators import EYE4, MOMENT_OPERATORS, SIGMA1, SIGMA2
+from mollowpair.operators import (
+    EYE4,
+    IDX_N1,
+    IDX_N2,
+    IDX_NX,
+    IDX_S1,
+    IDX_S2,
+    MOMENT_OPERATORS,
+    SIGMA1,
+    SIGMA2,
+)
 from mollowpair.params import (
     SystemParams,
     coherent_pair,
@@ -112,6 +123,74 @@ def test_batch_engine_matches_per_point_bitwise(rng):
             assert st.u.tobytes() == states[k].u.tobytes()
             assert st.cond == states[k].cond
     assert steady_states(build_moment_systems([])) == []
+
+
+def test_one_factorization_per_stack(monkeypatch):
+    # The refinement reuses the M^-1 of the stack's one LU, so a whole
+    # landscape row and the batch of one each make a single LAPACK solve.
+    calls = []
+    solve = np.linalg.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args[0].shape)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    row = [SystemParams(g=5.0, gamma=gamma, theta=0.5 * np.pi, phi=0.0, omega1=1e-3)
+           for gamma in np.geomspace(0.01, 1.0, 31)]
+    assert len(steady_states(build_moment_systems(row))) == 31
+    assert calls == [(31, 15, 15)]
+    steady_state(build_moment_system(row[0]))
+    assert calls == [(31, 15, 15), (1, 15, 15)]
+
+
+def _exact_steady_state(system):
+    """u = M^-1 P in exact rational arithmetic, as (re, im) Fraction pairs.
+
+    Gaussian elimination on the real form [[A, -B], [B, A]] [x; y] = [p; q]
+    of (A + iB)(x + iy) = p + iq, with every float entry taken exactly.
+    """
+    n = len(system.drive)
+    re = [[Fraction(v.real) for v in row] for row in system.matrix.tolist()]
+    im = [[Fraction(v.imag) for v in row] for row in system.matrix.tolist()]
+    drive = system.drive.tolist()
+    rows = ([re[i] + [-v for v in im[i]] + [Fraction(drive[i].real)] for i in range(n)]
+            + [im[i] + re[i] + [Fraction(drive[i].imag)] for i in range(n)])
+    size = 2 * n
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(col + 1, size):
+            f = rows[r][col] / rows[col][col]
+            if f:
+                rows[r][col:] = [v - f * w for v, w in zip(rows[r][col:], rows[col][col:])]
+    sol = [Fraction(0)] * size
+    for r in reversed(range(size)):
+        acc = sum((rows[r][c] * sol[c] for c in range(r + 1, size)), Fraction(0))
+        sol[r] = (rows[r][size] - acc) / rows[r][r]
+    return [(sol[i], sol[n + i]) for i in range(n)]
+
+
+@pytest.mark.parametrize("p, tol", [
+    (SystemParams(g=1000.0, theta=1.0, omega1=0.005), 1e-14),
+    (SystemParams(g=5.0, gamma=0.01, theta=0.5 * np.pi, omega1=1e-3), 2 * np.finfo(float).eps),
+    (SystemParams(g=0.6, theta=0.9, gamma=0.8, phi=1.3, delta=0.4, omega1=1.3),
+     2 * np.finfo(float).eps),
+], ids=["strong-coherent-weak-drive", "landscape-corner", "asymmetric"])
+def test_refinement_matches_exact_solution(p, tol):
+    # Componentwise relative error of the refined moments against the exact
+    # solution of the assembled M.  An unrefined double solve misses these
+    # bounds (n1 3.4e-12 at strong coupling, 3.4e-15 at the landscape corner,
+    # s1 1.6e-15 at the asymmetric point).
+    system = build_moment_system(p)
+    exact = _exact_steady_state(system)
+    state = steady_state(system)
+    for value, idx in ((state.n1, IDX_N1), (state.n2, IDX_N2), (state.nX, IDX_NX),
+                       (state.s1, IDX_S1), (state.s2, IDX_S2)):
+        x, y = exact[idx]
+        z = complex(value)
+        err2 = ((Fraction(z.real) - x) ** 2 + (Fraction(z.imag) - y) ** 2) / (x * x + y * y)
+        assert float(err2) <= tol ** 2, (idx, float(err2) ** 0.5)
 
 
 def test_decoupled_matrix_is_diagonal():
@@ -271,3 +350,23 @@ def test_imaginary_residue_guard():
     bad[4, 4] += 0.3j
     with pytest.raises(NumericalError, match="residue"):
         steady_state(type(system)(matrix=bad, drive=system.drive))
+
+
+def test_imaginary_residue_guard_in_stack():
+    # The stacked guard names the first offending row and, within it, the
+    # first of n1, n2, nX, with the text that row gives as a batch of one.
+    ps = [dissipative_pair(0.5, 0.7), coherent_pair(1.0, 1.0), SystemParams(omega1=1.0, omega2=0.7)]
+    system = build_moment_systems(ps)
+    bad = system.matrix.copy()
+    bad[1, 4, 4] += 0.3j
+    bad[2, 5, 5] += 0.3j  # uncoupled point: n1 stays real, n2 does not
+    messages = []
+    for k in (1, 2):
+        with pytest.raises(NumericalError, match="residue") as one:
+            steady_state(MomentSystem(matrix=bad[k], drive=system.drive[k]))
+        messages.append(str(one.value))
+    assert messages[0].startswith("n1 ") and messages[1].startswith("n2 ")
+    for rows, message in (([0, 1, 2], messages[0]), ([0, 2], messages[1])):
+        with pytest.raises(NumericalError) as stack:
+            steady_states(MomentSystem(matrix=bad[rows], drive=system.drive[rows]))
+        assert str(stack.value) == message
