@@ -11,7 +11,7 @@ import math
 import sys
 
 from .errors import NumericalError, SweepSpecError
-from .params import CONFIG_KEYS, load_config
+from .params import CONFIG_KEYS, Regime, load_config
 from .sweep import (
     GridSpec,
     SweepSpec,
@@ -22,8 +22,7 @@ from .sweep import (
     run_sweep,
 )
 
-_REGIME_CHOICES = ("coherent", "dissipative", "unidirectional-forward",
-                   "unidirectional-backward", "asymmetric")
+_REGIME_CHOICES = [r.value for r in Regime]
 
 
 def _parse_sweep_arg(text: str) -> tuple[str, GridSpec]:

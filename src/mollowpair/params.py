@@ -99,7 +99,7 @@ class SystemParams:
             raise ParameterError(f"omega1 must be >= 0, got {self.omega1}")
         if self.omega2 < 0.0:
             raise ParameterError(f"omega2 must be >= 0, got {self.omega2}")
-        for name in ("delta", "g", "theta", "gamma", "phi", "gamma0", "omega1", "omega2"):
+        for name in CONFIG_KEYS:
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         object.__setattr__(self, "theta", wrap_phase(self.theta))

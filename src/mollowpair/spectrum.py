@@ -153,19 +153,6 @@ def _cluster_poles(h, vals, vecs, b, c, groups) -> list[tuple[complex, complex, 
     return poles
 
 
-def _merge_poles(vals, contrib, scale) -> list[tuple[complex, complex]]:
-    """Sum the contributions of coinciding poles, keeping exact pole values."""
-    order = np.lexsort((vals.imag, vals.real))
-    merged: list[list] = []
-    for idx in order:
-        lam, b = vals[idx], contrib[idx]
-        if merged and abs(lam - merged[-1][0]) < 1e-9 * scale:
-            merged[-1][1] += b
-        else:
-            merged.append([lam, b])
-    return [(lam, b) for lam, b in merged]
-
-
 def boundary_vector(u: np.ndarray, emitter: int = 1) -> np.ndarray:
     """Zero-delay seeds Tr[O_i rho_ss sigma_e^dag] = <sigma_e^dag O_i> from moments u.
 
@@ -187,8 +174,8 @@ def decompose_spectrum(p: SystemParams, emitter: int = 1) -> SpectralDecompositi
     subtract the infinite-delay offset u <sigma_e^dag>; restrict the
     regression matrix to the part of the subspace it generates that the
     emitter correlator observes; expand the remainder over that matrix's
-    eigenvectors.  Widths are -2 Re and shifts -Im of the regression
-    eigenvalues, and the delta weight is |<sigma_e>|^2 / n_e.
+    eigenvectors, one pole per eigenvalue.  Widths are -2 Re and shifts -Im
+    of the regression eigenvalues, and the delta weight is |<sigma_e>|^2 / n_e.
 
     Where eigenvalues collide and the eigenvector basis degrades (the one-way
     pair at the critical drive gamma0/8, the trapping line at strong drive),
@@ -220,8 +207,8 @@ def _decompose_stack(ps: list[SystemParams], emitter: int, m: np.ndarray,
 
     Of each p only gamma0, the floor of the matrix scale, is read.  The
     reductions run over the stack and the reduced systems, grouped by
-    dimension, share one eig, cond and modal solve; only the cluster, merge
-    and prune steps run per point.  A point whose emitter population is zero
+    dimension, share one eig, cond and modal solve; only the cluster and prune
+    steps run per point.  A point whose emitter population is zero
     gets an UnsupportedConfigurationError in place of its decomposition.
     """
     n_e = np.array([st.n1 if emitter == 1 else st.n2 for st in states], dtype=float)
@@ -277,7 +264,7 @@ def _decompose_stack(ps: list[SystemParams], emitter: int, m: np.ndarray,
         contrib = ((c_h[plain].conj()[:, None, :] @ vecs[plain])[:, 0, :]
                    * np.linalg.solve(vecs[plain], b_h[plain][..., None])[..., 0])
         for j, c in zip(plain, contrib):
-            poles[idx[j]] = [(lam, b, 0j) for lam, b in _merge_poles(vals[j], c, scale[idx[j]])]
+            poles[idx[j]] = [(lam, b, 0j) for lam, b in zip(vals[j], c)]
     for r, i in enumerate(rows):
         out[i] = _prune(poles.get(r, []), float(n_e[i]), complex(coh[i]), emitter)
     return out

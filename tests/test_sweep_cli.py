@@ -436,12 +436,32 @@ def run_cli(*args, **kw):
                           capture_output=True, text=True, **kw)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy serves only the oracle's defective-generator branch.
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, mollowpair.cli; assert 'scipy' not in sys.modules"],
-        capture_output=True, text=True)
+_WITHOUT_SCIPY = """
+import os, sys
+import mollowpair.cli as cli
+from mollowpair.sweep import preset_names
+assert 'scipy' not in sys.modules
+sys.modules['scipy'] = None  # any later import of scipy now raises ImportError
+out = sys.argv[1]
+for name in preset_names():
+    for fmt in ('csv', 'json'):
+        path = os.path.join(out, name + '.' + fmt)
+        assert cli.main(['--preset', name, '--format', fmt, '--out', path]) == 0, (name, fmt)
+critical = ['--set', 'g=0.5', '--set', 'gamma=1', '--set', 'theta=1.5707963267948966',
+            '--sweep', 'omega1:0.124:0.126:3:linear', '--observable', 'spectrum',
+            '--out', os.path.join(out, 'critical.csv')]
+assert cli.main(critical) == 0
+"""
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # scipy serves only the oracle's defective-generator branch (the oracle
+    # extra): importing the CLI leaves it unloaded, and every preset plus the
+    # critical-drive spectrum sweep (second-order poles) runs with it blocked.
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert len(list(tmp_path.iterdir())) == 2 * len(preset_names()) + 1
 
 
 def test_cli_sweep_to_stdout():
