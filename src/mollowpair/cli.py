@@ -23,6 +23,10 @@ from .sweep import (
 )
 
 _REGIME_CHOICES = [r.value for r in Regime]
+#: Flags that build a sweep, by argparse destination: a preset fixes all of them.
+_SWEEP_FLAGS = {"sweep": "--sweep", "assignments": "--set", "config": "--config",
+                "regime": "--regime", "observable": "--observable",
+                "spectrum_points": "--spectrum-points"}
 
 
 def _parse_sweep_arg(text: str) -> tuple[str, GridSpec]:
@@ -92,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="PATH", help="output path (default stdout)")
     parser.add_argument("--no-fastpath", action="store_true",
                         help="disable closed-form fast paths (force the moment solver)")
-    parser.add_argument("--spectrum-points", type=int, default=2001, metavar="N",
+    parser.add_argument("--spectrum-points", type=int, metavar="N",
                         help="frequency-grid size for spectrum observables (default 2001)")
     return parser
 
@@ -108,6 +112,10 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.preset:
+            dropped = [flag for dest, flag in _SWEEP_FLAGS.items()
+                       if getattr(args, dest) not in (None, [])]
+            if dropped:
+                raise SweepSpecError(f"--preset cannot be combined with {', '.join(dropped)}")
             spec = load_preset(args.preset)
         else:
             if not args.sweep:
@@ -130,8 +138,9 @@ def main(argv: list[str] | None = None) -> int:
                 grid=grid,
                 fixed=fixed,
                 observables=tuple(observables),
-                spectrum_points=args.spectrum_points,
             )
+            if args.spectrum_points is not None:
+                spec = dataclasses.replace(spec, spectrum_points=args.spectrum_points)
         if args.no_fastpath:
             spec = dataclasses.replace(spec, fastpath=False)
 

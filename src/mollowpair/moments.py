@@ -23,13 +23,21 @@ from .params import SystemParams, generalized_couplings
 #: indicates a mis-built regression matrix, not noise, and is an error.
 IMAG_RESIDUE_TOL = 1e-12
 
+#: A solve whose 1-norm condition number exceeds this warns (ConditionWarning).
+_COND_WARN = 1e12
+
+
+def _condition_message(cond: float, where: str) -> str:
+    return f"moment solve 1-norm condition number {cond:.3e} exceeds 1e12 at {where}"
+
 
 @dataclass(frozen=True)
 class MomentSystem:
     """Regression matrix M and drive vector P, ordered as MOMENT_LABELS.
 
     One point holds shapes (15, 15) and (15,); a stack of N points holds
-    (N, 15, 15) and (N, 15).
+    (N, 15, 15) and (N, 15).  M has the nonzero pattern that
+    build_moment_systems writes: the solvers' refinement reads no other entry.
     """
 
     matrix: np.ndarray
@@ -71,42 +79,36 @@ class Populations:
         return self.rho00 + self.rho10 + self.rho01 + self.rho11
 
 
-#: Columns of the structural nonzeros of M, row by row (81 in all); every
-#: other entry is exactly zero.
-_NONZERO_COLS = (
-    (0, 1, 4, 10), (0, 1, 5, 11), (2, 3, 4, 12), (2, 3, 5, 13),
-    (0, 2, 4, 8, 9), (1, 3, 5, 8, 9), (0, 1, 6, 10, 11), (2, 3, 7, 12, 13),
-    (1, 2, 4, 5, 8, 10, 13, 14), (0, 3, 4, 5, 9, 11, 12, 14),
-    (4, 6, 8, 10, 11, 14), (5, 6, 9, 10, 11, 14), (4, 7, 9, 12, 13, 14), (5, 7, 8, 12, 13, 14),
-    (10, 11, 12, 13, 14),
+#: M's rows, each a string over its 15 columns: a letter names one of the 26
+#: distinct values that _values returns (a the first), a dot an exact zero.
+_PATTERN = (
+    "ac..k.....g....", "fa...m.....j...", "..bdl.......h..", "..eb.n.......i.",
+    "o.p.s...cd.....", ".q.r.s..ef.....", "rp....t...km...",
+    "..qo...u....ln.", ".or.fd..s.l..mv", "q..pec...s.nk.w",
+    "....r.o.p.xd..m", ".....pq..rex..k", "....q..p.o..ycn", ".....o.rq...fyl",
+    "..........qorpz",
 )
-_FLAT = np.array([15 * r + c for r, cols in enumerate(_NONZERO_COLS) for c in cols])
+#: Flat positions of M's 81 structural nonzeros, row by row, and the values they take.
+_FLAT = np.array([k for k, name in enumerate("".join(_PATTERN)) if name != "."])
+_IDX = np.array([ord(name) - ord("a") for name in "".join(_PATTERN) if name != "."])
+#: The values of P's four nonzeros, -i w1, -i w2, i w1 and i w2.
+_DRIVE = np.array([ord(name) - ord("a") for name in "oqpr"])
 
 
-def _entries(p: SystemParams) -> tuple:
-    """Values of M's nonzeros at p, row by row in the order of _NONZERO_COLS."""
+def _values(p: SystemParams) -> tuple:
+    """The 26 distinct entries of M and P at p, named a to z in _PATTERN."""
     gp, gm = generalized_couplings(p)
     gpc, gmc = gp.conjugate(), gm.conjugate()
     g0, d = p.gamma0, p.delta
     w1, w2 = p.omega1, p.omega2
-    gam = p.gamma
     eiphi = complex(math.cos(p.phi), math.sin(p.phi))
+    # v and w stay apart: -2 gamma conj(e^{i phi}) and conj(-2 gamma e^{i phi})
+    # differ in the sign of an imaginary zero.
     return (
-        0.5 * g0 + 1j * d, gp, -2j * w1, -2 * gp,
-        gmc, 0.5 * g0 + 1j * d, -2j * w2, -2 * gmc,
-        0.5 * g0 - 1j * d, gpc, 2j * w1, -2 * gpc,
-        gm, 0.5 * g0 - 1j * d, 2j * w2, -2 * gm,
-        -1j * w1, 1j * w1, g0, gp, gpc,
-        -1j * w2, 1j * w2, g0, gm, gmc,
-        1j * w2, 1j * w1, g0 + 2j * d, -2j * w1, -2j * w2,
-        -1j * w2, -1j * w1, g0 - 2j * d, 2j * w1, 2j * w2,
-        -1j * w1, 1j * w2, gmc, gpc, g0, 2j * w1, -2j * w2, -2 * gam * eiphi.conjugate(),
-        -1j * w2, 1j * w1, gm, gp, g0, 2j * w2, -2j * w1, -2 * gam * eiphi,
-        1j * w2, -1j * w1, 1j * w1, 1.5 * g0 + 1j * d, gpc, -2j * w2,
-        1j * w1, -1j * w2, 1j * w2, gm, 1.5 * g0 + 1j * d, -2j * w1,
-        -1j * w2, 1j * w1, -1j * w1, 1.5 * g0 - 1j * d, gp, 2j * w2,
-        -1j * w1, 1j * w2, -1j * w2, gmc, 1.5 * g0 - 1j * d, 2j * w1,
-        -1j * w2, -1j * w1, 1j * w2, 1j * w1, 2 * g0,
+        0.5 * g0 + 1j * d, 0.5 * g0 - 1j * d, gp, gpc, gm, gmc, -2 * gp, -2 * gpc, -2 * gm,
+        -2 * gmc, -2j * w1, 2j * w1, -2j * w2, 2j * w2, -1j * w1, 1j * w1, -1j * w2, 1j * w2,
+        g0, g0 + 2j * d, g0 - 2j * d, -2 * p.gamma * eiphi.conjugate(), -2 * p.gamma * eiphi,
+        1.5 * g0 + 1j * d, 1.5 * g0 - 1j * d, 2 * g0,
     )
 
 
@@ -114,16 +116,17 @@ def build_moment_systems(ps: Sequence[SystemParams]) -> MomentSystem:
     """Assemble M and P of every point as one (N, 15, 15) and (N, 15) stack.
 
     Row blocks couple the first, second, third and fourth order moments to
-    each other; all entries off the nonzero pattern are exactly zero.
+    each other; all entries off the nonzero pattern are exactly zero.  Each
+    point gives only the 26 distinct values of M and P; one gather places
+    them at the 81 nonzeros of M and the 4 of P.
     """
     n = len(ps)
+    # The explicit shape lets an empty list of points give an empty stack.
+    vals = np.array([_values(p) for p in ps], dtype=complex).reshape(n, 26)
     m = np.zeros((n, 225), dtype=complex)
-    # The explicit shapes let an empty list of points give an empty stack.
-    m[:, _FLAT] = np.array([_entries(p) for p in ps], dtype=complex).reshape(n, _FLAT.size)
+    m[:, _FLAT] = vals[:, _IDX]
     drive = np.zeros((n, 15), dtype=complex)
-    drive[:, :4] = np.array(
-        [(-1j * p.omega1, -1j * p.omega2, 1j * p.omega1, 1j * p.omega2) for p in ps],
-        dtype=complex).reshape(n, 4)
+    drive[:, :4] = vals[:, _DRIVE]
     return MomentSystem(matrix=m.reshape(n, 15, 15), drive=drive)
 
 
@@ -143,13 +146,20 @@ def _refined_solve(m: np.ndarray, rhs: np.ndarray, u: np.ndarray, minv: np.ndarr
     relative accuracy: it is minv @ r with the M^-1 of the stack's one LU
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 12),
     not a new factorization.  A row stops at its first non-finite correction.
+
+    Only M's 81 structural nonzeros are upcast, into a zeroed clongdouble
+    stack; entries off that pattern are taken as zero.  The residual's M u is
+    an einsum, which sums each row from zero in column order as matmul does,
+    so the bits are matmul's without its generic clongdouble loop.
     """
-    m_ld = m.astype(np.clongdouble)
+    m_ld = np.zeros((len(m), 225), dtype=np.clongdouble)
+    m_ld[:, _FLAT] = m.reshape(-1, 225)[:, _FLAT]
+    m_ld = m_ld.reshape(m.shape)
     rhs_ld = rhs.astype(np.clongdouble)
     live = np.ones(len(m), dtype=bool)
     for _ in range(3):
         u_ld = u.astype(np.clongdouble)
-        resid = rhs_ld - (m_ld @ u_ld[..., None])[..., 0]
+        resid = rhs_ld - np.einsum("nij,nj->ni", m_ld, u_ld)
         corr = (minv @ resid.astype(np.complex128)[..., None])[..., 0]
         live &= np.isfinite(corr).all(axis=1)
         np.copyto(u, (u_ld + corr).astype(np.complex128), where=live[:, None])
@@ -167,16 +177,13 @@ def _solve_stack(system: MomentSystem) -> list[MomentState]:
     minv = np.ascontiguousarray(x[..., 1:])
     conds = (np.abs(m).sum(axis=-2).max(axis=-1) * np.abs(minv).sum(axis=-2).max(axis=-1)).tolist()
     singular = 1.0 / np.finfo(float).eps
-    for cond in conds:
+    for row, cond in enumerate(conds):
         if not math.isfinite(cond) or cond > singular:
             raise SingularSystemError(cond)
-        if cond > 1e12:
+        if cond > _COND_WARN:
             # Reached only through the two public solvers: stacklevel 3 names their caller.
-            warnings.warn(
-                f"moment solve 1-norm condition number {cond:.3e} exceeds 1e12",
-                ConditionWarning,
-                stacklevel=3,
-            )
+            warnings.warn(_condition_message(cond, f"stack row {row}"), ConditionWarning,
+                          stacklevel=3)
     u = _refined_solve(m, system.drive, np.ascontiguousarray(x[..., 0]), minv)
     excitations = u[:, [IDX_N1, IDX_N2, IDX_NX]]
     bad = np.argwhere(np.abs(excitations.imag) > IMAG_RESIDUE_TOL)

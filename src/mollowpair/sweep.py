@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -28,8 +29,10 @@ import numpy as np
 
 from . import __version__
 from . import closed_forms
-from .errors import SweepSpecError, UndefinedCorrelatorError, UnsupportedConfigurationError
-from .moments import MomentSystem, build_moment_systems, g2_cross, populations, steady_states
+from .errors import (ConditionWarning, SweepSpecError, UndefinedCorrelatorError,
+                     UnsupportedConfigurationError)
+from .moments import (_COND_WARN, MomentSystem, _condition_message, build_moment_systems,
+                      g2_cross, populations, steady_states)
 from .params import CONFIG_KEYS, Regime, SystemParams, classify_regime
 from .spectrum import _check_defined, _decompose_stack, default_grid, evaluate_spectrum
 
@@ -217,7 +220,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             eigs = np.linalg.eigvals(system.matrix)
             eigs = np.take_along_axis(eigs, np.lexsort((eigs.imag, eigs.real)), axis=-1)
             system = MomentSystem(matrix=system.matrix[solve], drive=system.drive[solve])
-        states = steady_states(system)
+        with warnings.catch_warnings():  # reported below by sweep point, not by stack row
+            warnings.simplefilter("ignore", ConditionWarning)
+            states = steady_states(system)
+        for k, state in zip(solve, states):
+            if state.cond > _COND_WARN:
+                where = f"sweep point {k} ({spec.param} = {float(values[k])!r})"
+                warnings.warn(_condition_message(state.cond, where), ConditionWarning)
         solved = dict(zip(solve, states))
         if want_spectrum:
             driven = [i for i, k in enumerate(solve) if points[k].omega1 != 0.0]

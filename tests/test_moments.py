@@ -1,5 +1,6 @@
 """Moment system structure, steady-state solve, and the cross-correlator."""
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -123,6 +124,94 @@ def test_batch_engine_matches_per_point_bitwise(rng):
             assert st.u.tobytes() == states[k].u.tobytes()
             assert st.cond == states[k].cond
     assert steady_states(build_moment_systems([])) == []
+
+
+def _reference_entries(p):
+    """M's 81 nonzeros at p, row by row, each written as its own expression."""
+    gp, gm = generalized_couplings(p)
+    gpc, gmc = gp.conjugate(), gm.conjugate()
+    g0, d = p.gamma0, p.delta
+    w1, w2 = p.omega1, p.omega2
+    gam = p.gamma
+    eiphi = complex(math.cos(p.phi), math.sin(p.phi))
+    return (
+        0.5 * g0 + 1j * d, gp, -2j * w1, -2 * gp,
+        gmc, 0.5 * g0 + 1j * d, -2j * w2, -2 * gmc,
+        0.5 * g0 - 1j * d, gpc, 2j * w1, -2 * gpc,
+        gm, 0.5 * g0 - 1j * d, 2j * w2, -2 * gm,
+        -1j * w1, 1j * w1, g0, gp, gpc,
+        -1j * w2, 1j * w2, g0, gm, gmc,
+        1j * w2, 1j * w1, g0 + 2j * d, -2j * w1, -2j * w2,
+        -1j * w2, -1j * w1, g0 - 2j * d, 2j * w1, 2j * w2,
+        -1j * w1, 1j * w2, gmc, gpc, g0, 2j * w1, -2j * w2, -2 * gam * eiphi.conjugate(),
+        -1j * w2, 1j * w1, gm, gp, g0, 2j * w2, -2j * w1, -2 * gam * eiphi,
+        1j * w2, -1j * w1, 1j * w1, 1.5 * g0 + 1j * d, gpc, -2j * w2,
+        1j * w1, -1j * w2, 1j * w2, gm, 1.5 * g0 + 1j * d, -2j * w1,
+        -1j * w2, 1j * w1, -1j * w1, 1.5 * g0 - 1j * d, gp, 2j * w2,
+        -1j * w1, 1j * w2, -1j * w2, gmc, 1.5 * g0 - 1j * d, 2j * w1,
+        -1j * w2, -1j * w1, 1j * w2, 1j * w1, 2 * g0,
+    )
+
+
+_NONZERO_COLS = (
+    (0, 1, 4, 10), (0, 1, 5, 11), (2, 3, 4, 12), (2, 3, 5, 13),
+    (0, 2, 4, 8, 9), (1, 3, 5, 8, 9), (0, 1, 6, 10, 11), (2, 3, 7, 12, 13),
+    (1, 2, 4, 5, 8, 10, 13, 14), (0, 3, 4, 5, 9, 11, 12, 14),
+    (4, 6, 8, 10, 11, 14), (5, 6, 9, 10, 11, 14), (4, 7, 9, 12, 13, 14), (5, 7, 8, 12, 13, 14),
+    (10, 11, 12, 13, 14),
+)
+
+
+def _signed_zero_batch(rng):
+    """_mixed_batch plus the phases whose cos or sin is a (signed) zero,
+    delta = -0 and zero drives."""
+    corners = [SystemParams(g=g, theta=theta, gamma=gamma, phi=phi, delta=delta,
+                            omega1=omega1, omega2=omega2)
+               for phi in (0.0, -0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
+               for delta in (-0.0, 0.0, 0.3)
+               for omega1, omega2 in ((0.0, 0.0), (-0.0, 0.0), (0.7, 0.0), (0.0, 0.4))
+               for g, theta, gamma in ((0.0, 0.0, 0.0), (0.5, 1.0, 0.0), (0.5, 0.5 * np.pi, 0.6))]
+    return _mixed_batch(rng) + corners
+
+
+def test_assembly_matches_the_entry_formula_bytewise(rng):
+    # The gather of the 26 distinct values writes each of M's 81 nonzeros and
+    # P's four entries with the bits of its own expression, signed zeros
+    # included; every other entry is +0.
+    ps = _signed_zero_batch(rng)
+    stack = build_moment_systems(ps)
+    for k, p in enumerate(ps):
+        entries = iter(_reference_entries(p))
+        m = np.zeros((15, 15), dtype=complex)
+        for r, cols in enumerate(_NONZERO_COLS):
+            for c in cols:
+                m[r, c] = next(entries)
+        drive = np.zeros(15, dtype=complex)
+        drive[:4] = (-1j * p.omega1, -1j * p.omega2, 1j * p.omega1, 1j * p.omega2)
+        assert stack.matrix[k].tobytes() == m.tobytes(), k
+        assert stack.drive[k].tobytes() == drive.tobytes(), k
+
+
+def test_refinement_matches_the_dense_residual_bytewise(rng):
+    # Three steps of u += M^-1 (P - M u) with the residual from the dense
+    # clongdouble product of the whole M: the solver's bits, row by row.
+    system = build_moment_systems(_signed_zero_batch(rng))
+    m, drive = system.matrix, system.drive
+    x = np.linalg.solve(m, np.concatenate(
+        (drive[..., None], np.broadcast_to(np.eye(15), m.shape)), axis=-1))
+    u, minv = np.ascontiguousarray(x[..., 0]), np.ascontiguousarray(x[..., 1:])
+    m_ld, rhs_ld = m.astype(np.clongdouble), drive.astype(np.clongdouble)
+    live = np.ones(len(m), dtype=bool)
+    for _ in range(3):
+        u_ld = u.astype(np.clongdouble)
+        resid = rhs_ld - (m_ld @ u_ld[..., None])[..., 0]
+        corr = (minv @ resid.astype(np.complex128)[..., None])[..., 0]
+        live &= np.isfinite(corr).all(axis=1)
+        np.copyto(u, (u_ld + corr).astype(np.complex128), where=live[:, None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditionWarning)
+        states = steady_states(system)
+    assert np.stack([s.u for s in states]).tobytes() == u.tobytes()
 
 
 def test_one_factorization_per_stack(monkeypatch):
@@ -341,6 +430,13 @@ def test_condition_warning():
         steady_state(MomentSystem(matrix=m, drive=np.zeros(15, dtype=complex)))
     # The warning names the caller's line, not the solver's.
     assert [w.filename for w in record] == [__file__]
+    # In a stack it names the row.
+    regular = build_moment_system(coherent_pair(1.0, 1.0))
+    with pytest.warns(ConditionWarning) as record:
+        steady_states(MomentSystem(matrix=np.stack([regular.matrix, m]),
+                                   drive=np.stack([regular.drive, np.zeros(15, dtype=complex)])))
+    assert [str(w.message) for w in record] == [
+        "moment solve 1-norm condition number 1.000e+13 exceeds 1e12 at stack row 1"]
 
 
 def test_imaginary_residue_guard():

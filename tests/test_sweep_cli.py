@@ -1,14 +1,17 @@
 """Sweep machinery, serialization schemas, presets and the CLI contract."""
 
 import ast
+import dataclasses
 import inspect
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import mollowpair.cli as cli
 import mollowpair.spectrum
 import mollowpair.sweep
 from mollowpair import closed_forms
@@ -215,6 +218,31 @@ def test_trapping_sweep_condition_warning_names_the_sweep():
     with pytest.warns(ConditionWarning) as record:
         run_sweep(spec)
     assert [w.filename for w in record] == [mollowpair.sweep.__file__]
+    assert str(record[0].message) == ("moment solve 1-norm condition number 6.000e+12 exceeds "
+                                      "1e12 at sweep point 0 (omega1 = 1e-06)")
+
+
+def test_sweep_passes_other_solver_warnings_unchanged(monkeypatch):
+    # Only ConditionWarning is re-attributed to the sweep point: any other
+    # warning of the moment solve keeps its text, category and origin, and
+    # RuntimeWarning still fails the suite (pyproject filterwarnings).
+    solve = mollowpair.sweep.steady_states
+
+    def warning_solve(system, category):
+        warnings.warn("probe", category)
+        return solve(system)
+
+    spec = small_spec(fastpath=False)
+    monkeypatch.setattr(mollowpair.sweep, "steady_states",
+                        lambda system: warning_solve(system, UserWarning))
+    with pytest.warns(UserWarning) as record:
+        run_sweep(spec)
+    assert [(w.category, str(w.message), w.filename) for w in record] == [
+        (UserWarning, "probe", __file__)]
+    monkeypatch.setattr(mollowpair.sweep, "steady_states",
+                        lambda system: warning_solve(system, RuntimeWarning))
+    with pytest.raises(RuntimeWarning, match="probe"):
+        run_sweep(spec)
 
 
 @pytest.mark.parametrize("observables", [("populations", "g2"),
@@ -480,6 +508,46 @@ def test_cli_preset_to_file(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(out.read_text())
     assert doc["schema"] == "mollowpair.sweep"
+
+
+@pytest.mark.parametrize("flag", [["--sweep", "omega1:1:2:2:linear"], ["--set", "g=3"],
+                                  ["--config", "params.cfg"], ["--regime", "coherent"],
+                                  ["--observable", "populations"], ["--spectrum-points", "2001"]])
+def test_cli_preset_rejects_flags_it_cannot_apply(flag, tmp_path, capsys):
+    # A preset fixes the whole sweep, so a flag that would change it is an
+    # error naming that flag, even at the value the preset already has.
+    out = tmp_path / "fig9.csv"
+    assert cli.main(["--preset", "fig9", *flag, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --preset cannot be combined with {flag[0]}\n"
+    assert not out.exists()
+
+
+def test_cli_preset_rejection_names_every_dropped_flag():
+    proc = run_cli("--preset", "fig9", "--spectrum-points", "101", "--set", "g=3",
+                   "--observable", "populations")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: --preset cannot be combined with "
+                           "--set, --observable, --spectrum-points\n")
+
+
+def test_cli_preset_keeps_output_flags(tmp_path):
+    # --format, --out and --no-fastpath do not change the sweep a preset fixes.
+    out = tmp_path / "fig3b.json"
+    assert cli.main(["--preset", "fig3b", "--format", "json", "--out", str(out),
+                     "--no-fastpath"]) == 0
+    spec = dataclasses.replace(load_preset("fig3b"), fastpath=False)
+    assert out.read_bytes() == emit(run_sweep(spec), "json")
+
+
+def test_cli_spectrum_points(tmp_path):
+    # 2001 frequencies unless --spectrum-points sets another count.
+    args = ["--set", "g=0.5", "--sweep", "omega1:1:2:2:linear", "--observable", "spectrum"]
+    for extra, count in (([], 2001), (["--spectrum-points", "101"], 101)):
+        out = tmp_path / f"{count}.json"
+        assert cli.main([*args, *extra, "--format", "json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["spec"]["spectrum_points"] == count
+        assert [len(b["values"]) for b in doc["spectra"]] == [count, count]
 
 
 def test_cli_config_file(tmp_path):
