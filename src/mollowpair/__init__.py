@@ -21,7 +21,6 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .hamiltonian import (
-    BASIS_LABELS,
     build_pair_hamiltonian,
     dressed_energies,
     quintuplet_frequencies,

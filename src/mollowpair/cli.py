@@ -24,9 +24,7 @@ from .sweep import (
 
 _REGIME_CHOICES = [r.value for r in Regime]
 #: Flags that build a sweep, by argparse destination: a preset fixes all of them.
-_SWEEP_FLAGS = {"sweep": "--sweep", "assignments": "--set", "config": "--config",
-                "regime": "--regime", "observable": "--observable",
-                "spectrum_points": "--spectrum-points"}
+_SWEEP_FLAGS = ("sweep", "set", "config", "regime", "observable", "spectrum_points")
 
 
 def _parse_sweep_arg(text: str) -> tuple[str, GridSpec]:
@@ -70,6 +68,13 @@ def _apply_regime(fixed: dict[str, float], regime: str) -> dict[str, float]:
     return out
 
 
+def _reject(args: argparse.Namespace, dests: list[str] | tuple[str, ...], by: str) -> None:
+    """Fail naming each flag of dests (argparse destinations) that the command line gave."""
+    given = ["--" + d.replace("_", "-") for d in dests if getattr(args, d) not in (None, [])]
+    if given:
+        raise SweepSpecError(f"{by} cannot be combined with {', '.join(given)}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mollowpair",
@@ -88,13 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="observable to record (repeat or comma-separate): "
                              "populations, g2, spectrum, decomposition, eigenvalues")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        dest="assignments", help="fix one parameter (gamma0 units)")
+                        help="fix one parameter (gamma0 units)")
     parser.add_argument("--config", metavar="PATH",
                         help="flat key-value parameter file (keys: %s)" % ", ".join(CONFIG_KEYS))
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
+    parser.add_argument("--format", choices=("csv", "json"),
                         help="output format (default csv)")
     parser.add_argument("--out", metavar="PATH", help="output path (default stdout)")
-    parser.add_argument("--no-fastpath", action="store_true",
+    parser.add_argument("--no-fastpath", action="store_true", default=None,
                         help="disable closed-form fast paths (force the moment solver)")
     parser.add_argument("--spectrum-points", type=int, metavar="N",
                         help="frequency-grid size for spectrum observables (default 2001)")
@@ -107,15 +112,14 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.list_presets:
+            # It runs no sweep, so it takes no other flag.
+            _reject(args, [d for d in vars(args) if d != "list_presets"], "--list-presets")
             for name in preset_names():
                 sys.stdout.write(f"{name}: {preset_description(name)}\n")
             return 0
 
         if args.preset:
-            dropped = [flag for dest, flag in _SWEEP_FLAGS.items()
-                       if getattr(args, dest) not in (None, [])]
-            if dropped:
-                raise SweepSpecError(f"--preset cannot be combined with {', '.join(dropped)}")
+            _reject(args, _SWEEP_FLAGS, "--preset")
             spec = load_preset(args.preset)
         else:
             if not args.sweep:
@@ -124,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
             fixed: dict[str, float] = {}
             if args.config:
                 fixed = load_config(args.config).as_dict()
-            for assignment in args.assignments:
+            for assignment in args.set:
                 key, val = _parse_set_arg(assignment)
                 fixed[key] = val
             if args.regime:
@@ -145,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
             spec = dataclasses.replace(spec, fastpath=False)
 
         result = run_sweep(spec)
-        payload = emit(result, args.format)
+        payload = emit(result, args.format or "csv")
         if args.out and args.out != "-":
             try:
                 with open(args.out, "wb") as fh:

@@ -4,7 +4,8 @@ These are the analytic ground truths for the three pure coupling regimes at
 resonance with only emitter 1 driven.  They serve both as fast paths for
 sweeps and as oracles for the numerical machinery; the formulas are written
 out term by term rather than algebraically simplified, so each piece stays
-auditable.
+auditable.  One table of the three covered regimes serves covers(p, regime),
+regime_populations and regime_g2.
 """
 
 from __future__ import annotations
@@ -13,15 +14,6 @@ from .errors import ParameterError, UnsupportedConfigurationError
 from .moments import Populations
 from .params import Regime, SystemParams
 from .single_emitter import single_population
-
-
-def _check_resonant_single_drive(p: SystemParams) -> None:
-    if p.delta != 0.0 or p.omega2 != 0.0:
-        raise UnsupportedConfigurationError(
-            "closed forms exist only at resonance with emitter 1 driven "
-            f"(delta = 0, omega2 = 0); got delta={p.delta}, omega2={p.omega2}. "
-            "Use the moment solver for this configuration."
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -212,32 +204,42 @@ def unidirectional_g2(gamma: float, omega: float, gamma0: float) -> float:
 # Regime dispatch used by the sweep fast path
 # ---------------------------------------------------------------------------
 
+#: Per covered regime: populations and correlator functions, the coupling they take.
+_REGIMES = {
+    Regime.COHERENT: (coherent_populations, coherent_g2, "g"),
+    Regime.DISSIPATIVE: (dissipative_populations, dissipative_g2, "gamma"),
+    Regime.UNIDIRECTIONAL_FORWARD: (unidirectional_populations, unidirectional_g2, "gamma"),
+}
+
+
+def covers(p: SystemParams, regime: Regime) -> bool:
+    """Whether closed forms cover p: a pure regime at resonance, emitter 1 alone driven."""
+    return regime in _REGIMES and p.delta == 0.0 and p.omega2 == 0.0
+
+
+def _dispatch(p: SystemParams, regime: Regime, column: int, noun: str):
+    if p.delta != 0.0 or p.omega2 != 0.0:
+        raise UnsupportedConfigurationError(
+            "closed forms exist only at resonance with emitter 1 driven "
+            f"(delta = 0, omega2 = 0); got delta={p.delta}, omega2={p.omega2}. "
+            "Use the moment solver for this configuration."
+        )
+    if regime not in _REGIMES:
+        raise UnsupportedConfigurationError(
+            f"no closed-form {noun} for regime {regime}; use the moment solver"
+        )
+    entry = _REGIMES[regime]
+    return entry[column](getattr(p, entry[2]), p.omega1, p.gamma0)
+
+
 def regime_populations(p: SystemParams, regime: Regime) -> Populations:
     """Closed-form populations for a classified pure regime."""
-    _check_resonant_single_drive(p)
-    if regime == Regime.COHERENT:
-        return coherent_populations(p.g, p.omega1, p.gamma0)
-    if regime == Regime.DISSIPATIVE:
-        return dissipative_populations(p.gamma, p.omega1, p.gamma0)
-    if regime == Regime.UNIDIRECTIONAL_FORWARD:
-        return unidirectional_populations(p.gamma, p.omega1, p.gamma0)
-    raise UnsupportedConfigurationError(
-        f"no closed-form populations for regime {regime}; use the moment solver"
-    )
+    return _dispatch(p, regime, 0, "populations")
 
 
 def regime_g2(p: SystemParams, regime: Regime) -> float:
     """Closed-form cross-correlator for a classified pure regime."""
-    _check_resonant_single_drive(p)
-    if regime == Regime.COHERENT:
-        return coherent_g2(p.g, p.omega1, p.gamma0)
-    if regime == Regime.DISSIPATIVE:
-        return dissipative_g2(p.gamma, p.omega1, p.gamma0)
-    if regime == Regime.UNIDIRECTIONAL_FORWARD:
-        return unidirectional_g2(p.gamma, p.omega1, p.gamma0)
-    raise UnsupportedConfigurationError(
-        f"no closed-form correlator for regime {regime}; use the moment solver"
-    )
+    return _dispatch(p, regime, 1, "correlator")
 
 
 __all__ = [
@@ -247,5 +249,5 @@ __all__ = [
     "dissipative_g2", "dissipative_g2_weak_limit",
     "unidirectional_populations", "unidirectional_strong_drive_populations",
     "unidirectional_g2",
-    "regime_populations", "regime_g2", "single_population",
+    "covers", "regime_populations", "regime_g2", "single_population",
 ]

@@ -14,8 +14,6 @@ import numpy as np
 
 from .params import SystemParams
 
-BASIS_LABELS = ("00", "10", "01", "11")
-
 
 def build_pair_hamiltonian(p: SystemParams) -> np.ndarray:
     """4x4 Hermitian rotating-frame Hamiltonian, drives on both emitters.

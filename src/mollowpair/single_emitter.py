@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, UnsupportedConfigurationError
-from .spectrum import CLUSTER_GAP, SpectralComponent, SpectralDecomposition
+from .spectrum import CLUSTER_GAP, SpectralComponent, SpectralDecomposition, _as_grid
 
 
 @dataclass(frozen=True)
@@ -203,9 +203,7 @@ def single_spectrum(p: SingleParams, grid: np.ndarray) -> SingleSpectrum:
             "the closed-form spectrum is only available at resonance (delta = 0); "
             "use the numerical pair machinery for detuned spectra"
         )
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0.0):
-        raise ParameterError("grid must be a strictly increasing 1-d array")
+    grid = _as_grid(grid)
     if p.omega == 0.0:
         return SingleSpectrum(np.zeros_like(grid), 1.0, degenerate=True)
     g, w = p.gamma, p.omega

@@ -183,30 +183,30 @@ def decompose_spectrum(p: SystemParams, emitter: int = 1) -> SpectralDecompositi
     Jordan pair becomes one second-order pole, a component with nonzero
     L2_zeta/K2_zeta; an invisible one has weights below PRUNE_TOL and drops.
     """
-    _check_defined(p, emitter)
-    system = build_moment_system(p)
-    (d,) = _decompose_stack([p], emitter, system.matrix[None], [steady_state(system)])
+    d = _check_defined(p, emitter)
+    if d is None:
+        system = build_moment_system(p)
+        (d,) = _decompose_stack(system.matrix[None], [steady_state(system)], emitter)
     if isinstance(d, UnsupportedConfigurationError):
         raise d
     return d
 
 
-def _check_defined(p: SystemParams, emitter: int) -> None:
-    """Reject an emitter whose spectrum is undefined before anything is solved."""
+def _check_defined(p: SystemParams, emitter: int) -> UnsupportedConfigurationError | None:
+    """The error of an emitter whose spectrum is undefined before anything is solved, or None."""
     if emitter not in (1, 2):
         raise ParameterError(f"emitter must be 1 or 2, got {emitter}")
     if emitter == 1 and p.omega1 == 0.0:
-        raise UnsupportedConfigurationError(
+        return UnsupportedConfigurationError(
             "emitter 1 is undriven (omega1 = 0); its spectrum is undefined"
         )
+    return None
 
 
-def _decompose_stack(ps: list[SystemParams], emitter: int, m: np.ndarray,
-                     states: list[MomentState]) -> list:
+def _decompose_stack(m: np.ndarray, states: list[MomentState], emitter: int) -> list:
     """decompose_spectrum at points already solved: their (N, 15, 15) M stack and states.
 
-    Of each p only gamma0, the floor of the matrix scale, is read.  The
-    reductions run over the stack and the reduced systems, grouped by
+    The reductions run over the stack and the reduced systems, grouped by
     dimension, share one eig, cond and modal solve; only the cluster and prune
     steps run per point.  A point whose emitter population is zero
     gets an UnsupportedConfigurationError in place of its decomposition.
@@ -214,14 +214,15 @@ def _decompose_stack(ps: list[SystemParams], emitter: int, m: np.ndarray,
     n_e = np.array([st.n1 if emitter == 1 else st.n2 for st in states], dtype=float)
     coh = np.array([st.s1 if emitter == 1 else st.s2 for st in states], dtype=complex)
     out: list = [UnsupportedConfigurationError(
-        f"emitter {emitter} population is zero; its spectrum is undefined") for _ in ps]
+        f"emitter {emitter} population is zero; its spectrum is undefined") for _ in states]
     rows = np.flatnonzero(~(n_e <= 0.0))
     m = m[rows]
     u = np.array([st.u for st in states]).reshape(-1, 15)[rows]
     # The correlator <sig_e^dag(0) sig_e(tau)> sits at the sigma_e coordinate.
     readout = IDX_S1 if emitter == 1 else IDX_S2
     w = boundary_vector(u, emitter) - u * np.conj(coh[rows])[:, None]
-    scale = np.maximum(np.abs(m).sum(axis=-1).max(axis=-1), [ps[i].gamma0 for i in rows])
+    # At least 2 gamma0, the <n1 n2> diagonal: a float sum of non-negative terms is >= each term.
+    scale = np.abs(m).sum(axis=-1).max(axis=-1)
 
     # Minimal realization of the scalar correlator: restrict to the subspace
     # reached from the boundary, then to the part observed by the readout
@@ -292,9 +293,7 @@ def evaluate_spectrum(d: SpectralDecomposition, grid: np.ndarray) -> np.ndarray:
     closed form mollow_coefficients alike.  The delta weight is never
     rasterized onto the grid.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0.0):
-        raise ParameterError("grid must be a strictly increasing 1-d array")
+    grid = _as_grid(grid)
     out = np.zeros_like(grid)
     for c in d.components:
         half = 0.5 * c.gamma_zeta
@@ -305,6 +304,14 @@ def evaluate_spectrum(d: SpectralDecomposition, grid: np.ndarray) -> np.ndarray:
             z = half - 1j * shift
             out -= ((c.L2_zeta + 1j * c.K2_zeta) / (z * z)).real
     return out / math.pi
+
+
+def _as_grid(grid) -> np.ndarray:
+    """grid as a float array, which must be strictly increasing and 1-d."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0.0):
+        raise ParameterError("grid must be a strictly increasing 1-d array")
+    return grid
 
 
 def default_grid(p: SystemParams, points: int = 2001) -> np.ndarray:

@@ -31,17 +31,12 @@ from . import __version__
 from . import closed_forms
 from .errors import (ConditionWarning, SweepSpecError, UndefinedCorrelatorError,
                      UnsupportedConfigurationError)
-from .moments import (_COND_WARN, MomentSystem, _condition_message, build_moment_systems,
-                      g2_cross, populations, steady_states)
-from .params import CONFIG_KEYS, Regime, SystemParams, classify_regime
+from .moments import (_COND_WARN, _condition_message, build_moment_systems, g2_cross,
+                      populations, steady_states)
+from .params import CONFIG_KEYS, SystemParams, classify_regime
 from .spectrum import _check_defined, _decompose_stack, default_grid, evaluate_spectrum
 
 OBSERVABLES = ("populations", "g2", "spectrum", "decomposition", "eigenvalues")
-
-#: Regimes whose populations and correlators have closed forms (resonant,
-#: emitter 1 driven).
-_FAST_REGIMES = (Regime.COHERENT, Regime.DISSIPATIVE, Regime.UNIDIRECTIONAL_FORWARD)
-
 
 #: CSV float text: 17 significant digits, round-trip exact.  The %-operator
 #: writes the same text as f"{x:.17g}", nan, inf and -0 included.
@@ -187,134 +182,103 @@ def _scalar_columns(observables) -> list[str]:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the requested observables at every grid point.
 
-    Undefined observables (the zero-drive correlator) produce per-row null
-    markers with a reason code instead of failing the run, and so does a
-    decomposition that holds a second-order pole.
+    One planning pass routes each point: closed forms where closed_forms.covers
+    it (fast path on), one batched moment solve for every point that needs the
+    moments, one batched decomposition for every defined spectrum.  Undefined
+    observables (the zero-drive correlator, the spectrum of an undriven emitter
+    or of a zero population) and a decomposition that holds a second-order pole
+    produce per-row null markers with a reason code instead of failing the run.
     """
     values = spec.grid.values()
-    columns = [spec.param] + _scalar_columns(spec.observables)
-    rows: list[tuple] = []
-    paths: list[str] = []
-    notes: list[str] = []
-    spectra: list[SpectrumBlock] = []
-    decomps: list[DecompositionBlock] = []
+    obs = spec.observables
+    rows, paths, notes, spectra, decomps = [], [], [], [], []
 
     points = [spec.point(value) for value in values]
     regimes = [classify_regime(p) for p in points]
-    fast = [
-        spec.fastpath and regime in _FAST_REGIMES and p.delta == 0.0 and p.omega2 == 0.0
-        for p, regime in zip(points, regimes)
-    ]
-
-    # One moment build, solve and spectral decomposition serve the whole sweep.
-    # Spectra need the moments even on the fast path; an undriven emitter 1 has no spectrum.
-    want_state = "populations" in spec.observables or "g2" in spec.observables
-    want_spectrum = "spectrum" in spec.observables or "decomposition" in spec.observables
-    want_eigs = "eigenvalues" in spec.observables
-    solve = [k for k, (p, use_fast) in enumerate(zip(points, fast))
-             if (want_state and not use_fast) or (want_spectrum and p.omega1 != 0.0)]
-    solved, decomposed = {}, {}
-    if want_eigs or solve:
-        system = build_moment_systems(points if want_eigs else [points[k] for k in solve])
-        if want_eigs:
-            eigs = np.linalg.eigvals(system.matrix)
-            eigs = np.take_along_axis(eigs, np.lexsort((eigs.imag, eigs.real)), axis=-1)
-            system = MomentSystem(matrix=system.matrix[solve], drive=system.drive[solve])
+    via = ["closed-form" if spec.fastpath and closed_forms.covers(p, regime) else "moments"
+           for p, regime in zip(points, regimes)]
+    want_state = "populations" in obs or "g2" in obs
+    want_spectrum = "spectrum" in obs or "decomposition" in obs
+    # decomposed[k]: point k's decomposition, or the error that leaves its spectrum undefined.
+    decomposed = [_check_defined(p, 1) if want_spectrum else None for p in points]
+    spectral = [want_spectrum and d is None for d in decomposed]
+    solve = [k for k in range(len(points)) if (want_state and via[k] == "moments") or spectral[k]]
+    states = [None] * len(points)
+    if solve:
+        system = build_moment_systems([points[k] for k in solve])
         with warnings.catch_warnings():  # reported below by sweep point, not by stack row
             warnings.simplefilter("ignore", ConditionWarning)
-            states = steady_states(system)
-        for k, state in zip(solve, states):
+            solved = steady_states(system)
+        for k, state in zip(solve, solved):
+            states[k] = state
             if state.cond > _COND_WARN:
                 where = f"sweep point {k} ({spec.param} = {float(values[k])!r})"
                 warnings.warn(_condition_message(state.cond, where), ConditionWarning)
-        solved = dict(zip(solve, states))
-        if want_spectrum:
-            driven = [i for i, k in enumerate(solve) if points[k].omega1 != 0.0]
-            decomposed = dict(zip([solve[i] for i in driven], _decompose_stack(
-                [points[solve[i]] for i in driven], 1, system.matrix[driven],
-                [states[i] for i in driven])))
+        defined = [k for k in solve if spectral[k]]
+        if defined:
+            m = system.matrix[[spectral[k] for k in solve]]
+            for k, d in zip(defined, _decompose_stack(m, [states[k] for k in defined], 1)):
+                decomposed[k] = d
+    if "eigenvalues" in obs:
+        eigs = np.linalg.eigvals(build_moment_systems(points).matrix)
+        eigs = np.take_along_axis(eigs, np.lexsort((eigs.imag, eigs.real)), axis=-1)
 
-    for k, (value, p, regime, use_fast) in enumerate(zip(values, points, regimes, fast)):
+    for k, (value, p, regime) in enumerate(zip(values, points, regimes)):
         point_paths: list[str] = []
         point_notes: list[str] = []
         row: list[float | None] = [float(value)]
-        state = solved.get(k)
+        closed = via[k] == "closed-form"
 
-        if "populations" in spec.observables:
-            if use_fast:
-                pops = closed_forms.regime_populations(p, regime)
-                point_paths.append("populations:closed-form")
-            else:
-                pops = populations(state)
-                point_paths.append("populations:moments")
+        if "populations" in obs:
+            pops = closed_forms.regime_populations(p, regime) if closed else populations(states[k])
             row += [pops.rho00, pops.rho10, pops.rho01, pops.rho11]
+            point_paths.append(f"populations:{via[k]}")
 
-        if "g2" in spec.observables:
+        if "g2" in obs:
             # Undefined without drive, or where the moment path's n1 * n2
             # underflows: a null cell either way.
             g2 = None
             if p.omega1 != 0.0 or p.omega2 != 0.0:
                 with contextlib.suppress(UndefinedCorrelatorError):
-                    g2 = closed_forms.regime_g2(p, regime) if use_fast else g2_cross(state)
+                    g2 = closed_forms.regime_g2(p, regime) if closed else g2_cross(states[k])
             row.append(g2)
             if g2 is None:
                 point_notes.append("g2:undefined-correlator")
-                point_paths.append("g2:null")
-            else:
-                point_paths.append("g2:closed-form" if use_fast else "g2:moments")
+            point_paths.append("g2:null" if g2 is None else f"g2:{via[k]}")
 
-        if want_spectrum:
-            grid = default_grid(p, spec.spectrum_points)
-            try:
-                _check_defined(p, 1)
-                d = decomposed[k]
-                if isinstance(d, UnsupportedConfigurationError):
-                    raise d
-                row.append(d.delta_weight)
-                if "decomposition" in spec.observables:
-                    if any(c.L2_zeta or c.K2_zeta for c in d.components):
-                        point_notes.append("decomposition:second-order-pole")
-                        point_paths.append("decomposition:null")
-                    else:
-                        decomps.append(DecompositionBlock(
-                            value=float(value),
-                            components=tuple(
-                                (c.omega_zeta, c.gamma_zeta, c.L_zeta, c.K_zeta)
-                                for c in d.components
-                            ),
-                            delta_weight=d.delta_weight,
-                        ))
-                        point_paths.append("decomposition:eigendecomposition")
-                if "spectrum" in spec.observables:
-                    vals = evaluate_spectrum(d, grid)
-                    spectra.append(SpectrumBlock(
-                        value=float(value), grid=grid, values=vals, delta_weight=d.delta_weight,
-                    ))
-                    point_paths.append("spectrum:eigendecomposition")
-            except UnsupportedConfigurationError as exc:
-                row.append(None)
-                point_notes.append(f"spectrum:{exc.args[0].split(';')[0]}")
-                point_paths.append("spectrum:null")
+        d = decomposed[k]
+        if isinstance(d, UnsupportedConfigurationError):
+            row.append(None)
+            point_notes.append(f"spectrum:{d.args[0].split(';')[0]}")
+            point_paths.append("spectrum:null")
+        elif want_spectrum:
+            row.append(d.delta_weight)
+            if "decomposition" in obs:
+                if any(c.L2_zeta or c.K2_zeta for c in d.components):
+                    point_notes.append("decomposition:second-order-pole")
+                    point_paths.append("decomposition:null")
+                else:
+                    table = tuple((c.omega_zeta, c.gamma_zeta, c.L_zeta, c.K_zeta)
+                                  for c in d.components)
+                    decomps.append(DecompositionBlock(float(value), table, d.delta_weight))
+                    point_paths.append("decomposition:eigendecomposition")
+            if "spectrum" in obs:
+                grid = default_grid(p, spec.spectrum_points)
+                spectra.append(SpectrumBlock(float(value), grid, evaluate_spectrum(d, grid),
+                                             d.delta_weight))
+                point_paths.append("spectrum:eigendecomposition")
 
-        if want_eigs:
-            for z in eigs[k]:
-                row += [float(z.real), float(z.imag)]
+        if "eigenvalues" in obs:
+            row += [float(x) for z in eigs[k] for x in (z.real, z.imag)]
             point_paths.append("eigenvalues:moments")
 
         rows.append(tuple(row))
         paths.append(";".join(point_paths))
         notes.append(";".join(point_notes))
 
-    return SweepResult(
-        spec=spec,
-        columns=tuple(columns),
-        rows=tuple(rows),
-        regimes=tuple(regime.value for regime in regimes),
-        paths=tuple(paths),
-        notes=tuple(notes),
-        spectra=tuple(spectra),
-        decompositions=tuple(decomps),
-    )
+    return SweepResult(spec=spec, columns=(spec.param, *_scalar_columns(obs)), rows=tuple(rows),
+                       regimes=tuple(regime.value for regime in regimes), paths=tuple(paths),
+                       notes=tuple(notes), spectra=tuple(spectra), decompositions=tuple(decomps))
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,20 @@ def test_batch_engine_matches_per_point_bitwise(rng):
     assert steady_states(build_moment_systems([])) == []
 
 
+def test_matrix_scale_is_at_least_twice_gamma0(rng):
+    # The spectral engine takes ||M||_inf as its scale with no gamma0 floor:
+    # the <n1 n2> row holds exactly 2 gamma0 on its diagonal, and a float sum
+    # of non-negative terms is never below one of them.
+    ps = _mixed_batch(rng) + [SystemParams(gamma0=g0, gamma=0.5 * g0, g=0.3 * g0,
+                                           omega1=w * g0, delta=d * g0)
+                              for g0 in (1e-3, 0.37, 1e3) for w in (0.0, 1e-3, 10.0)
+                              for d in (0.0, -2.0)]
+    m = build_moment_systems(ps).matrix
+    gamma0 = np.array([p.gamma0 for p in ps])
+    assert np.array_equal(m[:, IDX_NX, IDX_NX], 2.0 * gamma0)
+    assert np.all(np.abs(m).sum(axis=-1).max(axis=-1) >= 2.0 * gamma0)
+
+
 def _reference_entries(p):
     """M's 81 nonzeros at p, row by row, each written as its own expression."""
     gp, gm = generalized_couplings(p)

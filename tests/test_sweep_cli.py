@@ -25,6 +25,7 @@ from mollowpair.sweep import (
     DecompositionBlock,
     GridSpec,
     SpectrumBlock,
+    SweepResult,
     SweepSpec,
     emit,
     load_preset,
@@ -245,38 +246,111 @@ def test_sweep_passes_other_solver_warnings_unchanged(monkeypatch):
         run_sweep(spec)
 
 
-@pytest.mark.parametrize("observables", [("populations", "g2"),
-                                         ("populations", "g2", "eigenvalues")])
-def test_batched_sweep_matches_per_point_reference(observables):
-    # A g sweep across the one-way diagonal g = gamma/2 (gamma = 1, theta =
-    # pi/2): the middle point takes the closed form, the others the moments.
-    spec = SweepSpec(param="g", grid=GridSpec(min=0.3, max=0.7, count=5),
-                     fixed={"gamma": 1.0, "theta": np.pi / 2, "omega1": 0.7},
-                     observables=observables)
-    result = run_sweep(spec)
-    rows, paths = [], []
+#: Regimes with closed forms at resonance when emitter 1 alone is driven.
+_CLOSED_FORM_REGIMES = (Regime.COHERENT, Regime.DISSIPATIVE, Regime.UNIDIRECTIONAL_FORWARD)
+
+
+def _per_point_reference(spec, columns):
+    """The sweep's result rebuilt one point at a time from the one-point functions."""
+    obs = spec.observables
+    rows, paths, notes, spectra, decomps = [], [], [], [], []
     for value in spec.grid.values():
         p = spec.point(value)
         regime = classify_regime(p)
-        if regime is Regime.UNIDIRECTIONAL_FORWARD:
-            pops = closed_forms.regime_populations(p, regime)
-            g2 = closed_forms.regime_g2(p, regime)
-            path = "populations:closed-form;g2:closed-form"
-        else:
-            state = steady_state(build_moment_system(p))
-            pops, g2 = populations(state), g2_cross(state)
-            path = "populations:moments;g2:moments"
-        row = [float(value), pops.rho00, pops.rho10, pops.rho01, pops.rho11, g2]
-        if "eigenvalues" in observables:
+        closed = (spec.fastpath and regime in _CLOSED_FORM_REGIMES
+                  and p.delta == 0.0 and p.omega2 == 0.0)
+        via = "closed-form" if closed else "moments"
+        state = None if closed else steady_state(build_moment_system(p))
+        row, path, note = [float(value)], [], []
+        if "populations" in obs:
+            pops = closed_forms.regime_populations(p, regime) if closed else populations(state)
+            row += [pops.rho00, pops.rho10, pops.rho01, pops.rho11]
+            path.append(f"populations:{via}")
+        if "g2" in obs:
+            g2 = None
+            if p.omega1 != 0.0 or p.omega2 != 0.0:
+                g2 = closed_forms.regime_g2(p, regime) if closed else g2_cross(state)
+            row.append(g2)
+            path.append("g2:null" if g2 is None else f"g2:{via}")
+            note += ["g2:undefined-correlator"] if g2 is None else []
+        if "spectrum" in obs or "decomposition" in obs:
+            try:
+                d = decompose_spectrum(p)
+            except UnsupportedConfigurationError as exc:
+                row.append(None)
+                path.append("spectrum:null")
+                note.append(f"spectrum:{exc.args[0].split(';')[0]}")
+            else:
+                row.append(d.delta_weight)
+                second_order = any(c.L2_zeta or c.K2_zeta for c in d.components)
+                if "decomposition" in obs and second_order:
+                    path.append("decomposition:null")
+                    note.append("decomposition:second-order-pole")
+                elif "decomposition" in obs:
+                    decomps.append(DecompositionBlock(
+                        float(value),
+                        tuple((c.omega_zeta, c.gamma_zeta, c.L_zeta, c.K_zeta)
+                              for c in d.components),
+                        d.delta_weight))
+                    path.append("decomposition:eigendecomposition")
+                if "spectrum" in obs:
+                    grid = default_grid(p, spec.spectrum_points)
+                    spectra.append(SpectrumBlock(float(value), grid, evaluate_spectrum(d, grid),
+                                                 d.delta_weight))
+                    path.append("spectrum:eigendecomposition")
+        if "eigenvalues" in obs:
             eigs = np.linalg.eigvals(build_moment_system(p).matrix)
             for z in eigs[np.lexsort((eigs.imag, eigs.real))]:
                 row += [float(z.real), float(z.imag)]
-            path += ";eigenvalues:moments"
+            path.append("eigenvalues:moments")
         rows.append(tuple(row))
-        paths.append(path)
-    assert ["closed-form" in path for path in paths] == [False, False, True, False, False]
-    assert result.rows == tuple(rows)
-    assert result.paths == tuple(paths)
+        paths.append(";".join(path))
+        notes.append(";".join(note))
+    return SweepResult(spec=spec, columns=columns, rows=tuple(rows),
+                       regimes=tuple(classify_regime(spec.point(v)).value
+                                     for v in spec.grid.values()),
+                       paths=tuple(paths), notes=tuple(notes), spectra=tuple(spectra),
+                       decompositions=tuple(decomps))
+
+
+_ALL_OBSERVABLES = ("populations", "g2", "spectrum", "decomposition", "eigenvalues")
+#: A g sweep across the one-way diagonal g = gamma/2 (gamma = 1, theta =
+#: pi/2): the middle point takes the closed form, the others the moments.
+_ONE_WAY_DIAGONAL = dict(param="g", grid=GridSpec(min=0.3, max=0.7, count=5),
+                         fixed={"gamma": 1.0, "theta": np.pi / 2, "omega1": 0.7})
+#: A coherent pair driven from omega1 = 0: closed-form populations and g2 at
+#: every point, the undriven first point a null spectrum cell that is never
+#: solved, the others solved and decomposed for their spectra alone.
+_COHERENT_FROM_ZERO_DRIVE = dict(param="omega1", grid=GridSpec(min=0.0, max=1.5, count=4),
+                                 fixed={"g": 0.8}, spectrum_points=101)
+
+
+@pytest.mark.parametrize("kw, closed", [
+    pytest.param({**_ONE_WAY_DIAGONAL, "observables": ("populations", "g2")},
+                 [False, False, True, False, False], id="observables0"),
+    pytest.param({**_ONE_WAY_DIAGONAL, "observables": ("populations", "g2", "eigenvalues")},
+                 [False, False, True, False, False], id="observables1"),
+    pytest.param({**_ONE_WAY_DIAGONAL, "observables": _ALL_OBSERVABLES, "spectrum_points": 101},
+                 [False, False, True, False, False], id="one-way-diagonal-all"),
+    pytest.param({**_COHERENT_FROM_ZERO_DRIVE, "observables": _ALL_OBSERVABLES},
+                 [True] * 4, id="closed-forms-undriven-spectrum-eigenvalues"),
+    pytest.param({**_COHERENT_FROM_ZERO_DRIVE, "observables": _ALL_OBSERVABLES,
+                  "fastpath": False}, [False] * 4, id="undriven-spectrum-no-fastpath"),
+])
+def test_batched_sweep_matches_per_point_reference(kw, closed):
+    # Every row, path, note and block of the batched sweep, bit for bit, as
+    # the one-point functions give them.
+    spec = SweepSpec(**kw)
+    result = run_sweep(spec)
+    ref = _per_point_reference(spec, result.columns)
+    assert ["closed-form" in path for path in result.paths] == closed
+    assert result.rows == ref.rows
+    assert result.paths == ref.paths
+    assert result.notes == ref.notes
+    assert result.spectra == ref.spectra
+    assert result.decompositions == ref.decompositions
+    assert emit(result, "json") == emit(ref, "json")
+    assert emit(result, "csv") == emit(ref, "csv")
 
 
 #: Asymmetric pair (g = 0.7, gamma = 0.4, theta = 1): every point needs the
@@ -537,6 +611,35 @@ def test_cli_preset_keeps_output_flags(tmp_path):
                      "--no-fastpath"]) == 0
     spec = dataclasses.replace(load_preset("fig3b"), fastpath=False)
     assert out.read_bytes() == emit(run_sweep(spec), "json")
+
+
+def test_cli_list_presets(capsys):
+    assert cli.main(["--list-presets"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == "".join(f"{name}: {mollowpair.sweep.preset_description(name)}\n"
+                          for name in preset_names())
+
+
+@pytest.mark.parametrize("flag", [["--preset", "fig9"], ["--sweep", "omega1:1:2:2:linear"],
+                                  ["--set", "g=3"], ["--config", "params.cfg"],
+                                  ["--regime", "coherent"], ["--observable", "populations"],
+                                  ["--spectrum-points", "2001"], ["--format", "csv"],
+                                  ["--out", "presets.txt"], ["--no-fastpath"]])
+def test_cli_list_presets_rejects_every_other_flag(flag, tmp_path, monkeypatch, capsys):
+    # --list-presets runs no sweep, so any other flag, even at its default
+    # value, would be dropped: an error naming it instead.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["--list-presets", *flag]) == 2
+    assert capsys.readouterr() == ("", f"error: --list-presets cannot be combined with {flag[0]}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_list_presets_names_every_dropped_flag():
+    proc = run_cli("--list-presets", "--preset", "fig9", "--set", "g=3", "--sweep", "x")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: --list-presets cannot be combined with "
+                           "--preset, --sweep, --set\n")
 
 
 def test_cli_spectrum_points(tmp_path):
