@@ -210,11 +210,13 @@ _REGIMES = {
     Regime.DISSIPATIVE: (dissipative_populations, dissipative_g2, "gamma"),
     Regime.UNIDIRECTIONAL_FORWARD: (unidirectional_populations, unidirectional_g2, "gamma"),
 }
+#: The covered regimes; a tuple's membership test compares by identity and hashes no Enum.
+_COVERED = tuple(_REGIMES)
 
 
 def covers(p: SystemParams, regime: Regime) -> bool:
     """Whether closed forms cover p: a pure regime at resonance, emitter 1 alone driven."""
-    return regime in _REGIMES and p.delta == 0.0 and p.omega2 == 0.0
+    return regime in _COVERED and p.delta == 0.0 and p.omega2 == 0.0
 
 
 def _dispatch(p: SystemParams, regime: Regime, column: int, noun: str):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConditionWarning, NumericalError, SingularSystemError, UndefinedCorrelatorError
 from .operators import IDX_N1, IDX_N2, IDX_NX, IDX_S1, IDX_S2
-from .params import SystemParams, generalized_couplings
+from .params import SystemParams
 
 #: Tolerance on the imaginary residue of n1, n2, nX.  A larger residue
 #: indicates a mis-built regression matrix, not noise, and is an error.
@@ -95,34 +95,39 @@ _IDX = np.array([ord(name) - ord("a") for name in "".join(_PATTERN) if name != "
 _DRIVE = np.array([ord(name) - ord("a") for name in "oqpr"])
 
 
-def _values(p: SystemParams) -> tuple:
-    """The 26 distinct entries of M and P at p, named a to z in _PATTERN."""
-    gp, gm = generalized_couplings(p)
+def _values(ps: Sequence[SystemParams]) -> np.ndarray:
+    """The 26 distinct entries of M and P, named a to z in _PATTERN, as an (N, 26) stack.
+
+    Each column is its entry's scalar expression (gp, gm as generalized_couplings)
+    taken elementwise, with the bits of Python's complex arithmetic.
+    """
+    cols = np.array([(p.delta, p.g, p.gamma, p.gamma0, p.omega1, p.omega2, math.cos(p.theta),
+                      math.sin(p.theta), math.cos(p.phi), math.sin(p.phi))
+                     for p in ps]).reshape(-1, 10)
+    d, g, gamma, g0, w1, w2 = cols[:, :6].T
+    eith, eiphi = cols[:, 6:].view(complex).T  # each (cos, sin) pair read as one complex
+    coh, dis = g * eith, 0.5 * gamma * eiphi
+    gp, gm = 1j * coh + dis, -1j * coh + dis
     gpc, gmc = gp.conjugate(), gm.conjugate()
-    g0, d = p.gamma0, p.delta
-    w1, w2 = p.omega1, p.omega2
-    eiphi = complex(math.cos(p.phi), math.sin(p.phi))
     # v and w stay apart: -2 gamma conj(e^{i phi}) and conj(-2 gamma e^{i phi})
     # differ in the sign of an imaginary zero.
-    return (
+    return np.stack((
         0.5 * g0 + 1j * d, 0.5 * g0 - 1j * d, gp, gpc, gm, gmc, -2 * gp, -2 * gpc, -2 * gm,
         -2 * gmc, -2j * w1, 2j * w1, -2j * w2, 2j * w2, -1j * w1, 1j * w1, -1j * w2, 1j * w2,
-        g0, g0 + 2j * d, g0 - 2j * d, -2 * p.gamma * eiphi.conjugate(), -2 * p.gamma * eiphi,
+        g0, g0 + 2j * d, g0 - 2j * d, -2 * gamma * eiphi.conjugate(), -2 * gamma * eiphi,
         1.5 * g0 + 1j * d, 1.5 * g0 - 1j * d, 2 * g0,
-    )
+    ), axis=1)
 
 
 def build_moment_systems(ps: Sequence[SystemParams]) -> MomentSystem:
     """Assemble M and P of every point as one (N, 15, 15) and (N, 15) stack.
 
     Row blocks couple the first, second, third and fourth order moments to
-    each other; all entries off the nonzero pattern are exactly zero.  Each
-    point gives only the 26 distinct values of M and P; one gather places
-    them at the 81 nonzeros of M and the 4 of P.
+    each other; all entries off the nonzero pattern are exactly zero.  The
+    26 distinct values of M and P are computed as columns over the points;
+    one gather places them at the 81 nonzeros of M and the 4 of P.
     """
-    n = len(ps)
-    # The explicit shape lets an empty list of points give an empty stack.
-    vals = np.array([_values(p) for p in ps], dtype=complex).reshape(n, 26)
+    n, vals = len(ps), _values(ps)
     m = np.zeros((n, 225), dtype=complex)
     m[:, _FLAT] = vals[:, _IDX]
     drive = np.zeros((n, 15), dtype=complex)
@@ -166,7 +171,8 @@ def _refined_solve(m: np.ndarray, rhs: np.ndarray, u: np.ndarray, minv: np.ndarr
     return u
 
 
-def _solve_stack(system: MomentSystem) -> list[MomentState]:
+def _solve_stack(system: MomentSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Steady states of a stack: the (N, 15) moment vectors u and the (N,) condition numbers."""
     # One LU per point solves [P | I]: column 0 is the first solve, the rest M^-1.
     m = system.matrix
     try:
@@ -175,14 +181,14 @@ def _solve_stack(system: MomentSystem) -> list[MomentState]:
     except np.linalg.LinAlgError:
         raise SingularSystemError(math.inf) from None
     minv = np.ascontiguousarray(x[..., 1:])
-    conds = (np.abs(m).sum(axis=-2).max(axis=-1) * np.abs(minv).sum(axis=-2).max(axis=-1)).tolist()
+    cond = np.abs(m).sum(axis=-2).max(axis=-1) * np.abs(minv).sum(axis=-2).max(axis=-1)
     singular = 1.0 / np.finfo(float).eps
-    for row, cond in enumerate(conds):
-        if not math.isfinite(cond) or cond > singular:
-            raise SingularSystemError(cond)
-        if cond > _COND_WARN:
-            # Reached only through the two public solvers: stacklevel 3 names their caller.
-            warnings.warn(_condition_message(cond, f"stack row {row}"), ConditionWarning,
+    for row, c in enumerate(cond.tolist()):
+        if not math.isfinite(c) or c > singular:
+            raise SingularSystemError(c)
+        if c > _COND_WARN:
+            # stacklevel 3 names the public solvers' caller (run_sweep warns by sweep point).
+            warnings.warn(_condition_message(c, f"stack row {row}"), ConditionWarning,
                           stacklevel=3)
     u = _refined_solve(m, system.drive, np.ascontiguousarray(x[..., 0]), minv)
     excitations = u[:, [IDX_N1, IDX_N2, IDX_NX]]
@@ -193,9 +199,14 @@ def _solve_stack(system: MomentSystem) -> list[MomentState]:
             f"{('n1', 'n2', 'nX')[col]} has imaginary residue {excitations[row, col].imag:.3e} "
             f"beyond {IMAG_RESIDUE_TOL:.0e}; the regression matrix is inconsistent"
         )
-    return [MomentState(u=ui, n1=n1, n2=n2, nX=nX, s1=s1, s2=s2, cond=cond)
-            for ui, (n1, n2, nX), (s1, s2), cond
-            in zip(u, excitations.real.tolist(), u[:, [IDX_S1, IDX_S2]].tolist(), conds)]
+    return u, cond
+
+
+def _states(u: np.ndarray, cond: np.ndarray) -> list[MomentState]:
+    """One MomentState per row of a solved stack."""
+    excitations, coherences = u[:, [IDX_N1, IDX_N2, IDX_NX]].real.tolist(), u[:, [IDX_S1, IDX_S2]]
+    return [MomentState(ui, *e, *s, c)
+            for ui, e, s, c in zip(u, excitations, coherences.tolist(), cond.tolist())]
 
 
 def steady_states(system: MomentSystem) -> list[MomentState]:
@@ -205,13 +216,14 @@ def steady_states(system: MomentSystem) -> list[MomentState]:
     gamma0/2 or faster).  Each state carries the exact 1-norm condition number
     ||M||_1 ||M^-1||_1 from the solve's own LU; above 1e12 it warns, and above
     1/eps or at an exactly singular M it raises, before any state is returned.
+    The states are a list view of the stacked arrays that the solve returns.
     """
-    return _solve_stack(system)
+    return _states(*_solve_stack(system))
 
 
 def steady_state(system: MomentSystem) -> MomentState:
     """Steady state of one (15, 15) system: the batch of one."""
-    return _solve_stack(MomentSystem(matrix=system.matrix[None], drive=system.drive[None]))[0]
+    return _states(*_solve_stack(MomentSystem(system.matrix[None], system.drive[None])))[0]
 
 
 def populations(state: MomentState) -> Populations:

@@ -45,8 +45,6 @@ MOMENT_OPERATORS = (
 # Named indices into the moment vector.
 IDX_S1 = 0
 IDX_S2 = 1
-IDX_S1D = 2
-IDX_S2D = 3
 IDX_N1 = 4
 IDX_N2 = 5
 IDX_NX = 14

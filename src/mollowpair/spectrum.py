@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, UnsupportedConfigurationError
-from .moments import MomentState, build_moment_system, steady_state
-from .operators import IDX_S1, IDX_S2, SEED_SELECTION
+from .moments import build_moment_system, steady_state
+from .operators import IDX_N1, IDX_N2, IDX_S1, IDX_S2, SEED_SELECTION
 from .params import SystemParams
 
 #: Relative gap below which eigenvalues count as one cluster.  A Jordan pair
@@ -186,7 +186,7 @@ def decompose_spectrum(p: SystemParams, emitter: int = 1) -> SpectralDecompositi
     d = _check_defined(p, emitter)
     if d is None:
         system = build_moment_system(p)
-        (d,) = _decompose_stack(system.matrix[None], [steady_state(system)], emitter)
+        (d,) = _decompose_stack(system.matrix[None], steady_state(system).u[None], emitter)
     if isinstance(d, UnsupportedConfigurationError):
         raise d
     return d
@@ -203,23 +203,21 @@ def _check_defined(p: SystemParams, emitter: int) -> UnsupportedConfigurationErr
     return None
 
 
-def _decompose_stack(m: np.ndarray, states: list[MomentState], emitter: int) -> list:
-    """decompose_spectrum at points already solved: their (N, 15, 15) M stack and states.
+def _decompose_stack(m: np.ndarray, u: np.ndarray, emitter: int) -> list:
+    """decompose_spectrum at points already solved: their (N, 15, 15) M and (N, 15) u stacks.
 
     The reductions run over the stack and the reduced systems, grouped by
     dimension, share one eig, cond and modal solve; only the cluster and prune
     steps run per point.  A point whose emitter population is zero
     gets an UnsupportedConfigurationError in place of its decomposition.
     """
-    n_e = np.array([st.n1 if emitter == 1 else st.n2 for st in states], dtype=float)
-    coh = np.array([st.s1 if emitter == 1 else st.s2 for st in states], dtype=complex)
-    out: list = [UnsupportedConfigurationError(
-        f"emitter {emitter} population is zero; its spectrum is undefined") for _ in states]
-    rows = np.flatnonzero(~(n_e <= 0.0))
-    m = m[rows]
-    u = np.array([st.u for st in states]).reshape(-1, 15)[rows]
     # The correlator <sig_e^dag(0) sig_e(tau)> sits at the sigma_e coordinate.
     readout = IDX_S1 if emitter == 1 else IDX_S2
+    n_e, coh = u[:, IDX_N1 if emitter == 1 else IDX_N2].real, u[:, readout]
+    out: list = [UnsupportedConfigurationError(
+        f"emitter {emitter} population is zero; its spectrum is undefined") for _ in u]
+    rows = np.flatnonzero(~(n_e <= 0.0))
+    m, u = m[rows], u[rows]
     w = boundary_vector(u, emitter) - u * np.conj(coh[rows])[:, None]
     # At least 2 gamma0, the <n1 n2> diagonal: a float sum of non-negative terms is >= each term.
     scale = np.abs(m).sum(axis=-1).max(axis=-1)

@@ -19,7 +19,6 @@ results give identical bytes within one numpy/LAPACK build.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -29,10 +28,9 @@ import numpy as np
 
 from . import __version__
 from . import closed_forms
-from .errors import (ConditionWarning, SweepSpecError, UndefinedCorrelatorError,
-                     UnsupportedConfigurationError)
-from .moments import (_COND_WARN, _condition_message, build_moment_systems, g2_cross,
-                      populations, steady_states)
+from .errors import ConditionWarning, SweepSpecError, UnsupportedConfigurationError
+from .moments import _COND_WARN, _condition_message, _solve_stack, build_moment_systems
+from .operators import IDX_N1, IDX_N2, IDX_NX
 from .params import CONFIG_KEYS, SystemParams, classify_regime
 from .spectrum import _check_defined, _decompose_stack, default_grid, evaluate_spectrum
 
@@ -188,97 +186,99 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     observables (the zero-drive correlator, the spectrum of an undriven emitter
     or of a zero population) and a decomposition that holds a second-order pole
     produce per-row null markers with a reason code instead of failing the run.
+    Moment-routed populations and g2 are columns computed on the solved stack.
     """
     values = spec.grid.values()
     obs = spec.observables
-    rows, paths, notes, spectra, decomps = [], [], [], [], []
-
+    n = len(values)
     points = [spec.point(value) for value in values]
     regimes = [classify_regime(p) for p in points]
-    via = ["closed-form" if spec.fastpath and closed_forms.covers(p, regime) else "moments"
-           for p, regime in zip(points, regimes)]
+    closed = [spec.fastpath and closed_forms.covers(p, r) for p, r in zip(points, regimes)]
+    fast = [k for k in range(n) if closed[k]]
     want_state = "populations" in obs or "g2" in obs
     want_spectrum = "spectrum" in obs or "decomposition" in obs
     # decomposed[k]: point k's decomposition, or the error that leaves its spectrum undefined.
     decomposed = [_check_defined(p, 1) if want_spectrum else None for p in points]
     spectral = [want_spectrum and d is None for d in decomposed]
-    solve = [k for k in range(len(points)) if (want_state and via[k] == "moments") or spectral[k]]
-    states = [None] * len(points)
+    solve = [k for k in range(n) if (want_state and not closed[k]) or spectral[k]]
+    u = np.zeros((n, 15), dtype=complex)  # the moments of the solved points, zero elsewhere
     if solve:
         system = build_moment_systems([points[k] for k in solve])
         with warnings.catch_warnings():  # reported below by sweep point, not by stack row
             warnings.simplefilter("ignore", ConditionWarning)
-            solved = steady_states(system)
-        for k, state in zip(solve, solved):
-            states[k] = state
-            if state.cond > _COND_WARN:
+            u[solve], cond = _solve_stack(system)
+        for k, c in zip(solve, cond.tolist()):
+            if c > _COND_WARN:
                 where = f"sweep point {k} ({spec.param} = {float(values[k])!r})"
-                warnings.warn(_condition_message(state.cond, where), ConditionWarning)
+                warnings.warn(_condition_message(c, where), ConditionWarning)
         defined = [k for k in solve if spectral[k]]
         if defined:
             m = system.matrix[[spectral[k] for k in solve]]
-            for k, d in zip(defined, _decompose_stack(m, [states[k] for k in defined], 1)):
+            for k, d in zip(defined, _decompose_stack(m, u[defined], 1)):
                 decomposed[k] = d
-    if "eigenvalues" in obs:
-        eigs = np.linalg.eigvals(build_moment_systems(points).matrix)
-        eigs = np.take_along_axis(eigs, np.lexsort((eigs.imag, eigs.real)), axis=-1)
 
-    for k, (value, p, regime) in enumerate(zip(values, points, regimes)):
-        point_paths: list[str] = []
-        point_notes: list[str] = []
-        row: list[float | None] = [float(value)]
-        closed = via[k] == "closed-form"
+    # One list per table column; one label list per observable for the paths and notes.
+    columns, path_parts, note_parts, spectra, decomps = [values.tolist()], [], [], [], []
+    n1, n2, nx = u[:, [IDX_N1, IDX_N2, IDX_NX]].real.T
+    if "populations" in obs:
+        pops = [(1.0 + nx - n1 - n2).tolist(), (n1 - nx).tolist(), (n2 - nx).tolist(), nx.tolist()]
+        for k in fast:
+            cf = closed_forms.regime_populations(points[k], regimes[k])
+            pops[0][k], pops[1][k], pops[2][k], pops[3][k] = cf.rho00, cf.rho10, cf.rho01, cf.rho11
+        columns += pops
+        path_parts.append([("populations:moments", "populations:closed-form")[c] for c in closed])
 
-        if "populations" in obs:
-            pops = closed_forms.regime_populations(p, regime) if closed else populations(states[k])
-            row += [pops.rho00, pops.rho10, pops.rho01, pops.rho11]
-            point_paths.append(f"populations:{via[k]}")
+    if "g2" in obs:
+        # Null without drive, or where the moment path's n1 * n2 underflows.
+        driven = [p.omega1 != 0.0 or p.omega2 != 0.0 for p in points]
+        norm = n1 * n2
+        null = norm < 1e-30
+        g2 = [v if on and not z else None
+              for v, z, on in zip((nx / np.where(null, 1.0, norm)).tolist(), null.tolist(), driven)]
+        for k in fast:
+            g2[k] = closed_forms.regime_g2(points[k], regimes[k]) if driven[k] else None
+        columns.append(g2)
+        path_parts.append(["g2:null" if v is None else ("g2:moments", "g2:closed-form")[c]
+                           for v, c in zip(g2, closed)])
+        note_parts.append(["g2:undefined-correlator" if v is None else "" for v in g2])
 
-        if "g2" in obs:
-            # Undefined without drive, or where the moment path's n1 * n2
-            # underflows: a null cell either way.
-            g2 = None
-            if p.omega1 != 0.0 or p.omega2 != 0.0:
-                with contextlib.suppress(UndefinedCorrelatorError):
-                    g2 = closed_forms.regime_g2(p, regime) if closed else g2_cross(states[k])
-            row.append(g2)
-            if g2 is None:
-                point_notes.append("g2:undefined-correlator")
-            point_paths.append("g2:null" if g2 is None else f"g2:{via[k]}")
-
-        d = decomposed[k]
-        if isinstance(d, UnsupportedConfigurationError):
-            row.append(None)
-            point_notes.append(f"spectrum:{d.args[0].split(';')[0]}")
-            point_paths.append("spectrum:null")
-        elif want_spectrum:
-            row.append(d.delta_weight)
+    if want_spectrum:
+        cells = []  # (delta weight, path, note) of each point
+        for value, p, d in zip(columns[0], points, decomposed):
+            if isinstance(d, UnsupportedConfigurationError):
+                cells.append((None, "spectrum:null", f"spectrum:{d.args[0].split(';')[0]}"))
+                continue
+            labels, note = [], ""
             if "decomposition" in obs:
                 if any(c.L2_zeta or c.K2_zeta for c in d.components):
-                    point_notes.append("decomposition:second-order-pole")
-                    point_paths.append("decomposition:null")
+                    note = "decomposition:second-order-pole"
+                    labels.append("decomposition:null")
                 else:
                     table = tuple((c.omega_zeta, c.gamma_zeta, c.L_zeta, c.K_zeta)
                                   for c in d.components)
-                    decomps.append(DecompositionBlock(float(value), table, d.delta_weight))
-                    point_paths.append("decomposition:eigendecomposition")
+                    decomps.append(DecompositionBlock(value, table, d.delta_weight))
+                    labels.append("decomposition:eigendecomposition")
             if "spectrum" in obs:
                 grid = default_grid(p, spec.spectrum_points)
-                spectra.append(SpectrumBlock(float(value), grid, evaluate_spectrum(d, grid),
+                spectra.append(SpectrumBlock(value, grid, evaluate_spectrum(d, grid),
                                              d.delta_weight))
-                point_paths.append("spectrum:eigendecomposition")
+                labels.append("spectrum:eigendecomposition")
+            cells.append((d.delta_weight, ";".join(labels), note))
+        for part, column in zip((columns, path_parts, note_parts), zip(*cells)):
+            part.append(column)
 
-        if "eigenvalues" in obs:
-            row += [float(x) for z in eigs[k] for x in (z.real, z.imag)]
-            point_paths.append("eigenvalues:moments")
+    if "eigenvalues" in obs:
+        eigs = np.linalg.eigvals(build_moment_systems(points).matrix)
+        eigs = np.take_along_axis(eigs, np.lexsort((eigs.imag, eigs.real)), axis=-1)
+        columns += np.stack((eigs.real, eigs.imag), axis=-1).reshape(n, 30).T.tolist()
+        path_parts.append(["eigenvalues:moments"] * n)
 
-        rows.append(tuple(row))
-        paths.append(";".join(point_paths))
-        notes.append(";".join(point_notes))
-
-    return SweepResult(spec=spec, columns=(spec.param, *_scalar_columns(obs)), rows=tuple(rows),
-                       regimes=tuple(regime.value for regime in regimes), paths=tuple(paths),
-                       notes=tuple(notes), spectra=tuple(spectra), decompositions=tuple(decomps))
+    # Each point's labels joined by ';', empty ones left out.
+    paths, notes = (tuple(";".join(filter(None, labels)) for labels in zip(*parts, [""] * n))
+                    for parts in (path_parts, note_parts))
+    return SweepResult(spec, (spec.param, *_scalar_columns(obs)), tuple(zip(*columns)),
+                       tuple(r.value for r in regimes), paths, notes, tuple(spectra),
+                       tuple(decomps))
 
 
 # ---------------------------------------------------------------------------

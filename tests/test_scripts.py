@@ -1,5 +1,6 @@
 """The scripts under scripts/, run as a user runs them, against the library."""
 
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -47,3 +48,19 @@ def test_reproduce_figures_writes_every_preset_as_emitted(tmp_path):
         result = run_sweep(load_preset(name))
         for fmt in ("csv", "json"):
             assert (outdir / f"{name}.{fmt}").read_bytes() == emit(result, fmt), (name, fmt)
+
+
+def test_output_manifest_hashes_every_preset_and_the_landscape(tmp_path):
+    lines = run_script("output_manifest.py", cwd=tmp_path).stdout.splitlines()
+    digests, names = zip(*(line.split("  ") for line in lines))
+    assert list(names) == [f"{name}.{fmt}" for name in preset_names() for fmt in ("csv", "json")
+                           ] + ["coupling_landscape.csv", "manifest"]
+    expected = []
+    for name in preset_names():
+        result = run_sweep(load_preset(name))
+        expected += [hashlib.sha256(emit(result, fmt)).hexdigest() for fmt in ("csv", "json")]
+    run_script("coupling_landscape.py", tmp_path / "landscape.csv", cwd=tmp_path)
+    expected.append(hashlib.sha256((tmp_path / "landscape.csv").read_bytes()).hexdigest())
+    listed = "".join(line + "\n" for line in lines[:-1]).encode()
+    expected.append(hashlib.sha256(listed).hexdigest())
+    assert list(digests) == expected

@@ -202,7 +202,8 @@ def test_stack_engine_matches_per_point_reduction_bitwise(emitter, rng):
           + [random_params(rng, with_detuning=True, with_second_drive=True)
              for _ in range(40)])
     system = build_moment_systems(ps)
-    got = spectrum._decompose_stack(system.matrix, steady_states(system), emitter)
+    got = spectrum._decompose_stack(system.matrix, np.array([st.u for st in steady_states(system)]),
+                                    emitter)
     for p, d in zip(ps, got):
         assert repr(d) == repr(_per_point_decomposition(p, emitter)), p
 

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 import mollowpair.cli as cli
+import mollowpair.moments
 import mollowpair.spectrum
 import mollowpair.sweep
 from mollowpair import closed_forms
-from mollowpair.errors import ConditionWarning, SweepSpecError, UnsupportedConfigurationError
+from mollowpair.errors import (ConditionWarning, SweepSpecError, UndefinedCorrelatorError,
+                               UnsupportedConfigurationError)
 from mollowpair.liouville import build_liouvillian, spectrum_fft
 from mollowpair.moments import build_moment_system, g2_cross, populations, steady_state
 from mollowpair.params import Regime, classify_regime
@@ -227,20 +229,20 @@ def test_sweep_passes_other_solver_warnings_unchanged(monkeypatch):
     # Only ConditionWarning is re-attributed to the sweep point: any other
     # warning of the moment solve keeps its text, category and origin, and
     # RuntimeWarning still fails the suite (pyproject filterwarnings).
-    solve = mollowpair.sweep.steady_states
+    solve = mollowpair.sweep._solve_stack
 
     def warning_solve(system, category):
         warnings.warn("probe", category)
         return solve(system)
 
     spec = small_spec(fastpath=False)
-    monkeypatch.setattr(mollowpair.sweep, "steady_states",
+    monkeypatch.setattr(mollowpair.sweep, "_solve_stack",
                         lambda system: warning_solve(system, UserWarning))
     with pytest.warns(UserWarning) as record:
         run_sweep(spec)
     assert [(w.category, str(w.message), w.filename) for w in record] == [
         (UserWarning, "probe", __file__)]
-    monkeypatch.setattr(mollowpair.sweep, "steady_states",
+    monkeypatch.setattr(mollowpair.sweep, "_solve_stack",
                         lambda system: warning_solve(system, RuntimeWarning))
     with pytest.raises(RuntimeWarning, match="probe"):
         run_sweep(spec)
@@ -269,7 +271,10 @@ def _per_point_reference(spec, columns):
         if "g2" in obs:
             g2 = None
             if p.omega1 != 0.0 or p.omega2 != 0.0:
-                g2 = closed_forms.regime_g2(p, regime) if closed else g2_cross(state)
+                try:
+                    g2 = closed_forms.regime_g2(p, regime) if closed else g2_cross(state)
+                except UndefinedCorrelatorError:  # n1 * n2 underflows: a null cell
+                    pass
             row.append(g2)
             path.append("g2:null" if g2 is None else f"g2:{via}")
             note += ["g2:undefined-correlator"] if g2 is None else []
@@ -323,6 +328,16 @@ _ONE_WAY_DIAGONAL = dict(param="g", grid=GridSpec(min=0.3, max=0.7, count=5),
 #: solved, the others solved and decomposed for their spectra alone.
 _COHERENT_FROM_ZERO_DRIVE = dict(param="omega1", grid=GridSpec(min=0.0, max=1.5, count=4),
                                  fixed={"g": 0.8}, spectrum_points=101)
+#: An asymmetric pair at vanishing drive: n1 * n2 underflows 1e-30 at every
+#: point, so every g2 cell is null and noted, from the moment columns' mask.
+_G2_UNDERFLOW = dict(param="omega1", grid=GridSpec(min=1e-9, max=1e-8, count=4, scale="log"),
+                     fixed={"g": 0.7, "gamma": 0.4, "theta": 1.0},
+                     observables=("populations", "g2"))
+#: A weak-drive gamma sweep at theta = pi/2 across the one-way diagonal
+#: g = gamma/2: the middle point takes the closed form, the others the moments.
+_WEAK_DRIVE_DIAGONAL = dict(param="gamma", grid=GridSpec(min=0.3, max=0.7, count=5),
+                            fixed={"g": 0.25, "theta": np.pi / 2, "omega1": 1e-3},
+                            observables=("populations", "g2"))
 
 
 @pytest.mark.parametrize("kw, closed", [
@@ -336,6 +351,9 @@ _COHERENT_FROM_ZERO_DRIVE = dict(param="omega1", grid=GridSpec(min=0.0, max=1.5,
                  [True] * 4, id="closed-forms-undriven-spectrum-eigenvalues"),
     pytest.param({**_COHERENT_FROM_ZERO_DRIVE, "observables": _ALL_OBSERVABLES,
                   "fastpath": False}, [False] * 4, id="undriven-spectrum-no-fastpath"),
+    pytest.param(_G2_UNDERFLOW, [False] * 4, id="g2-underflow"),
+    pytest.param(_WEAK_DRIVE_DIAGONAL, [False, False, True, False, False],
+                 id="weak-drive-one-way-diagonal"),
 ])
 def test_batched_sweep_matches_per_point_reference(kw, closed):
     # Every row, path, note and block of the batched sweep, bit for bit, as
@@ -351,6 +369,20 @@ def test_batched_sweep_matches_per_point_reference(kw, closed):
     assert result.decompositions == ref.decompositions
     assert emit(result, "json") == emit(ref, "json")
     assert emit(result, "csv") == emit(ref, "csv")
+
+
+def test_moment_route_makes_no_per_point_state(monkeypatch):
+    # Moment-routed populations and g2 are columns of the solved stack: the
+    # sweep builds no MomentState or Populations and calls no g2_cross.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-point moment object in run_sweep")
+
+    spec = SweepSpec(**_WEAK_DRIVE_DIAGONAL)
+    for name in ("MomentState", "Populations", "populations", "g2_cross"):
+        monkeypatch.setattr(mollowpair.moments, name, forbidden)
+    result = run_sweep(spec)
+    monkeypatch.undo()
+    assert result == run_sweep(spec)
 
 
 #: Asymmetric pair (g = 0.7, gamma = 0.4, theta = 1): every point needs the
@@ -388,8 +420,8 @@ def test_spectrum_points_share_the_sweep_moment_solve(fixed, grid, observables, 
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(mollowpair.sweep, "steady_states",
-                        counting("batched", mollowpair.sweep.steady_states))
+    monkeypatch.setattr(mollowpair.sweep, "_solve_stack",
+                        counting("batched", mollowpair.sweep._solve_stack))
     monkeypatch.setattr(mollowpair.spectrum, "steady_state",
                         counting("one-point", mollowpair.spectrum.steady_state))
     result = run_sweep(spec)
@@ -442,8 +474,8 @@ def test_undriven_spectrum_is_a_null_cell_and_never_solved(fastpath, batched, mo
                       fixed={"omega1": 0.0}, observables=("populations", "spectrum"),
                       fastpath=fastpath)
     sizes = []
-    solve = mollowpair.sweep.steady_states
-    monkeypatch.setattr(mollowpair.sweep, "steady_states",
+    solve = mollowpair.sweep._solve_stack
+    monkeypatch.setattr(mollowpair.sweep, "_solve_stack",
                         lambda system: sizes.append(len(system.matrix)) or solve(system))
     result = run_sweep(spec)
     assert sizes == [2] * batched
