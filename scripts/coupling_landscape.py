@@ -11,27 +11,29 @@ two coupling magnitudes at a fixed weak drive, with the relative phase at the
 one-way value pi/2 along the diagonal g = gamma/2.
 """
 
+import math
 import pathlib
 import sys
 
 import numpy as np
 
-from mollowpair.moments import build_moment_systems, g2_cross, steady_states
-from mollowpair.params import SystemParams, classify_regime
+from mollowpair.sweep import GridSpec, SweepSpec, run_sweep
 
 OMEGA = 1e-3
 GRID_G = np.geomspace(0.05, 5.0, 41)
-GRID_GAMMA = np.geomspace(0.01, 1.0, 31)
+GRID_GAMMA = GridSpec(min=0.01, max=1.0, count=31, scale="log")
 
 
 def main() -> int:
     out = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "landscape.csv")
     lines = ["g,gamma,regime,g2"]
     for g in GRID_G:
-        row = [SystemParams(g=g, gamma=gamma, theta=0.5 * np.pi, phi=0.0, omega1=OMEGA)
-               for gamma in GRID_GAMMA]
-        for p, state in zip(row, steady_states(build_moment_systems(row))):
-            lines.append(f"{g:.8g},{p.gamma:.8g},{classify_regime(p).value},{g2_cross(state):.17g}")
+        # One gamma sweep per g, every point through the moment solver.
+        r = run_sweep(SweepSpec(param="gamma", grid=GRID_GAMMA, observables=("g2",),
+                                fixed={"g": float(g), "theta": 0.5 * math.pi, "phi": 0.0,
+                                       "omega1": OMEGA}, fastpath=False))
+        for (gamma, g2), regime in zip(r.rows, r.regimes):
+            lines.append(f"{g:.8g},{gamma:.8g},{regime},{g2:.17g}")
     out.write_text("\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} points to {out}")
     return 0

@@ -53,19 +53,21 @@ def _parse_set_arg(text: str) -> tuple[str, float]:
         raise SweepSpecError(f"{val!r} is not a number") from None
 
 
-def _apply_regime(fixed: dict[str, float], regime: str) -> dict[str, float]:
-    """Constrain fixed parameters to a named coupling regime."""
-    out = dict(fixed)
+def _apply_regime(fixed: dict[str, float], regime: str, swept: str) -> dict[str, float]:
+    """Constrain fixed parameters to a named coupling regime, which must leave swept free."""
+    pinned = {}
     if regime == "coherent":
-        out["gamma"] = 0.0
+        pinned = {"gamma": 0.0}
     elif regime == "dissipative":
-        out["g"] = 0.0
+        pinned = {"g": 0.0}
     elif regime in ("unidirectional-forward", "unidirectional-backward"):
-        gamma = out.get("gamma", 1.0)
-        phi = out.get("phi", 0.0)
+        gamma = fixed.get("gamma", 1.0)
+        phi = fixed.get("phi", 0.0)
         shift = 0.5 * math.pi if regime.endswith("forward") else 1.5 * math.pi
-        out.update(gamma=gamma, g=0.5 * gamma, phi=phi, theta=phi + shift)
-    return out
+        pinned = dict(gamma=gamma, g=0.5 * gamma, phi=phi, theta=phi + shift)
+    if swept in pinned:
+        raise SweepSpecError(f"--regime {regime} fixes {swept}, so {swept} cannot be swept")
+    return {**fixed, **pinned}
 
 
 def _reject(args: argparse.Namespace, dests: list[str] | tuple[str, ...], by: str) -> None:
@@ -132,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
                 key, val = _parse_set_arg(assignment)
                 fixed[key] = val
             if args.regime:
-                fixed = _apply_regime(fixed, args.regime)
+                fixed = _apply_regime(fixed, args.regime, name)
             fixed.pop(name, None)
             observables: list[str] = []
             for entry in args.observable or ["populations"]:

@@ -23,9 +23,10 @@ class NumericalError(RuntimeError):
 class SingularSystemError(NumericalError):
     """The steady-state linear system is numerically singular."""
 
-    def __init__(self, cond: float):
+    def __init__(self, cond: float, where: str):
         self.cond = cond
-        super().__init__(f"moment matrix numerically singular (1-norm condition number {cond:.3e})")
+        super().__init__(
+            f"moment matrix numerically singular (1-norm condition number {cond:.3e}) at {where}")
 
 
 class DegenerateSteadyStateError(NumericalError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +26,8 @@ IMAG_RESIDUE_TOL = 1e-12
 #: A solve whose 1-norm condition number exceeds this warns (ConditionWarning).
 _COND_WARN = 1e12
 
-
-def _condition_message(cond: float, where: str) -> str:
-    return f"moment solve 1-norm condition number {cond:.3e} exceeds 1e12 at {where}"
+#: Below this n1 * n2 the cross-correlator nX / (n1 n2) is undefined (0/0).
+G2_NORM_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -171,25 +170,35 @@ def _refined_solve(m: np.ndarray, rhs: np.ndarray, u: np.ndarray, minv: np.ndarr
     return u
 
 
-def _solve_stack(system: MomentSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Steady states of a stack: the (N, 15) moment vectors u and the (N,) condition numbers."""
+def _solve_stack(system: MomentSystem, where: Callable[[int], str] = "stack row {}".format
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Steady states u = M^-1 P of a stack: (N, 15) moment vectors and (N,) condition numbers.
+
+    M is generically nonsingular for gamma0 > 0 (every moment decays at
+    gamma0/2 or faster).  cond is the exact 1-norm condition number
+    ||M||_1 ||M^-1||_1 from the solve's own LU; above 1e12 it warns, and above
+    1/eps or at an exactly singular M it raises, before any row is returned.
+    where(row) names the row in the ConditionWarning, the SingularSystemError
+    and the imaginary-residue NumericalError; it is called only for such a row.
+    """
     # One LU per point solves [P | I]: column 0 is the first solve, the rest M^-1.
     m = system.matrix
     try:
         x = np.linalg.solve(m, np.concatenate(
             (system.drive[..., None], np.broadcast_to(np.eye(15), m.shape)), axis=-1))
-    except np.linalg.LinAlgError:
-        raise SingularSystemError(math.inf) from None
+    except np.linalg.LinAlgError:  # an exactly singular factor; LAPACK names no row
+        row = next(k for k in range(len(m)) if np.linalg.cond(m[k], 1) == math.inf)
+        raise SingularSystemError(math.inf, where(row)) from None
     minv = np.ascontiguousarray(x[..., 1:])
     cond = np.abs(m).sum(axis=-2).max(axis=-1) * np.abs(minv).sum(axis=-2).max(axis=-1)
     singular = 1.0 / np.finfo(float).eps
     for row, c in enumerate(cond.tolist()):
         if not math.isfinite(c) or c > singular:
-            raise SingularSystemError(c)
+            raise SingularSystemError(c, where(row))
         if c > _COND_WARN:
-            # stacklevel 3 names the public solvers' caller (run_sweep warns by sweep point).
-            warnings.warn(_condition_message(c, f"stack row {row}"), ConditionWarning,
-                          stacklevel=3)
+            # stacklevel 3 names the caller of steady_state or run_sweep.
+            warnings.warn(f"moment solve 1-norm condition number {c:.3e} exceeds 1e12 at "
+                          f"{where(row)}", ConditionWarning, stacklevel=3)
     u = _refined_solve(m, system.drive, np.ascontiguousarray(x[..., 0]), minv)
     excitations = u[:, [IDX_N1, IDX_N2, IDX_NX]]
     bad = np.argwhere(np.abs(excitations.imag) > IMAG_RESIDUE_TOL)
@@ -197,33 +206,17 @@ def _solve_stack(system: MomentSystem) -> tuple[np.ndarray, np.ndarray]:
         row, col = bad[0]
         raise NumericalError(
             f"{('n1', 'n2', 'nX')[col]} has imaginary residue {excitations[row, col].imag:.3e} "
-            f"beyond {IMAG_RESIDUE_TOL:.0e}; the regression matrix is inconsistent"
+            f"beyond {IMAG_RESIDUE_TOL:.0e} at {where(int(row))}; the regression matrix is "
+            "inconsistent"
         )
     return u, cond
 
 
-def _states(u: np.ndarray, cond: np.ndarray) -> list[MomentState]:
-    """One MomentState per row of a solved stack."""
-    excitations, coherences = u[:, [IDX_N1, IDX_N2, IDX_NX]].real.tolist(), u[:, [IDX_S1, IDX_S2]]
-    return [MomentState(ui, *e, *s, c)
-            for ui, e, s, c in zip(u, excitations, coherences.tolist(), cond.tolist())]
-
-
-def steady_states(system: MomentSystem) -> list[MomentState]:
-    """Steady-state moment vectors u = M^-1 P of a stack, one state per point.
-
-    M is generically nonsingular for gamma0 > 0 (every moment decays at
-    gamma0/2 or faster).  Each state carries the exact 1-norm condition number
-    ||M||_1 ||M^-1||_1 from the solve's own LU; above 1e12 it warns, and above
-    1/eps or at an exactly singular M it raises, before any state is returned.
-    The states are a list view of the stacked arrays that the solve returns.
-    """
-    return _states(*_solve_stack(system))
-
-
 def steady_state(system: MomentSystem) -> MomentState:
     """Steady state of one (15, 15) system: the batch of one."""
-    return _states(*_solve_stack(MomentSystem(system.matrix[None], system.drive[None])))[0]
+    u, cond = _solve_stack(MomentSystem(system.matrix[None], system.drive[None]))
+    return MomentState(u[0], *u[0, [IDX_N1, IDX_N2, IDX_NX]].real.tolist(),
+                       *u[0, [IDX_S1, IDX_S2]].tolist(), cond.item())
 
 
 def populations(state: MomentState) -> Populations:
@@ -248,7 +241,7 @@ def g2_cross(state: MomentState) -> float:
     there instead of this estimator.
     """
     norm = state.n1 * state.n2
-    if norm < 1e-30:
+    if norm < G2_NORM_FLOOR:
         raise UndefinedCorrelatorError(
             f"n1*n2 = {norm:.3e} underflows; the correlator is undefined at "
             "vanishing drive, use the closed-form weak-drive limits"

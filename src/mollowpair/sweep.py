@@ -20,7 +20,6 @@ results give identical bytes within one numpy/LAPACK build.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -28,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from . import closed_forms
-from .errors import ConditionWarning, SweepSpecError, UnsupportedConfigurationError
-from .moments import _COND_WARN, _condition_message, _solve_stack, build_moment_systems
+from .errors import SweepSpecError, UnsupportedConfigurationError
+from .moments import G2_NORM_FLOOR, _solve_stack, build_moment_systems
 from .operators import IDX_N1, IDX_N2, IDX_NX
 from .params import CONFIG_KEYS, SystemParams, classify_regime
 from .spectrum import _check_defined, _decompose_stack, default_grid, evaluate_spectrum
@@ -187,6 +186,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     or of a zero population) and a decomposition that holds a second-order pole
     produce per-row null markers with a reason code instead of failing the run.
     Moment-routed populations and g2 are columns computed on the solved stack.
+    The solve's ConditionWarning and numerical errors name the sweep point.
     """
     values = spec.grid.values()
     obs = spec.observables
@@ -204,13 +204,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     u = np.zeros((n, 15), dtype=complex)  # the moments of the solved points, zero elsewhere
     if solve:
         system = build_moment_systems([points[k] for k in solve])
-        with warnings.catch_warnings():  # reported below by sweep point, not by stack row
-            warnings.simplefilter("ignore", ConditionWarning)
-            u[solve], cond = _solve_stack(system)
-        for k, c in zip(solve, cond.tolist()):
-            if c > _COND_WARN:
-                where = f"sweep point {k} ({spec.param} = {float(values[k])!r})"
-                warnings.warn(_condition_message(c, where), ConditionWarning)
+        u[solve] = _solve_stack(system, lambda row: f"sweep point {solve[row]} "
+                                f"({spec.param} = {float(values[solve[row]])!r})")[0]
         defined = [k for k in solve if spectral[k]]
         if defined:
             m = system.matrix[[spectral[k] for k in solve]]
@@ -232,7 +227,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         # Null without drive, or where the moment path's n1 * n2 underflows.
         driven = [p.omega1 != 0.0 or p.omega2 != 0.0 for p in points]
         norm = n1 * n2
-        null = norm < 1e-30
+        null = norm < G2_NORM_FLOOR
         g2 = [v if on and not z else None
               for v, z, on in zip((nx / np.where(null, 1.0, norm)).tolist(), null.tolist(), driven)]
         for k in fast:

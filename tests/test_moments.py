@@ -16,13 +16,13 @@ from mollowpair.errors import (
 from mollowpair.hamiltonian import build_pair_hamiltonian
 from mollowpair.moments import (
     MomentSystem,
+    _solve_stack,
     build_moment_system,
     build_moment_systems,
     g2_cross,
     populations,
     solve_populations,
     steady_state,
-    steady_states,
 )
 from mollowpair.operators import (
     EYE4,
@@ -115,15 +115,19 @@ def test_batch_engine_matches_per_point_bitwise(rng):
     stack = build_moment_systems(ps)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditionWarning)
-        states = steady_states(stack)
+        u, cond = _solve_stack(stack)
         for k, p in enumerate(ps):
             one = build_moment_system(p)
             assert one.matrix.tobytes() == stack.matrix[k].tobytes()
             assert one.drive.tobytes() == stack.drive[k].tobytes()
             st = steady_state(one)
-            assert st.u.tobytes() == states[k].u.tobytes()
-            assert st.cond == states[k].cond
-    assert steady_states(build_moment_systems([])) == []
+            assert st.u.tobytes() == u[k].tobytes()
+            assert st.cond == cond[k]
+    # The one-point state holds Python scalars, not numpy ones.
+    assert [type(v) for v in (st.n1, st.n2, st.nX, st.s1, st.s2, st.cond)] == [float] * 3 + [
+        complex] * 2 + [float]
+    u, cond = _solve_stack(build_moment_systems([]))
+    assert u.shape == (0, 15) and cond.shape == (0,)
 
 
 def test_matrix_scale_is_at_least_twice_gamma0(rng):
@@ -224,8 +228,8 @@ def test_refinement_matches_the_dense_residual_bytewise(rng):
         np.copyto(u, (u_ld + corr).astype(np.complex128), where=live[:, None])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditionWarning)
-        states = steady_states(system)
-    assert np.stack([s.u for s in states]).tobytes() == u.tobytes()
+        got, _ = _solve_stack(system)
+    assert got.tobytes() == u.tobytes()
 
 
 def test_one_factorization_per_stack(monkeypatch):
@@ -241,7 +245,7 @@ def test_one_factorization_per_stack(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     row = [SystemParams(g=5.0, gamma=gamma, theta=0.5 * np.pi, phi=0.0, omega1=1e-3)
            for gamma in np.geomspace(0.01, 1.0, 31)]
-    assert len(steady_states(build_moment_systems(row))) == 31
+    assert len(_solve_stack(build_moment_systems(row))[0]) == 31
     assert calls == [(31, 15, 15)]
     steady_state(build_moment_system(row[0]))
     assert calls == [(31, 15, 15), (1, 15, 15)]
@@ -412,16 +416,18 @@ def test_unidirectional_population_identity():
 def test_singular_system_raises():
     m = np.zeros((15, 15), dtype=complex)
     m[0, 0] = 1.0
-    with pytest.raises(SingularSystemError):
+    with pytest.raises(SingularSystemError, match="inf\\) at stack row 0$"):
         steady_state(MomentSystem(matrix=m, drive=np.zeros(15, dtype=complex)))
     # In a stack, before or after a regular point, LAPACK's LinAlgError for
-    # the exactly singular factor is raised as SingularSystemError.
+    # the exactly singular factor is raised as SingularSystemError naming its row.
     regular = build_moment_system(coherent_pair(1.0, 1.0))
     zero = np.zeros(15, dtype=complex)
-    for matrices, drives in (([regular.matrix, m], [regular.drive, zero]),
-                             ([m, regular.matrix], [zero, regular.drive])):
-        with pytest.raises(SingularSystemError, match="1-norm condition number inf"):
-            steady_states(MomentSystem(matrix=np.stack(matrices), drive=np.stack(drives)))
+    for row, matrices, drives in ((1, [regular.matrix, m], [regular.drive, zero]),
+                                  (0, [m, regular.matrix], [zero, regular.drive])):
+        with pytest.raises(SingularSystemError) as err:
+            _solve_stack(MomentSystem(matrix=np.stack(matrices), drive=np.stack(drives)))
+        assert str(err.value) == ("moment matrix numerically singular (1-norm condition "
+                                  f"number inf) at stack row {row}")
 
 
 @pytest.mark.parametrize("p, warns", [(coherent_pair(1.0, 1.0), False),
@@ -447,10 +453,18 @@ def test_condition_warning():
     # In a stack it names the row.
     regular = build_moment_system(coherent_pair(1.0, 1.0))
     with pytest.warns(ConditionWarning) as record:
-        steady_states(MomentSystem(matrix=np.stack([regular.matrix, m]),
-                                   drive=np.stack([regular.drive, np.zeros(15, dtype=complex)])))
+        _solve_stack(MomentSystem(matrix=np.stack([regular.matrix, m]),
+                                  drive=np.stack([regular.drive, np.zeros(15, dtype=complex)])))
     assert [str(w.message) for w in record] == [
         "moment solve 1-norm condition number 1.000e+13 exceeds 1e12 at stack row 1"]
+    # A caller's label is built only for the row that warns.
+    named = []
+    with pytest.warns(ConditionWarning) as record:
+        _solve_stack(MomentSystem(matrix=np.stack([regular.matrix, m]),
+                                  drive=np.stack([regular.drive, np.zeros(15, dtype=complex)])),
+                     lambda row: named.append(row) or f"point {row} of the probe")
+    assert named == [1]
+    assert str(record[0].message).endswith("exceeds 1e12 at point 1 of the probe")
 
 
 def test_imaginary_residue_guard():
@@ -464,7 +478,8 @@ def test_imaginary_residue_guard():
 
 def test_imaginary_residue_guard_in_stack():
     # The stacked guard names the first offending row and, within it, the
-    # first of n1, n2, nX, with the text that row gives as a batch of one.
+    # first of n1, n2, nX, with the text that row gives as a batch of one
+    # but for the row it names.
     ps = [dissipative_pair(0.5, 0.7), coherent_pair(1.0, 1.0), SystemParams(omega1=1.0, omega2=0.7)]
     system = build_moment_systems(ps)
     bad = system.matrix.copy()
@@ -476,7 +491,9 @@ def test_imaginary_residue_guard_in_stack():
             steady_state(MomentSystem(matrix=bad[k], drive=system.drive[k]))
         messages.append(str(one.value))
     assert messages[0].startswith("n1 ") and messages[1].startswith("n2 ")
+    assert all(" at stack row 0; " in message for message in messages)
+    # The offending point is row 1 of both stacks.
     for rows, message in (([0, 1, 2], messages[0]), ([0, 2], messages[1])):
         with pytest.raises(NumericalError) as stack:
-            steady_states(MomentSystem(matrix=bad[rows], drive=system.drive[rows]))
-        assert str(stack.value) == message
+            _solve_stack(MomentSystem(matrix=bad[rows], drive=system.drive[rows]))
+        assert str(stack.value) == message.replace(" at stack row 0; ", " at stack row 1; ")

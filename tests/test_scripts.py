@@ -8,8 +8,8 @@ import sys
 
 import numpy as np
 
-from mollowpair.moments import build_moment_systems, g2_cross, steady_states
-from mollowpair.params import SystemParams
+from mollowpair.moments import build_moment_system, g2_cross, steady_state
+from mollowpair.params import SystemParams, classify_regime
 from mollowpair.sweep import emit, load_preset, preset_names, run_sweep
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -24,6 +24,7 @@ def run_script(name, *args, cwd):
 
 
 def test_coupling_landscape_writes_the_stacked_engine_g2(tmp_path):
+    # The script's sweeps give each point the bits of the one-point solve.
     out = tmp_path / "landscape.csv"
     run_script("coupling_landscape.py", out, cwd=tmp_path)
     header, *lines = out.read_text().splitlines()
@@ -31,11 +32,11 @@ def test_coupling_landscape_writes_the_stacked_engine_g2(tmp_path):
     assert len(lines) == 41 * 31
     ps = [SystemParams(g=g, gamma=gamma, theta=0.5 * np.pi, phi=0.0, omega1=1e-3)
           for g in np.geomspace(0.05, 5.0, 41) for gamma in np.geomspace(0.01, 1.0, 31)]
-    states = steady_states(build_moment_systems(ps))
-    for line, p, state in zip(lines, ps, states):
-        g, gamma, _, g2 = line.split(",")
+    for line, p in zip(lines, ps):
+        g, gamma, regime, g2 = line.split(",")
         assert (float(g), float(gamma)) == (float(f"{p.g:.8g}"), float(f"{p.gamma:.8g}"))
-        assert float(g2) == g2_cross(state), line
+        assert regime == classify_regime(p).value, line
+        assert float(g2) == g2_cross(steady_state(build_moment_system(p))), line
 
 
 def test_reproduce_figures_writes_every_preset_as_emitted(tmp_path):

@@ -150,7 +150,8 @@ def test_spectrum_sweep_through_trapping_point():
     # numerically two-dimensional, while the moment system stays solvable.
     spec = small_spec(fixed={"g": 0.0, "gamma": 1.0}, observables=("spectrum",),
                       grid=GridSpec(min=1e-6, max=1.0, count=4, scale="log"))
-    result = run_sweep(spec)
+    with pytest.warns(ConditionWarning, match="sweep point 0"):
+        result = run_sweep(spec)
     assert result.paths == ("spectrum:eigendecomposition",) * 4
     assert len(result.spectra) == 4
 
@@ -214,36 +215,35 @@ def test_production_modules_import_nothing_from_the_oracle():
 
 
 def test_trapping_sweep_condition_warning_names_the_sweep():
-    # The moment solve of the whole sweep happens in run_sweep, so the
-    # ill-conditioned point omega1 = 1e-6 is reported from sweep.py.
+    # The ill-conditioned point omega1 = 1e-6 is named by its sweep point and
+    # reported from run_sweep's caller, as steady_state's warning is.
     spec = small_spec(fixed={"g": 0.0, "gamma": 1.0}, observables=("populations", "g2"),
                       grid=GridSpec(min=1e-6, max=1.0, count=4, scale="log"), fastpath=False)
     with pytest.warns(ConditionWarning) as record:
         run_sweep(spec)
-    assert [w.filename for w in record] == [mollowpair.sweep.__file__]
+    assert [w.filename for w in record] == [__file__]
     assert str(record[0].message) == ("moment solve 1-norm condition number 6.000e+12 exceeds "
                                       "1e12 at sweep point 0 (omega1 = 1e-06)")
 
 
 def test_sweep_passes_other_solver_warnings_unchanged(monkeypatch):
-    # Only ConditionWarning is re-attributed to the sweep point: any other
-    # warning of the moment solve keeps its text, category and origin, and
-    # RuntimeWarning still fails the suite (pyproject filterwarnings).
+    # Any other warning of the moment solve keeps its text, category and
+    # origin, and RuntimeWarning still fails the suite (pyproject filterwarnings).
     solve = mollowpair.sweep._solve_stack
 
-    def warning_solve(system, category):
+    def warning_solve(system, where, category):
         warnings.warn("probe", category)
-        return solve(system)
+        return solve(system, where)
 
     spec = small_spec(fastpath=False)
     monkeypatch.setattr(mollowpair.sweep, "_solve_stack",
-                        lambda system: warning_solve(system, UserWarning))
+                        lambda system, where: warning_solve(system, where, UserWarning))
     with pytest.warns(UserWarning) as record:
         run_sweep(spec)
     assert [(w.category, str(w.message), w.filename) for w in record] == [
         (UserWarning, "probe", __file__)]
     monkeypatch.setattr(mollowpair.sweep, "_solve_stack",
-                        lambda system: warning_solve(system, RuntimeWarning))
+                        lambda system, where: warning_solve(system, where, RuntimeWarning))
     with pytest.raises(RuntimeWarning, match="probe"):
         run_sweep(spec)
 
@@ -476,7 +476,8 @@ def test_undriven_spectrum_is_a_null_cell_and_never_solved(fastpath, batched, mo
     sizes = []
     solve = mollowpair.sweep._solve_stack
     monkeypatch.setattr(mollowpair.sweep, "_solve_stack",
-                        lambda system: sizes.append(len(system.matrix)) or solve(system))
+                        lambda system, where: sizes.append(len(system.matrix))
+                        or solve(system, where))
     result = run_sweep(spec)
     assert sizes == [2] * batched
     assert [row[-1] for row in result.rows] == [None, None]
@@ -711,6 +712,26 @@ def test_cli_numerical_error_exit_3():
                    "--sweep", "omega1:1e-8:1e-6:2:log", "--no-fastpath")
     assert proc.returncode == 3
     assert "numerically singular" in proc.stderr
+
+
+def test_cli_numerical_error_names_the_sweep_point():
+    proc = run_cli("--regime", "dissipative", "--set", "gamma=1",
+                   "--sweep", "omega1:1e-8:1:3:log", "--observable", "populations",
+                   "--no-fastpath")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.rstrip("\n").endswith("at sweep point 0 (omega1 = 1e-08)")
+
+
+@pytest.mark.parametrize("regime, param", [
+    ("coherent", "gamma"), ("dissipative", "g"),
+    *[(f"unidirectional-{way}", param) for way in ("forward", "backward")
+      for param in ("g", "theta", "gamma", "phi")]])
+def test_cli_regime_rejects_sweeping_a_parameter_it_fixes(regime, param, capsys):
+    # The grid would silently override the regime; an error names both.
+    assert cli.main(["--regime", regime, "--set", "omega1=1",
+                     "--sweep", f"{param}:0.2:1:3:linear"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --regime {regime} fixes {param}, so {param} cannot be swept\n")
 
 
 def test_cli_trapping_line_strong_drive_decomposition():
