@@ -40,7 +40,6 @@ from .moments import (
     build_moment_system,
     g2_cross,
     populations,
-    solve_populations,
     steady_state,
 )
 from .params import (

@@ -130,12 +130,14 @@ def main(argv: list[str] | None = None) -> int:
             fixed: dict[str, float] = {}
             if args.config:
                 fixed = load_config(args.config).as_dict()
+                fixed.pop(name, None)  # a config file lists every key, the swept one too
             for assignment in args.set:
                 key, val = _parse_set_arg(assignment)
+                if key == name:
+                    raise SweepSpecError(f"--set {key} conflicts with --sweep {name}")
                 fixed[key] = val
             if args.regime:
                 fixed = _apply_regime(fixed, args.regime, name)
-            fixed.pop(name, None)
             observables: list[str] = []
             for entry in args.observable or ["populations"]:
                 observables += [x.strip() for x in entry.split(",") if x.strip()]

@@ -1,9 +1,12 @@
 """The 15-dimensional one-time moment system of the pair.
 
-The moment vector u evolves as du/dt = P - M u, with the ordering frozen in
-operators.MOMENT_LABELS: the four first moments, then the six quadratic
-moments, then the four cubic moments, then the joint excitation <n1 n2>.
-The same matrix M drives the two-time regression system used for spectra.
+The moment vector u evolves as du/dt = P - M u.  Its 15 coordinates are
+frozen in this order: the first moments <s1>, <s2>, <s1^dag>, <s2^dag>; the
+quadratic <n1>, <n2>, <s1 s2>, <s1^dag s2^dag>, <s1^dag s2>, <s1 s2^dag>; the
+cubic <n1 s2>, <s1 n2>, <n1 s2^dag>, <s1^dag n2>; and the joint excitation
+<n1 n2>.  This module is the one owner of that ordering: the named indices,
+M's pattern and the two-time seed table are written against it here.  The
+same matrix M drives the two-time regression system used for spectra.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionWarning, NumericalError, SingularSystemError, UndefinedCorrelatorError
-from .operators import IDX_N1, IDX_N2, IDX_NX, IDX_S1, IDX_S2
 from .params import SystemParams
 
 #: Tolerance on the imaginary residue of n1, n2, nX.  A larger residue
@@ -29,10 +31,23 @@ _COND_WARN = 1e12
 #: Below this n1 * n2 the cross-correlator nX / (n1 n2) is undefined (0/0).
 G2_NORM_FLOOR = 1e-30
 
+# Named indices into the moment vector.
+IDX_S1, IDX_S2, IDX_N1, IDX_N2, IDX_NX = 0, 1, 4, 5, 14
+
+#: For each emitter e, the moment j with sigma_e^dag O_i = O_j, or None where
+#: the product is zero, for i in moment order.
+_SEEDS = {
+    1: (4, 8, None, 7, None, 13, 10, None, None, 12, None, 14, None, None, None),
+    2: (9, 5, 7, None, 12, None, 11, None, 13, None, 14, None, None, None, None),
+}
+#: Two-time seeds <sigma_e^dag O_i> = (SEED_SELECTION[e] @ u)_i, as 0/1 (15, 15) matrices.
+SEED_SELECTION = {e: np.eye(16)[[15 if j is None else j for j in seeds], :15]
+                  for e, seeds in _SEEDS.items()}
+
 
 @dataclass(frozen=True)
 class MomentSystem:
-    """Regression matrix M and drive vector P, ordered as MOMENT_LABELS.
+    """Regression matrix M and drive vector P, in the module's moment order.
 
     One point holds shapes (15, 15) and (15,); a stack of N points holds
     (N, 15, 15) and (N, 15).  M has the nonzero pattern that
@@ -219,19 +234,14 @@ def steady_state(system: MomentSystem) -> MomentState:
                        *u[0, [IDX_S1, IDX_S2]].tolist(), cond.item())
 
 
+def _populations(n1, n2, nx):
+    """(rho00, rho10, rho01, rho11) from the excitation moments: floats or arrays alike."""
+    return 1.0 + nx - n1 - n2, n1 - nx, n2 - nx, nx
+
+
 def populations(state: MomentState) -> Populations:
     """Bare-state probabilities from the excitation moments."""
-    return Populations(
-        rho00=1.0 + state.nX - state.n1 - state.n2,
-        rho10=state.n1 - state.nX,
-        rho01=state.n2 - state.nX,
-        rho11=state.nX,
-    )
-
-
-def solve_populations(p: SystemParams) -> Populations:
-    """Convenience wrapper: build, solve and extract populations."""
-    return populations(steady_state(build_moment_system(p)))
+    return Populations(*_populations(state.n1, state.n2, state.nX))
 
 
 def g2_cross(state: MomentState) -> float:

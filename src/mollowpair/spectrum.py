@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, UnsupportedConfigurationError
-from .moments import build_moment_system, steady_state
-from .operators import IDX_N1, IDX_N2, IDX_S1, IDX_S2, SEED_SELECTION
+from .moments import (IDX_N1, IDX_N2, IDX_S1, IDX_S2, SEED_SELECTION, build_moment_system,
+                      steady_state)
 from .params import SystemParams
 
 #: Relative gap below which eigenvalues count as one cluster.  A Jordan pair

@@ -28,8 +28,8 @@ import numpy as np
 from . import __version__
 from . import closed_forms
 from .errors import SweepSpecError, UnsupportedConfigurationError
-from .moments import G2_NORM_FLOOR, _solve_stack, build_moment_systems
-from .operators import IDX_N1, IDX_N2, IDX_NX
+from .moments import (G2_NORM_FLOOR, IDX_N1, IDX_N2, IDX_NX, _populations, _solve_stack,
+                      build_moment_systems)
 from .params import CONFIG_KEYS, SystemParams, classify_regime
 from .spectrum import _check_defined, _decompose_stack, default_grid, evaluate_spectrum
 
@@ -216,7 +216,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     columns, path_parts, note_parts, spectra, decomps = [values.tolist()], [], [], [], []
     n1, n2, nx = u[:, [IDX_N1, IDX_N2, IDX_NX]].real.T
     if "populations" in obs:
-        pops = [(1.0 + nx - n1 - n2).tolist(), (n1 - nx).tolist(), (n2 - nx).tolist(), nx.tolist()]
+        pops = [column.tolist() for column in _populations(n1, n2, nx)]
         for k in fast:
             cf = closed_forms.regime_populations(points[k], regimes[k])
             pops[0][k], pops[1][k], pops[2][k], pops[3][k] = cf.rho00, cf.rho10, cf.rho01, cf.rho11

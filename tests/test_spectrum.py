@@ -9,16 +9,16 @@ import mollowpair.spectrum as spectrum
 from mollowpair.errors import ParameterError, UnsupportedConfigurationError
 from mollowpair.liouville import build_liouvillian, spectrum_fft, steady_state_dm
 from mollowpair.moments import (
+    IDX_S1,
+    IDX_S2,
+    SEED_SELECTION,
     _solve_stack,
     build_moment_system,
     build_moment_systems,
     steady_state,
 )
 from mollowpair.operators import (
-    IDX_S1,
-    IDX_S2,
     MOMENT_OPERATORS,
-    SEED_SELECTION,
     SIGMA1_DAG,
     SIGMA2_DAG,
 )
@@ -65,6 +65,32 @@ def test_boundary_vector_operator_identities():
     assert v0[2] == pytest.approx(0.0, abs=1e-14)        # <s1d s1d>
     assert v0[4] == pytest.approx(0.0, abs=1e-14)        # <s1d n1> = 0
     assert v0[11] == pytest.approx(st.nX, abs=1e-10)     # <s1d s1 n2>
+
+
+def _product_selection(left):
+    """0/1 matrix S with <left O_i> = (S u)_i, derived from the operator algebra.
+
+    Each product left @ O_i must be zero or exactly one moment operator O_j;
+    anything else fails the unpacking below.
+    """
+    sel = np.zeros((len(MOMENT_OPERATORS), len(MOMENT_OPERATORS)))
+    for i, op in enumerate(MOMENT_OPERATORS):
+        prod = left @ op
+        if prod.any():
+            (j,) = [j for j, o in enumerate(MOMENT_OPERATORS) if np.array_equal(o, prod)]
+            sel[i, j] = 1.0
+    return sel
+
+
+def test_seed_table_matches_operator_algebra():
+    # The seed table that moments writes out as literals is the sigma_e^dag O_i
+    # product table of the operator algebra, bit for bit, and is laid out as
+    # the C-contiguous float64 matrix that boundary_vector's matmul reads.
+    assert sorted(SEED_SELECTION) == [1, 2]
+    for emitter, sig_dag in ((1, SIGMA1_DAG), (2, SIGMA2_DAG)):
+        table, derived = SEED_SELECTION[emitter], _product_selection(sig_dag)
+        assert table.dtype == np.float64 and table.flags.c_contiguous
+        assert table.shape == derived.shape and table.tobytes() == derived.tobytes()
 
 
 @pytest.mark.parametrize("g", [100.0, 1000.0])

@@ -2,8 +2,10 @@
 
 import ast
 import dataclasses
+import importlib
 import inspect
 import json
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -200,18 +202,37 @@ def test_trapping_line_strong_drive_spectra_match_quadrature():
         assert block.delta_weight == pytest.approx(delta, abs=1e-9)
 
 
-def test_production_modules_import_nothing_from_the_oracle():
-    # The spectrum path never calls the density-matrix oracle: neither module
-    # imports mollowpair.liouville, at module level or inside a function.
-    for module in (mollowpair.sweep, mollowpair.spectrum):
-        for node in ast.walk(ast.parse(inspect.getsource(module))):
-            if isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [a.name for a in node.names]
-            elif isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            else:
-                continue
-            assert all(n.split(".")[-1] != "liouville" for n in names), module.__name__
+_ORACLE = {"liouville", "operators", "hamiltonian"}
+_PRODUCTION = ("params", "moments", "closed_forms", "single_emitter", "spectrum", "sweep", "cli")
+
+
+def _imported_modules(name):
+    """Last components of every module that mollowpair.<name> imports, at any depth.
+
+    `from . import x` counts as importing x, so a submodule imported by name
+    is caught as well as one imported from.
+    """
+    source = inspect.getsource(importlib.import_module(f"mollowpair.{name}"))
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found.add((node.module or "").split(".")[-1])
+            if node.module in (None, "mollowpair"):
+                found.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[-1] for a in node.names)
+    return found
+
+
+def test_oracle_and_production_import_nothing_from_each_other():
+    # The density-matrix oracle and the production path share no code: no
+    # production module imports an oracle module, and the oracle imports only
+    # itself, params and errors (besides the standard library and numpy/scipy).
+    for name in _PRODUCTION:
+        assert not _imported_modules(name) & _ORACLE, name
+    package = {m.name for m in pkgutil.iter_modules(mollowpair.__path__)}
+    for name in _ORACLE:
+        assert _imported_modules(name) & package <= _ORACLE | {"params", "errors"}, name
 
 
 def test_trapping_sweep_condition_warning_names_the_sweep():
@@ -732,6 +753,21 @@ def test_cli_regime_rejects_sweeping_a_parameter_it_fixes(regime, param, capsys)
                      "--sweep", f"{param}:0.2:1:3:linear"]) == 2
     assert capsys.readouterr() == (
         "", f"error: --regime {regime} fixes {param}, so {param} cannot be swept\n")
+
+
+@pytest.mark.parametrize("source, code", [("set", 2), ("config", 0)])
+def test_cli_swept_parameter_given_as_fixed(source, code, tmp_path, capsys):
+    # A --set of the swept parameter conflicts with the grid; a --config file
+    # lists every key, so its value of the swept parameter gives way to the grid.
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("omega1 = 5\ng = 1\n")
+    given = ["--set", "omega1=5"] if source == "set" else ["--config", str(cfg)]
+    assert cli.main([*given, "--sweep", "omega1:1:2:2:linear", "--set", "g=1"]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert (out, err) == ("", "error: --set omega1 conflicts with --sweep omega1\n")
+    else:
+        assert err == "" and [row.split(",")[0] for row in out.splitlines()[2:]] == ["1", "2"]
 
 
 def test_cli_trapping_line_strong_drive_decomposition():
