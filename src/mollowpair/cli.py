@@ -53,20 +53,32 @@ def _parse_set_arg(text: str) -> tuple[str, float]:
         raise SweepSpecError(f"{val!r} is not a number") from None
 
 
-def _apply_regime(fixed: dict[str, float], regime: str, swept: str) -> dict[str, float]:
-    """Constrain fixed parameters to a named coupling regime, which must leave swept free."""
-    pinned = {}
+def _apply_regime(fixed: dict[str, float], regime: str, swept: str,
+                  given: set[str]) -> dict[str, float]:
+    """Constrain fixed parameters to a named coupling regime.
+
+    The regime must leave swept free and may not override a parameter of
+    given (the --set keys).  It overrides a --config value, since a config
+    file lists every key.
+    """
+    pinned, own = {}, {}  # own: the values the regime sets rather than reads
     if regime == "coherent":
-        pinned = {"gamma": 0.0}
+        own = {"gamma": 0.0}
     elif regime == "dissipative":
-        pinned = {"g": 0.0}
+        own = {"g": 0.0}
     elif regime in ("unidirectional-forward", "unidirectional-backward"):
         gamma = fixed.get("gamma", 1.0)
         phi = fixed.get("phi", 0.0)
         shift = 0.5 * math.pi if regime.endswith("forward") else 1.5 * math.pi
-        pinned = dict(gamma=gamma, g=0.5 * gamma, phi=phi, theta=phi + shift)
+        pinned = dict(gamma=gamma, phi=phi)
+        own = dict(g=0.5 * gamma, theta=phi + shift)
+    pinned.update(own)
     if swept in pinned:
         raise SweepSpecError(f"--regime {regime} fixes {swept}, so {swept} cannot be swept")
+    clash = sorted(given & own.keys())
+    if clash:
+        raise SweepSpecError(f"--regime {regime} fixes {clash[0]}, "
+                             f"so --set {clash[0]} conflicts with it")
     return {**fixed, **pinned}
 
 
@@ -131,13 +143,15 @@ def main(argv: list[str] | None = None) -> int:
             if args.config:
                 fixed = load_config(args.config).as_dict()
                 fixed.pop(name, None)  # a config file lists every key, the swept one too
+            given: set[str] = set()
             for assignment in args.set:
                 key, val = _parse_set_arg(assignment)
                 if key == name:
                     raise SweepSpecError(f"--set {key} conflicts with --sweep {name}")
                 fixed[key] = val
+                given.add(key)
             if args.regime:
-                fixed = _apply_regime(fixed, args.regime, name)
+                fixed = _apply_regime(fixed, args.regime, name, given)
             observables: list[str] = []
             for entry in args.observable or ["populations"]:
                 observables += [x.strip() for x in entry.split(",") if x.strip()]

@@ -10,15 +10,21 @@ the density-matrix oracle is never called.  A decomposition with a
 second-order pole has no (omega, gamma, L, K) table, so it is a null cell
 while the spectrum of the same point is still written.
 
-Both formats write floats round-trip exact: CSV as 17 significant digits
-(``nan``, ``inf``), JSON as ``json.dumps(doc, sort_keys=True, indent=1)``
-writes them (``float.__repr__``; ``NaN``, ``Infinity``).  Spectrum blocks are
-written in bulk, one format call per block, with the same bytes.  Identical
+Both formats write floats round-trip exact: CSV as ``"%.17g"`` writes them
+(17 significant digits; ``nan``, ``inf``), JSON as ``json.dumps(doc,
+sort_keys=True, indent=1)`` writes them (``float.__repr__``; ``NaN``,
+``Infinity``).  The scalar table is written one ``%`` call per row.  The
+floats of all CSV spectrum and decomposition blocks of a result are converted
+together in vectorized passes (``floattext``) that write the same bytes as
+one ``"%.17g"`` call per float: an exact double-double scaling gives the 17
+digits, and any element it cannot settle (zeros, non-finite, subnormal or
+extreme values, near-ties) is written by ``"%.17g"`` itself.  Identical
 results give identical bytes within one numpy/LAPACK build.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -28,16 +34,13 @@ import numpy as np
 from . import __version__
 from . import closed_forms
 from .errors import SweepSpecError, UnsupportedConfigurationError
+from .floattext import _G17, _csv_blocks
 from .moments import (G2_NORM_FLOOR, IDX_N1, IDX_N2, IDX_NX, _populations, _solve_stack,
                       build_moment_systems)
 from .params import CONFIG_KEYS, SystemParams, classify_regime
 from .spectrum import _check_defined, _decompose_stack, default_grid, evaluate_spectrum
 
 OBSERVABLES = ("populations", "g2", "spectrum", "decomposition", "eigenvalues")
-
-#: CSV float text: 17 significant digits, round-trip exact.  The %-operator
-#: writes the same text as f"{x:.17g}", nan, inf and -0 included.
-_G17 = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -289,12 +292,6 @@ def emit(result: SweepResult, format: str = "csv") -> bytes:
     raise SweepSpecError(f"unknown output format {format!r} (valid: csv, json)")
 
 
-def _csv_table(rows: np.ndarray) -> str:
-    """Rows of a float table as CSV lines, written by one %-format call."""
-    n, k = rows.shape
-    return ((",".join([_G17] * k) + "\n") * n) % tuple(rows.ravel().tolist())
-
-
 def _header(result: SweepResult) -> dict:
     """Document keys shared by the CSV metadata line and the JSON document."""
     return {
@@ -309,24 +306,28 @@ def _header(result: SweepResult) -> dict:
 
 
 def _emit_csv(result: SweepResult) -> bytes:
-    out = [f"# {json.dumps(_header(result), sort_keys=True)}\n"]
+    param = result.spec.param
+    head = [f"# {json.dumps(_header(result), sort_keys=True)}\n"]
     if result.spec.observables:
-        out.append(",".join(result.columns) + "\n")
-        out += [",".join("" if v is None else _G17 % v for v in row) + "\n"
-                for row in result.rows]
+        row_text = ",".join([_G17] * len(result.columns)) + "\n"
+        head.append(",".join(result.columns) + "\n")
+        head += [row_text % row if None not in row else
+                 ",".join("" if v is None else _G17 % v for v in row) + "\n"
+                 for row in result.rows]
     else:
-        out.append(result.spec.param + "\n")
-    for block in result.spectra:
-        out.append(f"\n# spectrum {result.spec.param} = {_G17 % block.value} "
-                   f"delta_weight = {_G17 % block.delta_weight}\n")
-        out.append("omega,spectral_density\n")
-        out.append(_csv_table(np.column_stack((block.grid, block.values))))
-    for block in result.decompositions:
-        out.append(f"\n# decomposition {result.spec.param} = {_G17 % block.value} "
-                   f"delta_weight = {_G17 % block.delta_weight}\n")
-        out.append("omega_zeta,gamma_zeta,L_zeta,K_zeta\n")
-        out.append(_csv_table(np.array(block.components, dtype=float).reshape(-1, 4)))
-    return "".join(out).encode()
+        head.append(param + "\n")
+    titles = [f"\n# spectrum {param} = {_G17 % b.value} delta_weight = {_G17 % b.delta_weight}"
+              "\nomega,spectral_density\n" for b in result.spectra]
+    titles += [f"\n# decomposition {param} = {_G17 % b.value} delta_weight = "
+               f"{_G17 % b.delta_weight}\nomega_zeta,gamma_zeta,L_zeta,K_zeta\n"
+               for b in result.decompositions]
+    # Each table is built when the writer reaches it, so few are held at once.
+    tables = itertools.chain((np.column_stack((b.grid, b.values)) for b in result.spectra),
+                             (np.array(b.components, dtype=float).reshape(-1, 4)
+                              for b in result.decompositions))
+    out = ["".join(head).encode()]
+    out += _csv_blocks([t.encode() for t in titles], tables)
+    return b"".join(out)
 
 
 def _json_floats(values: np.ndarray, depth: int) -> str:

@@ -92,7 +92,9 @@ def reference_json(result):
 REFERENCE = {"csv": reference_csv, "json": reference_json}
 
 EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
-            math.nan, math.inf, -math.inf, 0.1, 1e16, 1e-7, 123456789.0]
+            math.nan, math.inf, -math.inf, 0.1, 1e16, 1e-7, 123456789.0,
+            # exact ties for 17-digit rounding, and the edges of fixed and scientific notation
+            1e15 + 0.25, 1e15 + 0.75, 1e-5, 9.9999999999999995e-5, 99999999999999999.0]
 
 
 def synthetic(observables=("populations", "spectrum", "decomposition"), spectra=True,
@@ -112,12 +114,13 @@ def synthetic(observables=("populations", "spectrum", "decomposition"), spectra=
         notes=("", "spectrum:null"),
         spectra=(
             SpectrumBlock(-0.0, grid, grid[::-1], math.nan),
-            SpectrumBlock(math.inf, np.arange(13.0), -grid, 5e-324),
+            SpectrumBlock(math.inf, np.arange(float(grid.size)), -grid, 5e-324),
         ) if spectra else (),
         decompositions=(
             DecompositionBlock(1.0, ((-0.0, math.inf, math.nan, 5e-324),
                                      (1.0, 2.0, 3.0, 1.7976931348623157e308)), -math.inf),
             DecompositionBlock(2.0, (), 0.5),
+            DecompositionBlock(3.0, ((1, -2, 3, 40),), 0.25),  # integer cells
         ) if decompositions else (),
     )
 

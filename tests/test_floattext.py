@@ -1,0 +1,116 @@
+"""The vectorized block writer against "%.17g", float by float.
+
+floattext._csv_blocks must write exactly the text of one "%.17g" call per
+float: a seeded corpus of random bit patterns and hard cases, a hypothesis
+property, tables that straddle the writer's chunks, and a guard that the
+per-element fallback stays the exception on real spectra.
+"""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mollowpair import floattext
+from mollowpair.floattext import _csv_blocks
+from mollowpair.sweep import emit, load_preset, preset_names, run_sweep
+
+MAX = sys.float_info.max
+TINY = sys.float_info.min  # smallest normal
+
+
+def block_text(values, columns=1):
+    flat = np.asarray(values, dtype=float)
+    return b"".join(_csv_blocks([b""], [flat.reshape(-1, columns)])).decode()
+
+
+def reference_text(values, columns=1):
+    row = ",".join(["%.17g"] * columns) + "\n"
+    return (row * (len(values) // columns)) % tuple(np.asarray(values, dtype=float).tolist())
+
+
+def assert_same_text(values, columns=1):
+    got, want = block_text(values, columns), reference_text(values, columns)
+    if got != want:
+        bad = next(i for i, (g, w) in enumerate(zip(got.split("\n"), want.split("\n"))) if g != w)
+        pytest.fail(f"row {bad}: {got.split(chr(10))[bad]!r} != {want.split(chr(10))[bad]!r}")
+
+
+def powers_of_ten():
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    return np.concatenate([powers, np.nextafter(powers, -np.inf), np.nextafter(powers, np.inf)])
+
+
+def ties():
+    # 16-digit integers plus a quarter: 18 significant digits ending in 5, so
+    # 17-digit rounding is an exact tie (to even).
+    n = np.random.default_rng(7).integers(10**15, 10**16, 500).astype(float)
+    return np.concatenate([[1e15 + 0.25, 1e15 + 0.75], n + 0.25, n + 0.75])
+
+
+EDGES = [
+    1e-5, 9.9999999999999995e-5, 1e-4, 0.0001, 9.99999999999999e-5, 1e16, 99999999999999999.0,
+    1e17, 9.999999999999999e16, 12345678901234567.0, 0.5, 0.1, 1.0, 2.0 / 3.0,
+    1.2345e-123, 6.02214076e200, 1e-100, 1e100, 9.999999999999999e99, 1e-280, 1e280,
+    9.999999999999999e-281, 1.0000000000000001e280,
+    0.0, -0.0, math.nan, math.inf, -math.inf, MAX, -MAX, TINY, -TINY,
+    5e-324, -5e-324, 2.2250738585072009e-308, 1.5e-310, 4.9406564584124654e-320,
+]
+
+
+def test_corpus_matches_g17():
+    # 2**20 seeded random bit patterns cover every exponent and both signs,
+    # specials included; then every power of ten and its neighbours, ties and
+    # edges, each with both signs.
+    bits = np.random.default_rng(20261019).integers(0, 2**64, 2**20, dtype=np.uint64)
+    cases = np.concatenate([powers_of_ten(), ties(), EDGES])
+    assert_same_text(np.concatenate([bits.view(np.float64), cases, -cases]), columns=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_any_floats_match_g17(values):
+    assert_same_text(values)
+
+
+def test_tables_split_back_across_chunks():
+    # Tables of 1, 2 and 4 columns, one empty, straddling the chunk bounds.
+    rng = np.random.default_rng(3)
+    shapes = [(3, 4), (floattext._CHUNK - 1, 2), (0, 4), (1, 1), (floattext._CHUNK + 5, 2), (2, 4)]
+    tables = [rng.standard_normal((n, k)) * 10.0 ** rng.integers(-30, 30, (n, k))
+              for n, k in shapes]
+    titles = [f"# table {k}\n".encode() for k in range(len(tables))]
+    text = b"".join(_csv_blocks(titles, iter(tables)))
+    assert text.decode() == "".join(f"# table {k}\n" + reference_text(t.ravel(), t.shape[1])
+                                    for k, t in enumerate(tables))
+
+
+class CountingFormat(str):
+    """The "%.17g" format string, counting the floats it formats."""
+
+    calls = 0
+
+    def __mod__(self, value):
+        CountingFormat.calls += 1
+        return str.__mod__(self, value)
+
+
+SPECTRUM_PRESETS = [name for name in preset_names()
+                    if {"spectrum", "decomposition"} & set(load_preset(name).observables)]
+
+
+@pytest.mark.parametrize("name", SPECTRUM_PRESETS)
+def test_fallback_only_for_zeros_and_nonfinite(name, monkeypatch):
+    # Byte tests pass even if every float went through the per-element
+    # fallback; this pins the fast path as the rule on real spectra.
+    result = run_sweep(load_preset(name))
+    floats = np.concatenate([np.column_stack((b.grid, b.values)).ravel() for b in result.spectra]
+                            + [np.ravel(b.components) for b in result.decompositions])
+    monkeypatch.setattr(floattext, "_G17", CountingFormat("%.17g"))
+    CountingFormat.calls = 0
+    emit(result, "csv")
+    assert floats.size > 1000
+    assert CountingFormat.calls == np.count_nonzero((floats == 0) | ~np.isfinite(floats))

@@ -755,6 +755,30 @@ def test_cli_regime_rejects_sweeping_a_parameter_it_fixes(regime, param, capsys)
         "", f"error: --regime {regime} fixes {param}, so {param} cannot be swept\n")
 
 
+@pytest.mark.parametrize("regime, key", [
+    ("coherent", "gamma"), ("dissipative", "g"),
+    *[(f"unidirectional-{way}", key) for way in ("forward", "backward")
+      for key in ("g", "theta")]])
+def test_cli_regime_rejects_a_set_it_would_override(regime, key, capsys):
+    # The regime would silently replace the --set value; an error names both.
+    assert cli.main(["--regime", regime, "--set", f"{key}=0.3",
+                     "--sweep", "omega1:1:2:2:linear"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --regime {regime} fixes {key}, so --set {key} conflicts with it\n")
+
+
+def test_cli_regime_overrides_config_values_and_reads_set_ones(tmp_path, capsys):
+    # A --config file lists every key, so the regime's values replace its
+    # own; a --set value the regime only reads (gamma here) is kept.
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("gamma = 0.5\ng = 1\ntheta = 0.2\n")
+    assert cli.main(["--config", str(cfg), "--set", "gamma=0.6", "--regime",
+                     "unidirectional-forward", "--sweep", "omega1:1:2:2:linear"]) == 0
+    out, err = capsys.readouterr()
+    fixed = json.loads(out.splitlines()[0][2:])["spec"]["fixed"]
+    assert err == "" and (fixed["gamma"], fixed["g"], fixed["theta"]) == (0.6, 0.3, np.pi / 2)
+
+
 @pytest.mark.parametrize("source, code", [("set", 2), ("config", 0)])
 def test_cli_swept_parameter_given_as_fixed(source, code, tmp_path, capsys):
     # A --set of the swept parameter conflicts with the grid; a --config file
