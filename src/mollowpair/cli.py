@@ -146,6 +146,8 @@ def main(argv: list[str] | None = None) -> int:
             given: set[str] = set()
             for assignment in args.set:
                 key, val = _parse_set_arg(assignment)
+                if key in given:
+                    raise SweepSpecError(f"--set {key} given twice")
                 if key == name:
                     raise SweepSpecError(f"--set {key} conflicts with --sweep {name}")
                 fixed[key] = val

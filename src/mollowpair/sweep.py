@@ -24,8 +24,11 @@ results give identical bytes within one numpy/LAPACK build.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -43,6 +46,15 @@ from .spectrum import _check_defined, _decompose_stack, default_grid, evaluate_s
 OBSERVABLES = ("populations", "g2", "spectrum", "decomposition", "eigenvalues")
 
 
+def _check_keys(kind, doc) -> None:
+    """Raise SweepSpecError unless doc is a dict keyed by exactly the fields of kind."""
+    names = [f.name for f in dataclasses.fields(kind)]
+    if not isinstance(doc, dict) or doc.keys() != set(names):
+        got = ", ".join(doc) if isinstance(doc, dict) else type(doc).__name__
+        raise SweepSpecError(f"a {kind.__name__} document has the keys "
+                             f"{', '.join(names)}; got {got}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """One-dimensional sweep grid: endpoints, count and spacing."""
@@ -53,6 +65,9 @@ class GridSpec:
     scale: str = "linear"
 
     def __post_init__(self):
+        for bound in ("min", "max"):
+            if not math.isfinite(getattr(self, bound)):
+                raise SweepSpecError(f"grid {bound} must be finite, got {getattr(self, bound)}")
         if self.count < 2:
             raise SweepSpecError(f"grid count must be >= 2, got {self.count}")
         if self.scale not in ("linear", "log"):
@@ -80,6 +95,8 @@ class SweepSpec:
     spectrum_points: int = 2001
 
     def __post_init__(self):
+        object.__setattr__(self, "fixed", dict(sorted(self.fixed.items())))
+        object.__setattr__(self, "observables", tuple(self.observables))
         if self.param not in CONFIG_KEYS:
             raise SweepSpecError(
                 f"unknown sweep parameter {self.param!r} (valid: {', '.join(CONFIG_KEYS)})"
@@ -89,28 +106,30 @@ class SweepSpec:
         for key in self.fixed:
             if key not in CONFIG_KEYS:
                 raise SweepSpecError(f"unknown fixed parameter {key!r}")
-        for obs in self.observables:
+        for k, obs in enumerate(self.observables):
             if obs not in OBSERVABLES:
                 raise SweepSpecError(
                     f"unknown observable {obs!r} (valid: {', '.join(OBSERVABLES)})"
                 )
+            if obs in self.observables[:k]:
+                raise SweepSpecError(f"observable {obs!r} given twice")
         if self.spectrum_points < 9:
             raise SweepSpecError("spectrum_points must be >= 9")
-        object.__setattr__(self, "observables", tuple(self.observables))
 
     def point(self, value: float) -> SystemParams:
         return SystemParams(**{**self.fixed, self.param: float(value)})
 
     def as_dict(self) -> dict:
-        return {
-            "param": self.param,
-            "grid": {"min": self.grid.min, "max": self.grid.max,
-                     "count": self.grid.count, "scale": self.grid.scale},
-            "fixed": dict(sorted(self.fixed.items())),
-            "observables": list(self.observables),
-            "fastpath": self.fastpath,
-            "spectrum_points": self.spectrum_points,
-        }
+        """The spec document: every field by name, the grid nested (from_dict's inverse)."""
+        return {**vars(self), "grid": dict(vars(self.grid)), "fixed": dict(self.fixed),
+                "observables": list(self.observables)}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> SweepSpec:
+        """The spec that as_dict wrote doc from; the keys must be exactly the fields."""
+        _check_keys(cls, doc)
+        _check_keys(GridSpec, doc["grid"])
+        return cls(**{**doc, "grid": GridSpec(**doc["grid"])})
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,11 +239,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     n1, n2, nx = u[:, [IDX_N1, IDX_N2, IDX_NX]].real.T
     if "populations" in obs:
         pops = [column.tolist() for column in _populations(n1, n2, nx)]
+        degenerate = [""] * n  # the note where the closed form is a non-unique steady state
         for k in fast:
             cf = closed_forms.regime_populations(points[k], regimes[k])
             pops[0][k], pops[1][k], pops[2][k], pops[3][k] = cf.rho00, cf.rho10, cf.rho01, cf.rho11
+            degenerate[k] = "populations:degenerate-steady-state" if cf.degenerate else ""
         columns += pops
         path_parts.append([("populations:moments", "populations:closed-form")[c] for c in closed])
+        note_parts.append(degenerate)
 
     if "g2" in obs:
         # Null without drive, or where the moment path's n1 * n2 underflows.
@@ -294,15 +316,9 @@ def emit(result: SweepResult, format: str = "csv") -> bytes:
 
 def _header(result: SweepResult) -> dict:
     """Document keys shared by the CSV metadata line and the JSON document."""
-    return {
-        "schema": "mollowpair.sweep",
-        "schema_version": 1,
-        "artifact_version": result.version,
-        "spec": result.spec.as_dict(),
-        "regimes": list(result.regimes),
-        "paths": list(result.paths),
-        "notes": list(result.notes),
-    }
+    return {"schema": "mollowpair.sweep", "schema_version": 1,
+            "artifact_version": result.version, "spec": result.spec.as_dict(),
+            "regimes": result.regimes, "paths": result.paths, "notes": result.notes}
 
 
 def _emit_csv(result: SweepResult) -> bytes:
@@ -359,16 +375,9 @@ def _emit_json(result: SweepResult) -> bytes:
     document goes through json.dumps and the spectra list is appended whole
     in place of its closing brace.
     """
-    doc = {
-        **_header(result),
-        "columns": list(result.columns),
-        "rows": [list(r) for r in result.rows],
-        "decompositions": [
-            {"value": b.value, "delta_weight": b.delta_weight,
-             "components": [list(c) for c in b.components]}
-            for b in result.decompositions
-        ],
-    }
+    doc = {**_header(result), "columns": result.columns, "rows": result.rows,
+           "decompositions": [{"value": b.value, "delta_weight": b.delta_weight,
+                               "components": b.components} for b in result.decompositions]}
     head = json.dumps(doc, sort_keys=True, indent=1)
     spectra = ",\n  ".join(_json_spectrum(b) for b in result.spectra)
     spectra = "[\n  " + spectra + "\n ]" if spectra else "[]"
@@ -380,43 +389,23 @@ def parse_json(data: bytes | str) -> SweepResult:
     doc = json.loads(data)
     if doc.get("schema") != "mollowpair.sweep" or doc.get("schema_version") != 1:
         raise SweepSpecError("not a mollowpair sweep document (schema mismatch)")
-    sd = doc["spec"]
-    spec = SweepSpec(
-        param=sd["param"],
-        grid=GridSpec(**sd["grid"]),
-        fixed=dict(sd["fixed"]),
-        observables=tuple(sd["observables"]),
-        fastpath=sd["fastpath"],
-        spectrum_points=sd["spectrum_points"],
-    )
     return SweepResult(
-        spec=spec,
-        columns=tuple(doc["columns"]),
-        rows=tuple(tuple(v for v in row) for row in doc["rows"]),
-        regimes=tuple(doc["regimes"]),
-        paths=tuple(doc["paths"]),
-        notes=tuple(doc["notes"]),
-        spectra=tuple(
-            SpectrumBlock(b["value"], b["grid"], b["values"], b["delta_weight"])
-            for b in doc["spectra"]
-        ),
-        decompositions=tuple(
-            DecompositionBlock(b["value"],
-                               tuple(tuple(c) for c in b["components"]),
-                               b["delta_weight"])
-            for b in doc["decompositions"]
-        ),
-        version=doc["artifact_version"],
-    )
+        SweepSpec.from_dict(doc["spec"]), tuple(doc["columns"]), tuple(map(tuple, doc["rows"])),
+        tuple(doc["regimes"]), tuple(doc["paths"]), tuple(doc["notes"]),
+        tuple(SpectrumBlock(**b) for b in doc["spectra"]),
+        tuple(DecompositionBlock(**{**b, "components": tuple(map(tuple, b["components"]))})
+              for b in doc["decompositions"]),
+        doc["artifact_version"])
 
 
 # ---------------------------------------------------------------------------
 # Presets
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _load_preset_file() -> dict:
-    text = resources.files("mollowpair").joinpath("data/presets.json").read_text()
-    return json.loads(text)
+    """The preset catalog, read once and shared: callers must not change it."""
+    return json.loads(resources.files("mollowpair").joinpath("data/presets.json").read_text())
 
 
 def preset_names() -> tuple[str, ...]:
@@ -436,11 +425,4 @@ def preset_description(name: str) -> str:
 
 def load_preset(name: str) -> SweepSpec:
     """Build the SweepSpec of a named figure-reproduction preset."""
-    entry = _preset_entry(name)
-    sw = entry["sweep"]
-    return SweepSpec(
-        param=sw["param"],
-        grid=GridSpec(min=sw["min"], max=sw["max"], count=sw["count"], scale=sw["scale"]),
-        fixed={k: float(v) for k, v in entry["fixed"].items()},
-        observables=tuple(entry["observables"]),
-    )
+    return SweepSpec.from_dict(_preset_entry(name)["spec"])

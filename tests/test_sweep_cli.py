@@ -73,6 +73,56 @@ def test_spec_validation():
         small_spec(observables=("brightness",))
 
 
+@pytest.mark.parametrize("bounds, bound, got", [
+    ((1.0, np.inf), "max", "inf"), ((-np.inf, 1.0), "min", "-inf"), ((np.nan, 1.0), "min", "nan"),
+    ((1.0, np.nan), "max", "nan")])
+@pytest.mark.parametrize("scale", ["linear", "log"])
+def test_grid_rejects_non_finite_bounds(bounds, bound, got, scale):
+    with pytest.raises(SweepSpecError, match=f"^grid {bound} must be finite, got {got}$"):
+        GridSpec(*bounds, 2, scale)
+
+
+def test_cli_non_finite_grid_bound_exits_2_without_warning():
+    for scale in ("linear", "log"):
+        proc = run_cli("--sweep", f"omega1:1:inf:2:{scale}")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: bad --sweep value 'omega1:1:inf:2:{scale}': "
+                               "grid max must be finite, got inf\n")
+
+
+def test_repeated_observable_rejected():
+    with pytest.raises(SweepSpecError, match="^observable 'populations' given twice$"):
+        small_spec(observables=("populations", "g2", "populations"))
+    proc = run_cli("--sweep", "omega1:1:2:2:linear", "--observable", "populations,populations")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: observable 'populations' given twice\n"
+
+
+def test_spec_document_round_trip():
+    spec = small_spec(observables=("g2", "spectrum"), fastpath=False, spectrum_points=101)
+    doc = spec.as_dict()
+    assert list(doc) == [f.name for f in dataclasses.fields(SweepSpec)]
+    assert SweepSpec.from_dict(doc) == spec
+    assert SweepSpec.from_dict(json.loads(json.dumps(doc))) == spec
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("fastpath"), lambda d: d.update(points=3), lambda d: d["grid"].pop("scale"),
+    lambda d: d["grid"].update(step=0.1), lambda d: d.update(grid=[0.0, 1.0, 3, "linear"])],
+    ids=["missing-key", "unknown-key", "grid-missing-key", "grid-unknown-key", "grid-not-object"])
+def test_spec_document_needs_exactly_the_fields(edit):
+    doc = small_spec().as_dict()
+    edit(doc)
+    with pytest.raises(SweepSpecError, match="document has the keys"):
+        SweepSpec.from_dict(doc)
+
+
+def test_parse_json_rejects_infinite_grid_bound():
+    text = emit(run_sweep(small_spec()), "json").decode().replace('"max": 100.0', '"max": Infinity')
+    with pytest.raises(SweepSpecError, match="grid max must be finite, got inf"):
+        parse_json(text)
+
+
 def test_log_grid_endpoints():
     vals = GridSpec(min=0.25, max=2.0, count=4, scale="log").values()
     np.testing.assert_allclose(vals, [0.25, 0.5, 1.0, 2.0], rtol=1e-12)
@@ -111,6 +161,17 @@ def test_g2_null_marker_where_moment_product_underflows():
     assert [row[1] for row in result.rows] == [None, None]
     assert result.paths == ("g2:null", "g2:null")
     assert result.notes == ("g2:undefined-correlator", "g2:undefined-correlator")
+
+
+def test_degenerate_closed_form_point_is_noted():
+    # At g = 0, gamma = gamma0 and zero drive the steady state is not unique:
+    # the closed form gives the decaying-dynamics limit and says so.
+    spec = SweepSpec(param="omega1", grid=GridSpec(0.0, 1.0, 2), fixed={"g": 0.0, "gamma": 1.0},
+                     observables=("populations", "g2"))
+    result = run_sweep(spec)
+    assert result.rows[0] == (0.0, 1.0, 0.0, 0.0, 0.0, None)
+    assert result.paths[0] == "populations:closed-form;g2:null"
+    assert result.notes == ("populations:degenerate-steady-state;g2:undefined-correlator", "")
 
 
 def test_fastpath_agrees_with_forced_numeric():
@@ -289,6 +350,7 @@ def _per_point_reference(spec, columns):
             pops = closed_forms.regime_populations(p, regime) if closed else populations(state)
             row += [pops.rho00, pops.rho10, pops.rho01, pops.rho11]
             path.append(f"populations:{via}")
+            note += ["populations:degenerate-steady-state"] if pops.degenerate else []
         if "g2" in obs:
             g2 = None
             if p.omega1 != 0.0 or p.omega2 != 0.0:
@@ -360,6 +422,12 @@ _WEAK_DRIVE_DIAGONAL = dict(param="gamma", grid=GridSpec(min=0.3, max=0.7, count
                             fixed={"g": 0.25, "theta": np.pi / 2, "omega1": 1e-3},
                             observables=("populations", "g2"))
 
+#: The trapping line (g = 0, gamma = gamma0) driven from omega1 = 0: the first
+#: point's closed-form populations are the degenerate steady state, noted.
+_TRAPPING_FROM_ZERO_DRIVE = dict(param="omega1", grid=GridSpec(min=0.0, max=1.0, count=3),
+                                 fixed={"g": 0.0, "gamma": 1.0}, spectrum_points=101,
+                                 observables=("populations", "g2", "spectrum"))
+
 
 @pytest.mark.parametrize("kw, closed", [
     pytest.param({**_ONE_WAY_DIAGONAL, "observables": ("populations", "g2")},
@@ -375,6 +443,7 @@ _WEAK_DRIVE_DIAGONAL = dict(param="gamma", grid=GridSpec(min=0.3, max=0.7, count
     pytest.param(_G2_UNDERFLOW, [False] * 4, id="g2-underflow"),
     pytest.param(_WEAK_DRIVE_DIAGONAL, [False, False, True, False, False],
                  id="weak-drive-one-way-diagonal"),
+    pytest.param(_TRAPPING_FROM_ZERO_DRIVE, [True] * 3, id="trapping-from-zero-drive"),
 ])
 def test_batched_sweep_matches_per_point_reference(kw, closed):
     # Every row, path, note and block of the batched sweep, bit for bit, as
@@ -557,9 +626,7 @@ def test_required_presets_exist():
 def test_preset_runs_end_to_end(name):
     spec = load_preset(name)
     if "spectrum" in spec.observables:
-        spec = SweepSpec(param=spec.param, grid=spec.grid, fixed=spec.fixed,
-                         observables=spec.observables, fastpath=spec.fastpath,
-                         spectrum_points=401)
+        spec = dataclasses.replace(spec, spectrum_points=401)
     result = run_sweep(spec)
     assert len(result.rows) == spec.grid.count
     payload = emit(result, "csv")
@@ -578,6 +645,30 @@ def test_fig5_trapping_limit():
     result = run_sweep(load_preset("fig5"))
     first = result.rows[0]
     assert first[1] == pytest.approx(0.5, abs=1e-3)
+
+
+def test_preset_catalog_entries_are_canonical_spec_documents():
+    catalog = mollowpair.sweep._load_preset_file()
+    assert (catalog["schema"], catalog["version"]) == ("mollowpair.presets", 2)
+    for name, entry in catalog["presets"].items():
+        assert {"description", "approximate", "spec"} <= entry.keys() <= {
+            "description", "approximate", "note", "spec"}, name
+        assert SweepSpec.from_dict(entry["spec"]).as_dict() == entry["spec"], name
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_preset_spec_survives_both_output_headers(name):
+    spec = load_preset(name)
+    result = run_sweep(spec)
+    meta = json.loads(emit(result, "csv").split(b"\n", 1)[0][2:])
+    assert SweepSpec.from_dict(meta["spec"]) == spec
+    assert parse_json(emit(result, "json")).spec == spec
+
+
+def test_load_preset_gives_a_spec_of_its_own():
+    spec = load_preset("fig9")
+    spec.fixed["g"] = 7.0
+    assert load_preset("fig9").fixed["g"] == 0.5
 
 
 def test_unknown_preset_rejected():
@@ -765,6 +856,12 @@ def test_cli_regime_rejects_a_set_it_would_override(regime, key, capsys):
                      "--sweep", "omega1:1:2:2:linear"]) == 2
     assert capsys.readouterr() == (
         "", f"error: --regime {regime} fixes {key}, so --set {key} conflicts with it\n")
+
+
+def test_cli_repeated_set_key_rejected(capsys):
+    # The second value would silently replace the first.
+    assert cli.main(["--set", "g=1", "--set", "g=2", "--sweep", "omega1:1:2:2:linear"]) == 2
+    assert capsys.readouterr() == ("", "error: --set g given twice\n")
 
 
 def test_cli_regime_overrides_config_values_and_reads_set_ones(tmp_path, capsys):
