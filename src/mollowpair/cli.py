@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 
@@ -89,7 +90,9 @@ def _reject(args: argparse.Namespace, dests: list[str] | tuple[str, ...], by: st
         raise SweepSpecError(f"{by} cannot be combined with {', '.join(given)}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parse_args leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="mollowpair",
         description="Sweep observables of a driven pair of coupled two-level systems "

@@ -14,11 +14,12 @@ Both formats write floats round-trip exact: CSV as ``"%.17g"`` writes them
 (17 significant digits; ``nan``, ``inf``), JSON as ``json.dumps(doc,
 sort_keys=True, indent=1)`` writes them (``float.__repr__``; ``NaN``,
 ``Infinity``).  The scalar table is written one ``%`` call per row.  The
-floats of all CSV spectrum and decomposition blocks of a result are converted
-together in vectorized passes (``floattext``) that write the same bytes as
-one ``"%.17g"`` call per float: an exact double-double scaling gives the 17
+floats of all CSV spectrum and decomposition blocks of a result, and each
+float array of a JSON spectrum block, are converted in vectorized passes
+(``floattext``) that write the same bytes as one ``"%.17g"`` or
+``float.__repr__`` call per float: an exact double-double scaling gives the
 digits, and any element it cannot settle (zeros, non-finite, subnormal or
-extreme values, near-ties) is written by ``"%.17g"`` itself.  Identical
+extreme values, near-ties) is written by that call itself.  Identical
 results give identical bytes within one numpy/LAPACK build.
 """
 
@@ -29,6 +30,7 @@ import functools
 import itertools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -37,7 +39,7 @@ import numpy as np
 from . import __version__
 from . import closed_forms
 from .errors import SweepSpecError, UnsupportedConfigurationError
-from .floattext import _G17, _csv_blocks
+from .floattext import _G17, _csv_blocks, _json_array
 from .moments import (G2_NORM_FLOOR, IDX_N1, IDX_N2, IDX_NX, _populations, _solve_stack,
                       build_moment_systems)
 from .params import CONFIG_KEYS, SystemParams, classify_regime
@@ -55,6 +57,12 @@ def _check_keys(kind, doc) -> None:
                              f"{', '.join(names)}; got {got}")
 
 
+def _check_type(name: str, value, kind, noun: str) -> None:
+    """Raise SweepSpecError naming the field unless value is a kind; a bool is only a bool."""
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+        raise SweepSpecError(f"{name} must be {noun}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """One-dimensional sweep grid: endpoints, count and spacing."""
@@ -66,8 +74,10 @@ class GridSpec:
 
     def __post_init__(self):
         for bound in ("min", "max"):
+            _check_type(f"grid {bound}", getattr(self, bound), (int, float), "a number")
             if not math.isfinite(getattr(self, bound)):
                 raise SweepSpecError(f"grid {bound} must be finite, got {getattr(self, bound)}")
+        _check_type("grid count", self.count, int, "an int")
         if self.count < 2:
             raise SweepSpecError(f"grid count must be >= 2, got {self.count}")
         if self.scale not in ("linear", "log"):
@@ -103,9 +113,10 @@ class SweepSpec:
             )
         if self.param in self.fixed:
             raise SweepSpecError(f"swept parameter {self.param!r} also appears in fixed parameters")
-        for key in self.fixed:
+        for key, value in self.fixed.items():
             if key not in CONFIG_KEYS:
                 raise SweepSpecError(f"unknown fixed parameter {key!r}")
+            _check_type(f"fixed {key}", value, (int, float), "a number")
         for k, obs in enumerate(self.observables):
             if obs not in OBSERVABLES:
                 raise SweepSpecError(
@@ -113,6 +124,8 @@ class SweepSpec:
                 )
             if obs in self.observables[:k]:
                 raise SweepSpecError(f"observable {obs!r} given twice")
+        _check_type("fastpath", self.fastpath, bool, "a bool")
+        _check_type("spectrum_points", self.spectrum_points, int, "an int")
         if self.spectrum_points < 9:
             raise SweepSpecError("spectrum_points must be >= 9")
 
@@ -346,26 +359,19 @@ def _emit_csv(result: SweepResult) -> bytes:
     return b"".join(out)
 
 
-def _json_floats(values: np.ndarray, depth: int) -> str:
-    """A float array as json.dumps(..., indent=1) writes it at nesting depth.
-
-    The compact encoder writes each float as the indented one does
-    (float.__repr__; NaN, Infinity, -Infinity); its item separator carries
-    the newline and indentation of the next item.
-    """
-    if values.size == 0:
-        return "[]"
-    inner = "\n" + " " * (depth + 1)
-    text = json.dumps(values.tolist(), separators=("," + inner, ":"))
-    return "[" + inner + text[1:-1] + "\n" + " " * depth + "]"
-
-
-def _json_spectrum(b: SpectrumBlock) -> str:
-    """One spectrum block as the element of a list at depth 1 (keys sorted)."""
-    return (f'{{\n   "delta_weight": {json.dumps(b.delta_weight)},'
-            f'\n   "grid": {_json_floats(b.grid, 3)},'
-            f'\n   "value": {json.dumps(b.value)},'
-            f'\n   "values": {_json_floats(b.values, 3)}\n  }}')
+def _json_spectra(spectra: tuple[SpectrumBlock, ...]) -> Iterator[bytes]:
+    """The spectra list as the value of a top-level key, in pieces (block keys sorted)."""
+    if not spectra:
+        yield b"[]"
+        return
+    for k, b in enumerate(spectra):
+        yield b",\n  {" if k else b"[\n  {"
+        yield f'\n   "delta_weight": {json.dumps(b.delta_weight)},\n   "grid": '.encode()
+        yield _json_array(b.grid, b"    ")
+        yield f',\n   "value": {json.dumps(b.value)},\n   "values": '.encode()
+        yield _json_array(b.values, b"    ")
+        yield b"\n  }"
+    yield b"\n ]"
 
 
 def _emit_json(result: SweepResult) -> bytes:
@@ -373,15 +379,13 @@ def _emit_json(result: SweepResult) -> bytes:
 
     Under sort_keys "spectra" is the last top-level key, so the rest of the
     document goes through json.dumps and the spectra list is appended whole
-    in place of its closing brace.
+    in place of its closing brace, its float arrays written by floattext.
     """
     doc = {**_header(result), "columns": result.columns, "rows": result.rows,
            "decompositions": [{"value": b.value, "delta_weight": b.delta_weight,
                                "components": b.components} for b in result.decompositions]}
-    head = json.dumps(doc, sort_keys=True, indent=1)
-    spectra = ",\n  ".join(_json_spectrum(b) for b in result.spectra)
-    spectra = "[\n  " + spectra + "\n ]" if spectra else "[]"
-    return (head[:-2] + ',\n "spectra": ' + spectra + "\n}").encode()
+    head = json.dumps(doc, sort_keys=True, indent=1)[:-2] + ',\n "spectra": '
+    return b"".join([head.encode(), *_json_spectra(result.spectra), b"\n}"])
 
 
 def parse_json(data: bytes | str) -> SweepResult:

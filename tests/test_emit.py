@@ -94,7 +94,9 @@ REFERENCE = {"csv": reference_csv, "json": reference_json}
 EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
             math.nan, math.inf, -math.inf, 0.1, 1e16, 1e-7, 123456789.0,
             # exact ties for 17-digit rounding, and the edges of fixed and scientific notation
-            1e15 + 0.25, 1e15 + 0.75, 1e-5, 9.9999999999999995e-5, 99999999999999999.0]
+            1e15 + 0.25, 1e15 + 0.75, 1e-5, 9.9999999999999995e-5, 99999999999999999.0,
+            # repr's own edges: whole numbers, its switch at 1e16, a power of two
+            100.0, 1234567890123456.0, 9999999999999998.0, 2.0**-20]
 
 
 def synthetic(observables=("populations", "spectrum", "decomposition"), spectra=True,

@@ -1,13 +1,18 @@
-"""The vectorized block writer against "%.17g", float by float.
+"""The vectorized writers against "%.17g" and json.dumps, float by float.
 
 floattext._csv_blocks must write exactly the text of one "%.17g" call per
-float: a seeded corpus of random bit patterns and hard cases, a hypothesis
-property, tables that straddle the writer's chunks, and a guard that the
-per-element fallback stays the exception on real spectra.
+float, and floattext._json_array exactly what json.dumps(..., indent=1)
+writes for a list of floats (float.__repr__; NaN, Infinity): each with a
+seeded corpus of random bit patterns and hard cases, a hypothesis property,
+input that straddles the writer's chunks, and a guard that the per-element
+fallback stays the exception on real spectra.  The power-of-ten table both
+share is pinned against exact rationals.
 """
 
+import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mollowpair import floattext
-from mollowpair.floattext import _csv_blocks
+from mollowpair.floattext import _POW10_MAX, _POW10_MIN, _csv_blocks, _json_array
 from mollowpair.sweep import emit, load_preset, preset_names, run_sweep
 
 MAX = sys.float_info.max
@@ -114,3 +119,86 @@ def test_fallback_only_for_zeros_and_nonfinite(name, monkeypatch):
     emit(result, "csv")
     assert floats.size > 1000
     assert CountingFormat.calls == np.count_nonzero((floats == 0) | ~np.isfinite(floats))
+
+
+def test_decimal_table_is_exact():
+    # Each column: hi and lo correctly rounded from 10**e and 10**e - hi, and
+    # the Dekker split of hi into two halves of at most 26 significant bits.
+    pow10 = floattext._decimal_tables()[0]
+    for col, e in enumerate(range(_POW10_MIN, _POW10_MAX + 1)):
+        hi, lo, bh, bl = pow10[:, col].tolist()
+        exact = Fraction(10) ** e
+        assert (hi, lo) == (float(exact), float(exact - Fraction(hi))), e
+        assert bh + bl == hi and all((math.frexp(v)[0] * 2**26).is_integer() for v in (bh, bl)), e
+
+
+# --- the repr layout: json.dumps text ----------------------------------------
+
+def json_text(values):
+    return _json_array(np.asarray(values, dtype=float), b" ").decode()
+
+
+def assert_same_json(values):
+    got, want = json_text(values), json.dumps(np.asarray(values, dtype=float).tolist(), indent=1)
+    if got != want:
+        bad = next(i for i, (g, w) in enumerate(zip(got.split("\n"), want.split("\n"))) if g != w)
+        pytest.fail(f"line {bad}: {got.split(chr(10))[bad]!r} != {want.split(chr(10))[bad]!r}")
+
+
+def powers_of_two():
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    return np.concatenate([powers, np.nextafter(powers, -np.inf), np.nextafter(powers, np.inf)])
+
+
+def short_decimals():
+    # Values whose shortest text has 1 to 17 significant digits, over a wide exponent range.
+    rng = np.random.default_rng(17)
+    digits = np.repeat(np.arange(1, 18), 400)
+    mantissa = rng.uniform(1.0, 10.0, digits.size)
+    exponent = rng.integers(-30, 30, digits.size)
+    return np.array([float(f"{m:.{d - 1}f}e{k}") for m, d, k in zip(mantissa, digits, exponent)])
+
+
+SWITCH_POINTS = [
+    1e15, 1e16, 1e17, 999999999999999.9, 9999999999999998.0, 9999999999999999.0,
+    1.0000000000000002e16, 123456789012345.6, 1234567890123456.0, 1234567890123456.8,
+    100.0, 2.0, 10.0, 1e22, 1e-4, 1e-5,
+    0.00012345678901234567, 1.2345678901234567e-5, 5e-324, 2.2250738585072014e-308,
+]
+
+
+def test_corpus_matches_repr():
+    # The same random bit patterns as the "%.17g" corpus (512 chunks of the
+    # writer), powers of ten and of two with both neighbours, 1- to 17-digit
+    # decimals, the fixed/exponent switch points and whole numbers, ties and
+    # edges (zeros, subnormals, the extremes, nan and inf), each with both signs.
+    bits = np.random.default_rng(20261019).integers(0, 2**64, 2**20, dtype=np.uint64)
+    cases = np.concatenate([powers_of_ten(), powers_of_two(), short_decimals(), ties(),
+                            SWITCH_POINTS, EDGES])
+    assert_same_json(np.concatenate([bits.view(np.float64), cases, -cases]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), max_size=64))
+def test_any_floats_match_repr(values):
+    assert_same_json(values)
+
+
+@pytest.mark.parametrize("name", [name for name in SPECTRUM_PRESETS
+                                  if "spectrum" in load_preset(name).observables])
+def test_repr_fallback_is_rare_on_spectra(name, monkeypatch):
+    # JSON writes the spectrum blocks' grids and values through the repr
+    # layout; fewer than 1 % of them may go to json.dumps one at a time.
+    result = run_sweep(load_preset(name))
+    floats = sum(b.grid.size + b.values.size for b in result.spectra)
+    decimal17, fallbacks = floattext._decimal17, []
+
+    def counting(x, shortest=False):
+        n, X, fast = decimal17(x, shortest)
+        fallbacks.append(np.count_nonzero(~fast) if shortest else 0)
+        return n, X, fast
+
+    monkeypatch.setattr(floattext, "_decimal17", counting)
+    emit(result, "json")
+    assert floats > 1000
+    assert sum(fallbacks) < 0.01 * floats

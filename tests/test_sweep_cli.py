@@ -6,6 +6,7 @@ import importlib
 import inspect
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 import warnings
@@ -121,6 +122,27 @@ def test_parse_json_rejects_infinite_grid_bound():
     text = emit(run_sweep(small_spec()), "json").decode().replace('"max": 100.0', '"max": Infinity')
     with pytest.raises(SweepSpecError, match="grid max must be finite, got inf"):
         parse_json(text)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(fastpath="no"), "fastpath must be a bool, got 'no'"),
+    (lambda d: d.update(spectrum_points=101.5), "spectrum_points must be an int, got 101.5"),
+    (lambda d: d["grid"].update(count=3.5), "grid count must be an int, got 3.5"),
+    (lambda d: d["grid"].update(count=True), "grid count must be an int, got True"),
+    (lambda d: d["grid"].update(min="0.01"), "grid min must be a number, got '0.01'"),
+    (lambda d: d["fixed"].update(g="1"), "fixed g must be a number, got '1'"),
+    (lambda d: d["fixed"].update(g=True), "fixed g must be a number, got True")],
+    ids=["fastpath-string", "spectrum-points-float", "grid-count-float", "grid-count-bool",
+         "grid-min-string", "fixed-string", "fixed-bool"])
+def test_spec_document_value_types_checked(edit, message):
+    # Each was accepted (or failed later with a bare TypeError) before the
+    # spec checked its value types; parse_json now rejects it too.
+    doc = json.loads(emit(run_sweep(small_spec()), "json"))
+    edit(doc["spec"])
+    with pytest.raises(SweepSpecError, match=f"^{re.escape(message)}$"):
+        SweepSpec.from_dict(doc["spec"])
+    with pytest.raises(SweepSpecError, match=f"^{re.escape(message)}$"):
+        parse_json(json.dumps(doc))
 
 
 def test_log_grid_endpoints():
@@ -862,6 +884,18 @@ def test_cli_repeated_set_key_rejected(capsys):
     # The second value would silently replace the first.
     assert cli.main(["--set", "g=1", "--set", "g=2", "--sweep", "omega1:1:2:2:linear"]) == 2
     assert capsys.readouterr() == ("", "error: --set g given twice\n")
+
+
+def test_cli_parser_is_built_once_and_keeps_no_values(tmp_path):
+    # main parses with one cached parser; no --set value may reach a later call.
+    assert cli.build_parser() is cli.build_parser()
+    fixed = []
+    for k, sets in enumerate([["g=1"], ["g=2", "gamma=0.5"], []]):
+        out = tmp_path / f"{k}.json"
+        argv = ["--sweep", "omega1:1:2:2:linear", "--format", "json", "--out", str(out)]
+        assert cli.main([*argv, *(a for s in sets for a in ("--set", s))]) == 0
+        fixed.append(json.loads(out.read_text())["spec"]["fixed"])
+    assert fixed == [{"g": 1.0}, {"g": 2.0, "gamma": 0.5}, {}]
 
 
 def test_cli_regime_overrides_config_values_and_reads_set_ones(tmp_path, capsys):
