@@ -13,15 +13,7 @@ import sys
 
 from .errors import NumericalError, SweepSpecError
 from .params import CONFIG_KEYS, Regime, load_config
-from .sweep import (
-    GridSpec,
-    SweepSpec,
-    emit,
-    load_preset,
-    preset_description,
-    preset_names,
-    run_sweep,
-)
+from .spec import GridSpec, SweepSpec, load_preset, preset_description, preset_names
 
 _REGIME_CHOICES = [r.value for r in Regime]
 #: Flags that build a sweep, by argparse destination: a preset fixes all of them.
@@ -170,6 +162,9 @@ def main(argv: list[str] | None = None) -> int:
                 spec = dataclasses.replace(spec, spectrum_points=args.spectrum_points)
         if args.no_fastpath:
             spec = dataclasses.replace(spec, fastpath=False)
+
+        # numpy and the numerical modules load here, once a sweep is to run.
+        from .sweep import emit, run_sweep
 
         result = run_sweep(spec)
         payload = emit(result, args.format or "csv")

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,17 +132,29 @@ def test_parse_json_rejects_infinite_grid_bound():
     (lambda d: d["grid"].update(count=True), "grid count must be an int, got True"),
     (lambda d: d["grid"].update(min="0.01"), "grid min must be a number, got '0.01'"),
     (lambda d: d["fixed"].update(g="1"), "fixed g must be a number, got '1'"),
-    (lambda d: d["fixed"].update(g=True), "fixed g must be a number, got True")],
+    (lambda d: d["fixed"].update(g=True), "fixed g must be a number, got True"),
+    (lambda d: d.update(observables="populations"),
+     "observables must be a list of strings, got 'populations'"),
+    (lambda d: d.update(observables="g2"), "observables must be a list of strings, got 'g2'"),
+    (lambda d: d.update(observables=5), "observables must be a list of strings, got 5"),
+    (lambda d: d.update(fixed=[1, 2]), "fixed must be a dict with string keys, got [1, 2]"),
+    # JSON object keys are strings, so parse_json reads the key 3 as '3'.
+    (lambda d: d.update(fixed={"g": 1.0, 3: 2.0}),
+     ("fixed must be a dict with string keys, got {'g': 1.0, 3: 2.0}",
+      "unknown fixed parameter '3'"))],
     ids=["fastpath-string", "spectrum-points-float", "grid-count-float", "grid-count-bool",
-         "grid-min-string", "fixed-string", "fixed-bool"])
+         "grid-min-string", "fixed-string", "fixed-bool", "observables-string",
+         "observables-short-string", "observables-int", "fixed-list", "fixed-int-key"])
 def test_spec_document_value_types_checked(edit, message):
-    # Each was accepted (or failed later with a bare TypeError) before the
-    # spec checked its value types; parse_json now rejects it too.
+    # Each was accepted, or failed later with a bare TypeError or
+    # AttributeError (or a string observables split into characters), before
+    # the spec checked its value and container types; parse_json rejects it too.
+    from_dict_message, json_message = (message, message) if isinstance(message, str) else message
     doc = json.loads(emit(run_sweep(small_spec()), "json"))
     edit(doc["spec"])
-    with pytest.raises(SweepSpecError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(SweepSpecError, match=f"^{re.escape(from_dict_message)}$"):
         SweepSpec.from_dict(doc["spec"])
-    with pytest.raises(SweepSpecError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(SweepSpecError, match=f"^{re.escape(json_message)}$"):
         parse_json(json.dumps(doc))
 
 
@@ -286,7 +299,8 @@ def test_trapping_line_strong_drive_spectra_match_quadrature():
 
 
 _ORACLE = {"liouville", "operators", "hamiltonian"}
-_PRODUCTION = ("params", "moments", "closed_forms", "single_emitter", "spectrum", "sweep", "cli")
+_PRODUCTION = ("params", "moments", "closed_forms", "single_emitter", "spectrum", "spec", "sweep",
+               "cli")
 
 
 def _imported_modules(name):
@@ -731,6 +745,79 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert len(list(tmp_path.iterdir())) == 2 * len(preset_names()) + 1
+
+
+_WITHOUT_NUMPY = """
+import sys
+sys.modules['numpy'] = None  # any import of numpy now raises ImportError
+from mollowpair.cli import main
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["--list-presets"], 0, ""), (["--help"], 0, ""),
+    (["--sweep", "g:1:2"], 2, "error: --sweep expects NAME:MIN:MAX:COUNT:SCALE, got 'g:1:2'\n"),
+    (["--preset", "fig99"], 2,
+     f"error: unknown preset 'fig99' (valid: {', '.join(preset_names())})\n"),
+    (["--list-presets", "--format", "csv"], 2,
+     "error: --list-presets cannot be combined with --format\n")],
+    ids=["list-presets", "help", "bad-sweep", "unknown-preset", "list-presets-with-flag"])
+def test_cli_commands_that_run_no_sweep_need_no_numpy(argv, code, err, monkeypatch):
+    # Listing presets, help and flag or spec errors run with numpy blocked
+    # and write the same text as with it.
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps at the terminal width
+    catalog = json.loads((Path(cli.__file__).parent / "data" / "presets.json").read_text())
+    listing = "".join(f"{name}: {catalog['presets'][name]['description']}\n"
+                      for name in sorted(catalog["presets"]))
+    out = {"--list-presets": listing, "--help": cli.build_parser().format_help()}
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, out.get(argv[0], "") if code == 0 else "", err)
+
+
+_PRESET_MODULES = """
+import sys
+import mollowpair.cli as cli
+assert cli.main(['--preset', 'fig9', '--format', 'csv', '--out', sys.argv[1]]) == 0
+print(' '.join(sorted(sys.modules)))
+"""
+
+
+def test_production_sweep_loads_no_oracle_module(tmp_path):
+    # The runtime side of the import scan above: a preset sweep through the
+    # CLI (a spectrum preset, the moment solver and the pole decomposition)
+    # never loads an oracle module.
+    proc = subprocess.run([sys.executable, "-c", _PRESET_MODULES, str(tmp_path / "fig9.csv")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "mollowpair.sweep" in loaded
+    assert not loaded & {f"mollowpair.{name}" for name in _ORACLE}
+
+
+_LAZY_PACKAGE = """
+import sys
+import mollowpair
+assert 'numpy' not in sys.modules, 'import mollowpair loaded numpy'
+names = mollowpair.__all__
+assert set(names) <= set(dir(mollowpair))
+values = {name: getattr(mollowpair, name) for name in names}
+namespace = {}
+exec('from mollowpair import *', namespace)
+del namespace['__builtins__']
+assert namespace.keys() == values.keys()
+assert all(namespace[name] is value for name, value in values.items())
+print(len(names))
+"""
+
+
+def test_package_import_is_lazy():
+    # import mollowpair loads no numpy; each public name then resolves by
+    # attribute access, by star import and in dir().
+    proc = subprocess.run([sys.executable, "-c", _LAZY_PACKAGE], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "61\n")
 
 
 def test_cli_sweep_to_stdout():
