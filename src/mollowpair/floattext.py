@@ -1,10 +1,12 @@
 """Exact text of float arrays in vectorized numpy passes: "%.17g" and repr.
 
 The writers' spectrum and decomposition blocks hold most of the floats a
-sweep writes.  ``_csv_blocks`` turns the CSV blocks into the bytes that one
-``"%.17g"`` call per float would write, for all blocks of a result at once;
-``_json_array`` turns one float array into the bytes that ``json.dumps(...,
-indent=1)`` writes for it, each float as ``float.__repr__`` writes it.
+sweep writes.  ``_table_texts`` is the one pass driver for both formats: it
+joins the floats of all of a result's tables and converts them _CHUNK per
+pass, whatever the table bounds, then hands each table's text back in order,
+each float as one ``"%.17g"`` call writes it, or as ``float.__repr__``
+(``json.dumps``) does.  ``_json_list`` lays a one-column table's text out as
+``json.dumps(..., indent=1)`` writes the list.
 
 For finite x with 1e-280 <= |x| <= 1e280, k = floor(log10|x|) and the
 double-double product r = |x| * 10**(16 - k) (Dekker's exact TwoProduct
@@ -41,7 +43,9 @@ as wide) and distances within 2**-40 of h or of a tie are written by
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import json
 import math
 
@@ -55,12 +59,15 @@ _G17 = "%.17g"
 _POW10_MIN, _POW10_MAX = -266, 298
 #: Dekker's splitting constant, 2**27 + 1.
 _SPLIT = 134217729.0
-#: Floats per pass of the block writer; bounds its temporaries to a few hundred KB.
-_CHUNK = 2048
+#: Floats per pass of the block writer: at most about 90 (%.17g) or 125 (repr)
+#: bytes of temporaries per float, 1.1 or 1.5 MB; larger passes were no faster.
+_CHUNK = 12288
 #: Bytes per float in the block writer's matrix: sign and "0.000" (6), 17
 #: digits and a point (18), "e+ddd" (5), the separator (1).
 _ROWS = 30
 _J = np.arange(18, dtype=np.uint8)[:, None]
+#: The matrix's fixed characters as uint8 scalars, so that their rows are built as bytes.
+_MINUS, _PLUS, _ZERO, _POINT, _E = np.frombuffer(b"-+0.e", np.uint8)
 
 
 @functools.cache
@@ -95,16 +102,22 @@ def _scaled(a: np.ndarray, col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integer part and fraction of a * 10**e, e = col + _POW10_MIN, for a * 10**e >= 2**53.
 
     The product is a double-double: Dekker's exact TwoProduct a * hi plus
-    a * lo, with an error below 1e-14 for products under 1e17.
+    a * lo, with an error below 1e-14 for products under 1e17, summed in place
+    term by term as ((ah bh - p) + ah bl + al bh) + al bl + a lo.
     """
-    hi, lo, bh, bl = (np.take(t, col) for t in _decimal_tables()[0])
-    p = a * hi
-    c = _SPLIT * a
-    ah = c - (c - a)
+    hi, lo, bh, bl = _decimal_tables()[0]
+    p = a * np.take(hi, col)
+    ah = _SPLIT * a
+    ah -= ah - a
     al = a - ah
-    r = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * lo
-    f = np.floor(r)
-    return p.astype(np.int64) + f.astype(np.int64), r - f
+    r, t = -p, np.empty_like(a)
+    for u, table in ((ah, bh), (ah, bl), (al, bh), (al, bl), (a, lo)):
+        np.take(table, col, out=t, mode="clip")  # col is in range; "clip" skips a buffer
+        t *= u
+        r += t
+    f = np.floor(r, out=t)
+    r -= f
+    return p.astype(np.int64) + f.astype(np.int64), r
 
 
 def _decimal17(x: np.ndarray, shortest: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -121,7 +134,7 @@ def _decimal17(x: np.ndarray, shortest: bool = False) -> tuple[np.ndarray, np.nd
     a[~fast] = 1.0
     col = 16 - _POW10_MIN - np.floor(np.log10(a)).astype(np.int64)  # of 10**(16 - k)
     n, f = _scaled(a, col)
-    move = (n >= 10 ** 17).astype(np.int64) - (n < 10 ** 16)  # log10 can be off by one
+    move = (n >= 10 ** 17).astype(np.int8) - (n < 10 ** 16)  # log10 can be off by one
     redo = np.flatnonzero(move)
     if redo.size:
         col[redo] -= move[redo]
@@ -138,7 +151,7 @@ def _decimal17(x: np.ndarray, shortest: bool = False) -> tuple[np.ndarray, np.nd
             down, up = rem + f, (p - rem) - f  # distances to the multiples of p either side
             d = np.minimum(down, up)
             fast &= (np.abs(d - h) > 2.0 ** -40) & (np.abs(up - down) > 2.0 ** -40)
-            rounded = np.where(d < h, n - rem + p * (up < down), rounded)
+            np.copyto(rounded, n - rem + p * (up < down), where=d < h)
     carry = rounded == 10 ** 17
     rounded[carry] = 10 ** 16
     return rounded, (16 - _POW10_MIN + carry - col).astype(np.int16), fast
@@ -151,15 +164,15 @@ def _text_matrix(x: np.ndarray, sep: np.ndarray, shortest: bool = False) -> np.n
     """
     m = x.size
     n, X, fast = _decimal17(x, shortest)
-    groups = np.empty((5, m), np.uint16)  # four digits each, the leading one digit
-    for j in range(4, 0, -1):
+    # Rows 0..19: n in five groups of four characters (the first: 000 and the leading
+    # digit); rows 1..17 of digits = rows 2..20 are the 17 digits, rows 0 and 18 never shown.
+    digits = np.zeros((21, m), np.uint8)
+    quad = digits[:20].reshape(5, 4, m)
+    for j in range(4, -1, -1):
         q = n // 10000
-        groups[j] = n - q * 10000
+        quad[j] = np.take(_decimal_tables()[1], n - q * 10000).view(np.uint8).reshape(m, 4).T
         n = q
-    groups[0] = n
-    digits = np.zeros((19, m), np.uint8)  # rows 1..17: the 17 digit characters
-    digits[1:18] = (np.take(_decimal_tables()[1], groups).view(np.uint8).reshape(5, m, 4)
-                    .transpose(0, 2, 1).reshape(20, m)[3:])
+    digits = digits[2:]
     # %g: fixed notation for -4 <= X < 17, else d.ddde+XX; trailing zeros and a bare '.' go.
     # repr: the same with fixed notation for X < 16 and ".0" after a whole number.
     kept = ((digits[1:18] > ord("0")) * _J[1:]).max(axis=0)
@@ -170,18 +183,20 @@ def _text_matrix(x: np.ndarray, sep: np.ndarray, shortest: bool = False) -> np.n
     point += (point >= shown) * (18 - point)
     lead = fixed & (X < 0)  # "0." and -X - 1 zeros before the digits
     T = np.empty((_ROWS, m), np.uint8)
-    T[0] = ord("-") * np.signbit(x)
-    T[1] = ord("0") * lead
-    T[2] = ord(".") * lead
-    T[3:6] = ord("0") * (_J[:3] < lead * (-1 - X))
+    T[0] = _MINUS * np.signbit(x)
+    T[1] = _ZERO * lead
+    T[2] = _POINT * lead
+    T[3:6] = _ZERO * (_J[:3] < lead * (-1 - X))
     # Row c of the body: digit c before the point, '.' at it, digit c - 1 after it.
-    body = digits[:18] + (_J < point) * (digits[1:] - digits[:18])
-    body += (_J == point) * (np.uint8(ord(".")) - body)
-    np.multiply(body, _J < shown + (point < 18), out=T[6:24])
+    body = np.subtract(digits[1:], digits[:18], out=T[6:24])
+    body *= _J < point
+    body += digits[:18]
+    np.copyto(body, ord("."), where=_J == point)
+    body *= _J < shown + (point < 18)
     sci = ~fixed
     ax = np.abs(X)
-    T[24] = ord("e") * sci
-    T[25] = sci * np.where(X < 0, ord("-"), ord("+")).astype(np.uint8)
+    T[24] = _E * sci
+    T[25] = sci * np.where(X < 0, _MINUS, _PLUS)
     T[26] = (sci & (ax >= 100)) * (ord("0") + ax // 100)
     T[27] = sci * (ord("0") + ax // 10 % 10)
     T[28] = sci * (ord("0") + ax % 10)
@@ -194,51 +209,34 @@ def _text_matrix(x: np.ndarray, sep: np.ndarray, shortest: bool = False) -> np.n
     return T
 
 
-def _csv_blocks(titles, tables):
-    """Yield each title, then the CSV lines of _G17 text of its float table.
+def _table_texts(tables, shortest: bool = False):
+    """Yield the text of each 2-D float table in order: its rows as lines, floats comma-separated.
 
-    tables is an iterable of 2-D float arrays, read one at a time in order.
-    Consecutive tables are converted together until they hold _CHUNK
-    floats, so small ones share a pass.
+    Each float is written as _G17 % x, or json.dumps(x) if shortest.  The
+    tables are read one at a time, and their joined floats are converted
+    _CHUNK per pass, whatever the table bounds.
     """
-    batch, size = [], 0
-    for title, table in zip(titles, tables):
-        batch.append((title, table))
-        size += table.size
-        if size >= _CHUNK:
-            yield from _batch_text(batch)
-            batch, size = [], 0
-    if batch:
-        yield from _batch_text(batch)
+    x, sep = np.empty(0), np.empty(0, np.uint8)  # floats read and not yet converted
+    sizes, part = collections.deque(), b""  # floats left per table; the front one's text so far
+    for table in itertools.chain(tables, [None]):  # None: the end, which converts the rest
+        if table is not None:
+            row = np.tile(np.frombuffer(b"," * (table.shape[1] - 1) + b"\n", np.uint8), len(table))
+            x, sep = np.concatenate((x, np.ravel(table))), np.concatenate((sep, row))
+            sizes.append(table.size)
+        while x.size >= _CHUNK or (table is None and x.size):
+            raw, pos = _text_matrix(x[:_CHUNK], sep[:_CHUNK], shortest).T.tobytes(), 0
+            x, sep = x[_CHUNK:], sep[_CHUNK:]
+            while sizes and pos + sizes[0] * _ROWS <= len(raw):
+                end = pos + sizes.popleft() * _ROWS
+                yield (part + raw[pos:end]).translate(None, b"\0")
+                part, pos = b"", end
+            if sizes:
+                part += raw[pos:]
+                sizes[0] -= (len(raw) - pos) // _ROWS
+    yield from (b"" for _ in sizes)  # empty tables after the last float
 
 
-def _batch_text(batch):
-    """Each (title, table) of batch as its title and CSV lines, _CHUNK floats per pass."""
-    flat = np.concatenate([np.ravel(t) for _, t in batch])
-    sep = np.concatenate([np.tile(np.frombuffer(("," * (t.shape[1] - 1) + "\n").encode(),
-                                                np.uint8), len(t)) for _, t in batch])
-    raw = b"".join(_text_matrix(flat[i:i + _CHUNK], sep[i:i + _CHUNK]).T.tobytes()
-                   for i in range(0, flat.size, _CHUNK))
-    pos = 0
-    for title, table in batch:
-        yield title
-        yield raw[pos * _ROWS:(pos + table.size) * _ROWS].translate(None, b"\0")
-        pos += table.size
-
-
-def _json_array(values: np.ndarray, indent: bytes) -> bytes:
-    """A 1-D float array as json.dumps(..., indent=1) writes it, its items at indent.
-
-    indent is the spaces before each item, one more than before the closing
-    bracket.  The text is written _CHUNK floats per pass.
-    """
-    if values.size == 0:
-        return b"[]"
-    sep = np.full(values.size, ord(","), np.uint8)
-    sep[-1] = 0
-    inner = b",\n" + indent
-    return b"".join([b"[\n" + indent,
-                     *(_text_matrix(values[i:i + _CHUNK], sep[i:i + _CHUNK], True).T.tobytes()
-                       .translate(None, b"\0").replace(b",", inner)
-                       for i in range(0, values.size, _CHUNK)),
-                     b"\n" + indent[1:] + b"]"])
+def _json_list(text: bytes, indent: bytes) -> bytes:
+    """A one-column table's text as json.dumps(..., indent=1) writes the list, items at indent."""
+    inner = text[:-1].replace(b"\n", b",\n" + indent)
+    return b"".join([b"[\n", indent, inner, b"\n", indent[1:], b"]"]) if text else b"[]"

@@ -12,6 +12,7 @@ same matrix M drives the two-time regression system used for spectra.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -28,8 +29,9 @@ IMAG_RESIDUE_TOL = 1e-12
 #: A solve whose 1-norm condition number exceeds this warns (ConditionWarning).
 _COND_WARN = 1e12
 
-#: Below this n1 * n2 the cross-correlator nX / (n1 n2) is undefined (0/0).
-G2_NORM_FLOOR = 1e-30
+#: Below this n1 * n2, the smallest normal float, the product has lost precision
+#: to underflow and the cross-correlator nX / (n1 n2) is undefined.
+G2_NORM_FLOOR = sys.float_info.min
 
 # Named indices into the moment vector.
 IDX_S1, IDX_S2, IDX_N1, IDX_N2, IDX_NX = 0, 1, 4, 5, 14

@@ -13,14 +13,14 @@ while the spectrum of the same point is still written.
 Both formats write floats round-trip exact: CSV as ``"%.17g"`` writes them
 (17 significant digits; ``nan``, ``inf``), JSON as ``json.dumps(doc,
 sort_keys=True, indent=1)`` writes them (``float.__repr__``; ``NaN``,
-``Infinity``).  The scalar table is written one ``%`` call per row.  The
-floats of all CSV spectrum and decomposition blocks of a result, and each
-float array of a JSON spectrum block, are converted in vectorized passes
-(``floattext``) that write the same bytes as one ``"%.17g"`` or
-``float.__repr__`` call per float: an exact double-double scaling gives the
-digits, and any element it cannot settle (zeros, non-finite, subnormal or
-extreme values, near-ties) is written by that call itself.  Identical
-results give identical bytes within one numpy/LAPACK build.
+``Infinity``).  The scalar table is written one ``%`` call per row.  All
+float arrays of a result, in either format, are converted together in
+vectorized passes of ``floattext._CHUNK`` floats that write the same bytes
+as one ``"%.17g"`` or ``float.__repr__`` call per float: an exact
+double-double scaling gives the digits, and any element it cannot settle
+(zeros, non-finite, subnormal or extreme values, near-ties) is written by
+that call itself.  Identical results give identical bytes within one
+numpy/LAPACK build.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from . import closed_forms
 from .errors import SweepSpecError, UnsupportedConfigurationError
-from .floattext import _G17, _csv_blocks, _json_array
+from .floattext import _G17, _json_list, _table_texts
 from .moments import (G2_NORM_FLOOR, IDX_N1, IDX_N2, IDX_NX, _populations, _solve_stack,
                       build_moment_systems)
 from .params import classify_regime
@@ -256,23 +256,22 @@ def _emit_csv(result: SweepResult) -> bytes:
                              (np.array(b.components, dtype=float).reshape(-1, 4)
                               for b in result.decompositions))
     out = ["".join(head).encode()]
-    out += _csv_blocks([t.encode() for t in titles], tables)
+    for title, text in zip(titles, _table_texts(tables)):
+        out += (title.encode(), text)
     return b"".join(out)
 
 
 def _json_spectra(spectra: tuple[SpectrumBlock, ...]) -> Iterator[bytes]:
     """The spectra list as the value of a top-level key, in pieces (block keys sorted)."""
-    if not spectra:
-        yield b"[]"
-        return
+    texts = _table_texts((a.reshape(-1, 1) for b in spectra for a in (b.grid, b.values)), True)
     for k, b in enumerate(spectra):
         yield b",\n  {" if k else b"[\n  {"
         yield f'\n   "delta_weight": {json.dumps(b.delta_weight)},\n   "grid": '.encode()
-        yield _json_array(b.grid, b"    ")
+        yield _json_list(next(texts), b"    ")
         yield f',\n   "value": {json.dumps(b.value)},\n   "values": '.encode()
-        yield _json_array(b.values, b"    ")
+        yield _json_list(next(texts), b"    ")
         yield b"\n  }"
-    yield b"\n ]"
+    yield b"\n ]" if spectra else b"[]"
 
 
 def _emit_json(result: SweepResult) -> bytes:

@@ -1,10 +1,11 @@
 """The vectorized writers against "%.17g" and json.dumps, float by float.
 
-floattext._csv_blocks must write exactly the text of one "%.17g" call per
-float, and floattext._json_array exactly what json.dumps(..., indent=1)
+floattext._table_texts must write exactly the text of one "%.17g" call per
+float, and with floattext._json_list exactly what json.dumps(..., indent=1)
 writes for a list of floats (float.__repr__; NaN, Infinity): each with a
 seeded corpus of random bit patterns and hard cases, a hypothesis property,
-input that straddles the writer's chunks, and a guard that the per-element
+tables that share and straddle the writer's passes, a guard that a result's
+floats take one pass per _CHUNK floats, and a guard that the per-element
 fallback stays the exception on real spectra.  The power-of-ten table both
 share is pinned against exact rationals.
 """
@@ -20,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mollowpair import floattext
-from mollowpair.floattext import _POW10_MAX, _POW10_MIN, _csv_blocks, _json_array
-from mollowpair.sweep import emit, load_preset, preset_names, run_sweep
+from mollowpair.floattext import _POW10_MAX, _POW10_MIN, _json_list, _table_texts
+from mollowpair.sweep import GridSpec, SweepSpec, emit, load_preset, preset_names, run_sweep
 
 MAX = sys.float_info.max
 TINY = sys.float_info.min  # smallest normal
@@ -29,7 +30,7 @@ TINY = sys.float_info.min  # smallest normal
 
 def block_text(values, columns=1):
     flat = np.asarray(values, dtype=float)
-    return b"".join(_csv_blocks([b""], [flat.reshape(-1, columns)])).decode()
+    return b"".join(_table_texts([flat.reshape(-1, columns)])).decode()
 
 
 def reference_text(values, columns=1):
@@ -82,15 +83,19 @@ def test_any_floats_match_g17(values):
 
 
 def test_tables_split_back_across_chunks():
-    # Tables of 1, 2 and 4 columns, one empty, straddling the chunk bounds.
+    # Tables of 1, 2 and 4 columns, one empty, sharing and straddling the passes.
     rng = np.random.default_rng(3)
-    shapes = [(3, 4), (floattext._CHUNK - 1, 2), (0, 4), (1, 1), (floattext._CHUNK + 5, 2), (2, 4)]
+    shapes = [(3, 4), (floattext._CHUNK - 1, 2), (0, 4), (1, 1), (floattext._CHUNK + 5, 2), (2, 4),
+              (0, 2)]
     tables = [rng.standard_normal((n, k)) * 10.0 ** rng.integers(-30, 30, (n, k))
               for n, k in shapes]
-    titles = [f"# table {k}\n".encode() for k in range(len(tables))]
-    text = b"".join(_csv_blocks(titles, iter(tables)))
-    assert text.decode() == "".join(f"# table {k}\n" + reference_text(t.ravel(), t.shape[1])
-                                    for k, t in enumerate(tables))
+    texts = [text.decode() for text in _table_texts(iter(tables))]
+    assert texts == [reference_text(t.ravel(), t.shape[1]) for t in tables]
+
+
+def test_no_tables_no_text():
+    assert list(_table_texts([])) == []
+    assert list(_table_texts([np.empty((0, 2))] * 2)) == [b"", b""]
 
 
 class CountingFormat(str):
@@ -135,7 +140,8 @@ def test_decimal_table_is_exact():
 # --- the repr layout: json.dumps text ----------------------------------------
 
 def json_text(values):
-    return _json_array(np.asarray(values, dtype=float), b" ").decode()
+    column = np.asarray(values, dtype=float).reshape(-1, 1)
+    return _json_list(next(_table_texts([column], True)), b" ").decode()
 
 
 def assert_same_json(values):
@@ -168,8 +174,8 @@ SWITCH_POINTS = [
 
 
 def test_corpus_matches_repr():
-    # The same random bit patterns as the "%.17g" corpus (512 chunks of the
-    # writer), powers of ten and of two with both neighbours, 1- to 17-digit
+    # The same 2**20 random bit patterns as the "%.17g" corpus (many passes of
+    # the writer), powers of ten and of two with both neighbours, 1- to 17-digit
     # decimals, the fixed/exponent switch points and whole numbers, ties and
     # edges (zeros, subnormals, the extremes, nan and inf), each with both signs.
     bits = np.random.default_rng(20261019).integers(0, 2**64, 2**20, dtype=np.uint64)
@@ -182,6 +188,43 @@ def test_corpus_matches_repr():
 @given(st.lists(st.floats(), max_size=64))
 def test_any_floats_match_repr(values):
     assert_same_json(values)
+
+
+def test_json_lists_share_and_straddle_passes():
+    # Lists of 1, _CHUNK - 1, _CHUNK + 5 and 2001 floats (the spectrum
+    # presets' grids), one empty, converted together: they share passes and
+    # straddle their bounds, and each reads back as its own json.dumps.
+    rng = np.random.default_rng(5)
+    sizes = [1, floattext._CHUNK - 1, 0, floattext._CHUNK + 5, 2001, 1, 2001]
+    lists = [rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n) for n in sizes]
+    texts = _table_texts((v.reshape(-1, 1) for v in lists), True)
+    assert [_json_list(text, b" ").decode() for text in texts] == [
+        json.dumps(v.tolist(), indent=1) for v in lists]
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_one_pass_per_chunk_of_a_result(format, monkeypatch):
+    # A five-block spectra result: its floats take ceil(floats / _CHUNK)
+    # passes, whatever the block bounds (CSV: every spectrum and decomposition
+    # table; JSON: every grid and values list).
+    spec = SweepSpec(param="omega1", grid=GridSpec(0.5, 2.0, 5),
+                     fixed={"g": 0.7, "gamma": 0.4, "theta": 1.0},
+                     observables=("spectrum", "decomposition"))
+    result = run_sweep(spec)
+    floats = sum(b.grid.size + b.values.size for b in result.spectra)
+    if format == "csv":
+        floats += sum(4 * len(b.components) for b in result.decompositions)
+    text_matrix, calls = floattext._text_matrix, []
+
+    def counting(x, sep, shortest=False):
+        calls.append(x.size)
+        return text_matrix(x, sep, shortest)
+
+    monkeypatch.setattr(floattext, "_text_matrix", counting)
+    emit(result, format)
+    assert len(result.spectra) == len(result.decompositions) == 5
+    assert sum(calls) == floats
+    assert len(calls) == -(-floats // floattext._CHUNK)
 
 
 @pytest.mark.parametrize("name", [name for name in SPECTRUM_PRESETS

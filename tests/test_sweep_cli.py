@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,8 @@ from mollowpair import closed_forms
 from mollowpair.errors import (ConditionWarning, SweepSpecError, UndefinedCorrelatorError,
                                UnsupportedConfigurationError)
 from mollowpair.liouville import build_liouvillian, spectrum_fft
-from mollowpair.moments import build_moment_system, g2_cross, populations, steady_state
+from mollowpair.moments import (IDX_N1, IDX_N2, IDX_NX, build_moment_system, g2_cross, populations,
+                               steady_state)
 from mollowpair.params import Regime, classify_regime
 from mollowpair.single_emitter import SingleParams, single_spectrum
 from mollowpair.spectrum import decompose_spectrum, default_grid, evaluate_spectrum
@@ -39,6 +41,7 @@ from mollowpair.sweep import (
     preset_names,
     run_sweep,
 )
+from test_moments import _exact_steady_state
 
 REQUIRED_PRESETS = ("fig3a", "fig3b", "fig4", "fig5", "fig6", "fig8",
                     "fig9", "fig11", "fig12", "fig13")
@@ -187,15 +190,30 @@ def test_g2_null_marker_at_zero_drive():
 
 
 def test_g2_null_marker_where_moment_product_underflows():
-    # An asymmetric pair at vanishing drive takes the moment path, where
-    # n1 * n2 underflows the correlator's floor: the same null cell.
-    spec = SweepSpec(param="omega1", grid=GridSpec(1e-9, 1e-8, 2, "log"),
-                     fixed={"g": 0.7, "gamma": 0.4, "theta": 1.0}, observables=("g2",))
+    # An asymmetric pair at weak drive takes the moment path.  Its g2 is the
+    # exact steady state's nX / (n1 n2), within 2 eps, while n1 * n2 is a normal
+    # float; where the product is subnormal (omega1 = 1e-77 here) g2 is a
+    # null cell.
+    fixed = {"g": 0.7, "gamma": 0.4, "theta": 1.0}
+    spec = SweepSpec(param="omega1", grid=GridSpec(1e-9, 1e-8, 2, "log"), fixed=fixed,
+                     observables=("g2",))
     result = run_sweep(spec)
     assert result.regimes == ("asymmetric", "asymmetric")
-    assert [row[1] for row in result.rows] == [None, None]
-    assert result.paths == ("g2:null", "g2:null")
-    assert result.notes == ("g2:undefined-correlator", "g2:undefined-correlator")
+    assert result.paths == ("g2:moments", "g2:moments")
+    assert result.notes == ("", "")
+    for omega1, g2 in result.rows:
+        exact = _exact_steady_state(build_moment_system(spec.point(omega1)))
+        want = exact[IDX_NX][0] / (exact[IDX_N1][0] * exact[IDX_N2][0])
+        assert abs(Fraction(g2) - want) <= 2 * np.finfo(float).eps * want, omega1
+
+    spec = SweepSpec(param="omega1", grid=GridSpec(1e-77, 1e-76, 2, "log"), fixed=fixed,
+                     observables=("g2",))
+    result = run_sweep(spec)
+    state = steady_state(build_moment_system(spec.point(1e-77)))
+    assert 0.0 < state.n1 * state.n2 < sys.float_info.min
+    assert result.rows[0][1] is None and result.rows[1][1] is not None
+    assert result.paths == ("g2:null", "g2:moments")
+    assert result.notes == ("g2:undefined-correlator", "")
 
 
 def test_degenerate_closed_form_point_is_noted():
