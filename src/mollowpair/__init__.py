@@ -17,10 +17,10 @@ __version__ = "0.1.0"
 #: Public name -> the submodule that defines it.
 _EXPORTS = {name: module for module, names in {
     "errors": "ConditionWarning DegenerateSteadyStateError NumericalError ParameterError "
-              "ResolutionError SingularSystemError SweepSpecError TruncationWarning "
+              "SingularSystemError SweepSpecError TruncationWarning "
               "UndefinedCorrelatorError UnsupportedConfigurationError",
     "hamiltonian": "build_pair_hamiltonian dressed_energies quintuplet_frequencies",
-    "liouville": "Liouvillian build_liouvillian evolve_dm spectrum_fft steady_state_dm "
+    "liouville": "Liouvillian build_liouvillian evolve_dm liouville_spectrum steady_state_dm "
                  "two_time_correlator",
     "moments": "MomentState MomentSystem Populations build_moment_system g2_cross populations "
                "steady_state",

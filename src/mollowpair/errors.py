@@ -43,10 +43,6 @@ class UndefinedCorrelatorError(NumericalError):
     """g2 requested where the normalization n1*n2 underflows (0/0 limit)."""
 
 
-class ResolutionError(NumericalError):
-    """A frequency grid is too coarse to resolve the narrowest spectral peak."""
-
-
 class ConditionWarning(UserWarning):
     """The steady-state solve is poorly conditioned; results may lose digits."""
 

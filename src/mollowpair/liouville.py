@@ -3,8 +3,9 @@
 Everything here works in the full 4-dimensional Hilbert space through the
 vectorized 16x16 generator: steady states from its kernel, time evolution by
 matrix exponentials, two-time correlators by regression with an explicit seed
-matrix, and an integration-based emission spectrum.  It shares no code with
-the 15-dimensional moment machinery, which it exists to cross-check.
+matrix, and the emission spectrum from the regression resolvent.  It shares
+no code with the 15-dimensional moment machinery, which it exists to
+cross-check.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ from .errors import (
     DegenerateSteadyStateError,
     NumericalError,
     ParameterError,
-    ResolutionError,
     TruncationWarning,
     UnsupportedConfigurationError,
 )
 from .hamiltonian import build_pair_hamiltonian
-from .operators import EYE4, N1, N2, SIGMA1, SIGMA2
+from .operators import EYE4, SIGMA1, SIGMA2
 from .params import SystemParams
 
 #: Absolute tolerance (units of gamma0) for calling a generator eigenvalue zero.
@@ -75,13 +75,6 @@ class Liouvillian:
                 inv = None
             self._eig = (vals, vecs, inv)
         return self._eig
-
-    def decay_rates(self) -> np.ndarray:
-        """Sorted positive decay rates -Re(lambda) of the non-stationary modes."""
-        vals = self.eigensystem()[0]
-        rates = -vals.real
-        rates = rates[rates > KERNEL_TOL * self.params.gamma0]
-        return np.sort(rates)
 
     def propagate(self, vec: np.ndarray, tau: float) -> np.ndarray:
         """Apply exp(L tau) to a vectorized operator."""
@@ -181,6 +174,13 @@ def evolve_dm(lv: Liouvillian, rho0: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
+def _emitter_sigma(emitter: int) -> np.ndarray:
+    """Lowering operator sigma_e of emitter 1 or 2."""
+    if emitter not in (1, 2):
+        raise ParameterError(f"emitter must be 1 or 2, got {emitter}")
+    return SIGMA1 if emitter == 1 else SIGMA2
+
+
 def _readout(op: np.ndarray, propagated: np.ndarray) -> np.ndarray:
     """Tr[op X(tau)] for every propagated vectorized X, via one contraction."""
     weights = vectorize(op.T)
@@ -202,7 +202,7 @@ def two_time_correlator(
     tau_grid = np.asarray(tau_grid, dtype=float)
     if np.any(tau_grid < 0.0) or np.any(np.diff(tau_grid) < 0.0):
         raise ParameterError("tau grid must be nonnegative and nondecreasing")
-    sig = SIGMA1 if emitter == 1 else SIGMA2
+    sig = _emitter_sigma(emitter)
     if rho_ss is None:
         rho_ss = steady_state_dm(lv)
     seed = vectorize(rho_ss @ sig.conj().T)
@@ -219,104 +219,41 @@ def two_time_correlator(
     return corr
 
 
-def _tau_window(lv: Liouvillian) -> float:
-    """Delay needed for the slowest transient to decay below 1e-8."""
-    rates = lv.decay_rates()
-    if rates.size == 0:
-        raise NumericalError("generator has no decaying modes")
-    return -math.log(1e-8) / float(rates[0])
-
-
-def spectrum_fft(
-    lv: Liouvillian, grid: np.ndarray, emitter: int = 1, method: str = "auto"
+def liouville_spectrum(
+    lv: Liouvillian, grid: np.ndarray, emitter: int = 1
 ) -> tuple[np.ndarray, float]:
-    """Emission spectrum via the one-sided Fourier transform of the correlator.
+    """Emission spectrum and delta weight from the regression resolvent in Liouville space.
 
-    The infinite-delay coherent plateau is subtracted and reported separately
-    as the delta weight |<sigma_e>|^2 / n_e; the remainder is transformed
-    one-sidedly (real part, 1/pi normalization) and divided by the emitter
-    population, so that (grid integral + delta weight) is 1 up to
-    discretization error.
-
-    method 'modal' transforms each decaying Liouvillian mode exactly;
-    'quadrature' samples the propagated correlator on a delay grid and
-    applies Simpson's rule, which also covers defective generators; 'auto'
-    picks modal when the generator diagonalizes.
+    S(w) = -Re[r^T (L' + i w)^-1 y] / (pi n_e) with the readout r = vec(sigma_e^T) and
+    the seed y = vec(rho sigma_e^dag) - conj(<sigma_e>) vec(rho): the correlator's
+    tau = 0 boundary without its coherent plateau, which is returned as the delta
+    weight |<sigma_e>|^2 / n_e.  L' = L - gamma0 vec(rho) vec(I)^H equals L on
+    traceless vectors such as y and moves the kernel eigenvalue to -gamma0, so
+    L' + i w is invertible at every real w: one 16x16 solve per grid point, exact at
+    defective generators and on any grid.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0.0):
         raise ParameterError("grid must be a strictly increasing 1-d array")
-    if method not in ("auto", "modal", "quadrature"):
-        raise ParameterError(f"unknown spectrum method {method!r}")
+    sig = _emitter_sigma(emitter)
     p = lv.params
     if emitter == 1 and p.omega1 == 0.0:
         raise UnsupportedConfigurationError(
             "emitter 1 is undriven (omega1 = 0); its spectrum is undefined"
         )
     rho_ss = steady_state_dm(lv)
-    sig = SIGMA1 if emitter == 1 else SIGMA2
-    n_op = N1 if emitter == 1 else N2
-    n_e = float(np.trace(n_op @ rho_ss).real)
+    n_e = float(np.trace(sig.conj().T @ sig @ rho_ss).real)
     if n_e <= 0.0:
         raise UnsupportedConfigurationError(
             f"emitter {emitter} population is zero; its spectrum is undefined"
         )
     coherent = np.trace(sig @ rho_ss)
-    delta_weight = abs(coherent) ** 2 / n_e
-
-    rates = lv.decay_rates()
-    narrowest = 2.0 * float(rates[0])
-    step = float(np.max(np.diff(grid)))
-    if step > narrowest / 8.0:
-        raise ResolutionError(
-            f"grid step {step:.3e} exceeds 1/8 of the narrowest peak width "
-            f"{narrowest:.3e}; refine the grid"
-        )
-
-    vals, vecs, inv = lv.eigensystem()
-    if method == "auto":
-        method = "modal" if inv is not None else "quadrature"
-    if method == "modal" and inv is None:
-        raise NumericalError("generator is defective; use method='quadrature'")
-
-    if method == "modal":
-        seed = vectorize(rho_ss @ sig.conj().T)
-        readout = vectorize(sig.T)
-        amp = (readout @ vecs) * (inv @ seed)
-        decaying = vals.real < -KERNEL_TOL * p.gamma0
-        # One-sided transform of amp_k e^{lambda_k tau} is -amp_k/(lambda_k + i w);
-        # the stationary (zero) modes are exactly the subtracted plateau.
-        poles = vals[decaying]
-        amp = amp[decaying]
-        denom = poles[None, :] + 1j * grid[:, None]
-        values = (-(amp[None, :] / denom)).sum(axis=1).real / (math.pi * n_e)
-        return values, float(delta_weight)
-
-    tau_max = _tau_window(lv)
-    w_abs = max(float(np.max(np.abs(grid))), 1.0)
-    dtau = min(0.35 / w_abs, tau_max / 1024.0)
-    n_tau = int(math.ceil(tau_max / dtau))
-    n_tau = min(max(n_tau, 1024), 400_000)
-    if n_tau % 2 == 1:
-        n_tau += 1
-    taus = np.linspace(0.0, tau_max, n_tau + 1)
-
-    corr = two_time_correlator(lv, taus, emitter=emitter, rho_ss=rho_ss)
-    inc = corr - abs(coherent) ** 2
-
-    # Simpson weights on the uniform tau grid.
-    h = taus[1] - taus[0]
-    weights = np.full(n_tau + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    weights *= h / 3.0
-
-    values = np.empty_like(grid)
-    chunk = 256
-    winc = weights * inc
-    for lo in range(0, grid.size, chunk):
-        block = grid[lo:lo + chunk]
-        phases = np.exp(1j * np.outer(block, taus))
-        values[lo:lo + chunk] = (phases @ winc).real
-    values /= math.pi * n_e
-    return values, float(delta_weight)
+    rho_vec = vectorize(rho_ss)
+    seed = vectorize(rho_ss @ sig.conj().T) - np.conj(coherent) * rho_vec
+    deflated = lv.matrix - p.gamma0 * np.outer(rho_vec, vectorize(EYE4).conj())
+    shifted = np.repeat(deflated[None], grid.size, axis=0)
+    diag = np.arange(16)
+    shifted[:, diag, diag] += 1j * grid[:, None]
+    x = np.linalg.solve(shifted, np.broadcast_to(seed[:, None], (grid.size, 16, 1)))[..., 0]
+    values = -_readout(sig, x).real / (math.pi * n_e)
+    return values, float(abs(coherent) ** 2 / n_e)

@@ -7,7 +7,6 @@ from mollowpair import closed_forms as cf
 from mollowpair.errors import (
     DegenerateSteadyStateError,
     ParameterError,
-    ResolutionError,
     TruncationWarning,
     UnsupportedConfigurationError,
 )
@@ -15,7 +14,7 @@ from mollowpair.liouville import (
     build_liouvillian,
     devectorize,
     evolve_dm,
-    spectrum_fft,
+    liouville_spectrum,
     steady_state_dm,
     two_time_correlator,
     vectorize,
@@ -24,6 +23,7 @@ from mollowpair.moments import build_moment_system, steady_state
 from mollowpair.operators import N1, SIGMA1, SIGMA2
 from mollowpair.params import (
     SystemParams,
+    asymmetric_pair,
     coherent_pair,
     dissipative_pair,
     unidirectional_pair,
@@ -118,7 +118,7 @@ def test_steady_state_at_strong_coherent_coupling_weak_drive(g):
 
 def test_fft_delta_weight_at_strong_coherent_coupling():
     p = coherent_pair(1000.0, 0.01)
-    _, delta = spectrum_fft(build_liouvillian(p), np.linspace(-50.0, 50.0, 1001))
+    _, delta = liouville_spectrum(build_liouvillian(p), np.linspace(-50.0, 50.0, 1001))
     assert delta == pytest.approx(decompose_spectrum(p).delta_weight, rel=1e-9)
 
 
@@ -191,7 +191,7 @@ def test_spectrum_normalization_wide_grid():
     p = unidirectional_pair(1.0, 2.0)
     lv = build_liouvillian(p)
     grid = np.linspace(-400.0, 400.0, 16001)
-    values, delta = spectrum_fft(lv, grid)
+    values, delta = liouville_spectrum(lv, grid)
     integral = np.trapezoid(values, grid)
     assert integral + delta == pytest.approx(1.0, abs=1e-3)
 
@@ -200,20 +200,28 @@ def test_spectrum_matches_unidirectional_closed_form():
     p = unidirectional_pair(1.0, 2.0)
     lv = build_liouvillian(p)
     grid = np.linspace(-12.0, 12.0, 1201)
-    values, delta = spectrum_fft(lv, grid)
+    values, delta = liouville_spectrum(lv, grid)
     ref = single_spectrum(SingleParams(gamma=1.0, omega=2.0), grid).values
-    assert np.max(np.abs(values - ref)) < 1e-3
+    assert np.max(np.abs(values - ref)) < 1e-9 * np.max(ref)
     assert delta == pytest.approx(1.0 / 33.0, abs=1e-9)
 
 
-def test_spectrum_quadrature_matches_modal():
-    # The Simpson route must agree with the exact per-mode transform.
+def test_spectrum_matches_per_mode_transform():
+    # A diagonalizable generator's correlator is a sum of modes
+    # amp_k e^{lambda_k tau}; the one-sided transform of each decaying mode is
+    # -amp_k / (lambda_k + i w), and the stationary mode is the delta weight.
     lv = build_liouvillian(coherent_pair(1.0, 1.5))
     grid = np.linspace(-8.0, 8.0, 801)
-    modal, d1 = spectrum_fft(lv, grid, method="modal")
-    quad, d2 = spectrum_fft(lv, grid, method="quadrature")
-    assert d1 == d2
-    assert np.max(np.abs(modal - quad)) < 1e-4
+    values, delta = liouville_spectrum(lv, grid)
+    rho = steady_state_dm(lv)
+    n1 = np.trace(N1 @ rho).real
+    vals, vecs = np.linalg.eig(lv.matrix)
+    amp = (vectorize(SIGMA1.T) @ vecs) * np.linalg.solve(vecs, vectorize(rho @ SIGMA1.conj().T))
+    decaying = vals.real < -1e-9
+    modes = -(amp[decaying] / (vals[decaying] + 1j * grid[:, None])).sum(axis=1).real
+    modes /= np.pi * n1
+    assert np.max(np.abs(values - modes)) < 1e-12 * np.max(modes)
+    assert delta == pytest.approx(abs(np.trace(SIGMA1 @ rho)) ** 2 / n1, rel=1e-12)
 
 
 def test_spectrum_quintuplet_peak_positions():
@@ -224,7 +232,7 @@ def test_spectrum_quintuplet_peak_positions():
     p = coherent_pair(1.0, 5.0)
     lv = build_liouvillian(p)
     grid = np.linspace(-16.0, 16.0, 3201)
-    values, _ = spectrum_fft(lv, grid)
+    values, _ = liouville_spectrum(lv, grid)
     idx = local_maxima(values)
     assert len(idx) == 5
     predicted = quintuplet_frequencies(1.0, 5.0)
@@ -235,16 +243,32 @@ def test_spectrum_quintuplet_peak_positions():
             assert abs(pos - ref) / abs(ref) < 0.05
 
 
-def test_spectrum_resolution_guard():
+def test_spectrum_is_grid_independent():
+    # Each frequency is its own solve, so a coarse grid reads the values of a
+    # fine one at the frequencies they share.
     lv = build_liouvillian(coherent_pair(1.0, 1.0))
-    with pytest.raises(ResolutionError):
-        spectrum_fft(lv, np.linspace(-10.0, 10.0, 21))
+    fine_grid = np.linspace(-10.0, 10.0, 2001)
+    fine, d1 = liouville_spectrum(lv, fine_grid)
+    coarse, d2 = liouville_spectrum(lv, fine_grid[::100])
+    np.testing.assert_array_equal(coarse, fine[::100])
+    assert d1 == d2
+
+
+@pytest.mark.parametrize("emitter", [0, 3])
+@pytest.mark.parametrize("oracle", [
+    lambda lv, e: liouville_spectrum(lv, np.linspace(-5.0, 5.0, 11), emitter=e),
+    lambda lv, e: two_time_correlator(lv, np.linspace(0.0, 40.0, 11), emitter=e),
+], ids=["liouville_spectrum", "two_time_correlator"])
+def test_oracle_rejects_unknown_emitter(oracle, emitter):
+    lv = build_liouvillian(asymmetric_pair(0.8, 0.9, 1.1, 1.2))
+    with pytest.raises(ParameterError, match=f"emitter must be 1 or 2, got {emitter}"):
+        oracle(lv, emitter)
 
 
 def test_spectrum_undefined_without_drive():
     lv = build_liouvillian(SystemParams(g=1.0, omega2=1.0))
     with pytest.raises(UnsupportedConfigurationError):
-        spectrum_fft(lv, np.linspace(-5.0, 5.0, 801))
+        liouville_spectrum(lv, np.linspace(-5.0, 5.0, 801))
 
 
 def test_oracle_positivity_and_coherence_consistency(rng):

@@ -7,7 +7,7 @@ import pytest
 
 import mollowpair.spectrum as spectrum
 from mollowpair.errors import ParameterError, UnsupportedConfigurationError
-from mollowpair.liouville import build_liouvillian, spectrum_fft, steady_state_dm
+from mollowpair.liouville import build_liouvillian, liouville_spectrum, steady_state_dm
 from mollowpair.moments import (
     IDX_S1,
     IDX_S2,
@@ -114,6 +114,21 @@ def _resolvent_spectrum(p, grid):
     return x[:, IDX_S1].real / (np.pi * st.n1)
 
 
+@pytest.mark.parametrize("p", [
+    coherent_pair(995.5240692893162, 0.005125278118434071, theta=5.331999597276228),
+    dissipative_pair(1.0, 1e-4),
+    dissipative_pair(1.0, 1e-2),
+], ids=["strong-coherent-weak-drive", "trapping-1e-4", "trapping-1e-2"])
+def test_oracle_matches_resolvent_at_the_corners(p):
+    # Corner (a)'s worst point and the trapping line, on the default grid,
+    # whose step is far wider than the narrowest peak at these points.  The
+    # moment resolvent is built from M, the oracle from the 16x16 generator.
+    grid = default_grid(p)
+    ref = _resolvent_spectrum(p, grid)
+    oracle, _ = liouville_spectrum(build_liouvillian(p), grid)
+    assert np.max(np.abs(oracle - ref)) <= 1e-8 * np.max(ref)
+
+
 @pytest.mark.parametrize("g, theta, omega1", [
     (37.63750617675235, 6.050051851493986, 0.006004135427017627),
     (84.12462217817313, 5.3523816125120645, 0.013097208598411705),
@@ -166,9 +181,9 @@ def test_semisimple_repair_accepts_ill_conditioned_basis(monkeypatch):
     assert all(c.L2_zeta == 0.0 and c.K2_zeta == 0.0 for c in d.components)
     assert d.lorentzian_sum + d.delta_weight == pytest.approx(1.0, abs=1e-12)
     grid = np.linspace(-6.0, 6.0, 601)
-    oracle, _ = spectrum_fft(build_liouvillian(p), grid)
+    oracle, _ = liouville_spectrum(build_liouvillian(p), grid)
     engine = evaluate_spectrum(d, grid)
-    assert np.max(np.abs(engine - oracle)) < 1e-6 * np.max(np.abs(oracle))
+    assert np.max(np.abs(engine - oracle)) < 1e-9 * np.max(oracle)
 
 
 def _per_point_basis(m, w, scale):
@@ -285,8 +300,8 @@ def test_engine_matches_oracle_across_regimes():
     for p in cases:
         grid = default_grid(p, 801)
         engine = evaluate_spectrum(decompose_spectrum(p), grid)
-        oracle, _ = spectrum_fft(build_liouvillian(p), grid)
-        assert np.max(np.abs(engine - oracle)) < 1e-3
+        oracle, _ = liouville_spectrum(build_liouvillian(p), grid)
+        assert np.max(np.abs(engine - oracle)) < 1e-9 * np.max(oracle)
 
 
 def test_pure_regime_spectra_are_symmetric():
@@ -335,8 +350,8 @@ def test_emitter2_spectrum_against_oracle():
     d = decompose_spectrum(p, emitter=2)
     assert d.emitter == 2
     engine = evaluate_spectrum(d, grid)
-    oracle, delta = spectrum_fft(build_liouvillian(p), grid, emitter=2)
-    assert np.max(np.abs(engine - oracle)) < 1e-3
+    oracle, delta = liouville_spectrum(build_liouvillian(p), grid, emitter=2)
+    assert np.max(np.abs(engine - oracle)) < 1e-9 * np.max(oracle)
     assert d.delta_weight == pytest.approx(delta, abs=1e-9)
 
 
