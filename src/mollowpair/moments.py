@@ -6,7 +6,9 @@ quadratic <n1>, <n2>, <s1 s2>, <s1^dag s2^dag>, <s1^dag s2>, <s1 s2^dag>; the
 cubic <n1 s2>, <s1 n2>, <n1 s2^dag>, <s1^dag n2>; and the joint excitation
 <n1 n2>.  This module is the one owner of that ordering: the named indices,
 M's pattern and the two-time seed table are written against it here.  The
-same matrix M drives the two-time regression system used for spectra.
+same matrix M drives the two-time regression system used for spectra.  The
+steady state is solved in real coordinates: (Re, Im) of the first member of
+each conjugate pair, then the real n1, n2 and nX.
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ import numpy as np
 
 from .errors import ConditionWarning, NumericalError, SingularSystemError, UndefinedCorrelatorError
 from .params import SystemParams
-
-#: Tolerance on the imaginary residue of n1, n2, nX.  A larger residue
-#: indicates a mis-built regression matrix, not noise, and is an error.
-IMAG_RESIDUE_TOL = 1e-12
 
 #: A solve whose 1-norm condition number exceeds this warns (ConditionWarning).
 _COND_WARN = 1e12
@@ -53,7 +51,7 @@ class MomentSystem:
 
     One point holds shapes (15, 15) and (15,); a stack of N points holds
     (N, 15, 15) and (N, 15).  M has the nonzero pattern that
-    build_moment_systems writes: the solvers' refinement reads no other entry.
+    build_moment_systems writes: the solve reads no other entry.
     """
 
     matrix: np.ndarray
@@ -157,57 +155,125 @@ def build_moment_system(p: SystemParams) -> MomentSystem:
     return MomentSystem(matrix=stack.matrix[0], drive=stack.drive[0])
 
 
-def _refined_solve(m: np.ndarray, rhs: np.ndarray, u: np.ndarray, minv: np.ndarray) -> np.ndarray:
-    """Extended-precision iterative refinement of a stack's first solve u.
+#: The conjugate pairs (O, O^dag) of the basis and its three real moments, n1, n2 and nX.
+_PAIRS = ((0, 2), (1, 3), (6, 7), (8, 9), (10, 12), (11, 13))
+_FIRST, _SECOND = (list(pair) for pair in zip(*_PAIRS))
+_REAL = [IDX_N1, IDX_N2, IDX_NX]
+#: The complex row and part behind each real equation, in the order of x.
+_ROWS = [(i, part) for i in _FIRST for part in ("re", "im")] + [(r, "re") for r in _REAL]
+
+
+def _real_gather() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each structural nonzero of the real M comes from: (flat position, source, factor).
+
+    Real row I is the real or imaginary part of complex row _ROWS[I], and
+    u = T x.  Entry (I, J) is part(sum_j M[i, j] T[j, J]) over M's nonzeros:
+    one part of one entry of M times +-1, or, in the three real rows, where
+    M[i, d] = conj(M[i, c]) repeats c's term, times +-2.  A source indexes
+    the (N, 450) float view of M.
+    """
+    t = {}  # T's nonzeros: x_2p = Re u_c, x_2p+1 = Im u_c for pair p = (c, d), then n1, n2, nX
+    for p, (c, d) in enumerate(_PAIRS):
+        t[c, 2 * p], t[d, 2 * p], t[c, 2 * p + 1], t[d, 2 * p + 1] = 1, 1, 1j, -1j
+    for q, r in enumerate(_REAL):
+        t[r, 12 + q] = 1
+    terms = {}  # flat position in the real M: (source, factor)
+    for row, (i, part) in enumerate(_ROWS):
+        for (j, col), tj in t.items():
+            key = 15 * row + col
+            if _PATTERN[i][j] == ".":
+                continue
+            if key in terms:  # a real row's d repeats its c: twice c's term
+                terms[key] = terms[key][0], 2 * terms[key][1]
+                continue
+            # part(tj M[i, j]) = Re(z M[i, j]) = z.real Re M[i, j] - z.imag Im M[i, j]
+            z = tj if part == "re" else -1j * tj
+            terms[key] = (2 * (15 * i + j), z.real) if z.real else (2 * (15 * i + j) + 1, -z.imag)
+    src, factor = np.array(list(terms.values())).T
+    return np.array(list(terms)), src.astype(int), factor
+
+
+_GATHER_FLAT, _GATHER_SRC, _GATHER_FACTOR = _real_gather()
+#: Where each entry of the real P comes from in the (N, 30) float view of P.
+_DRIVE_SRC = [2 * i + (part == "im") for i, part in _ROWS]
+#: Each moment's conjugate partner, and the partner of each of M's nonzeros.
+_CONJ = np.arange(15)
+_CONJ[_FIRST + _SECOND] = _SECOND + _FIRST
+_FLAT_CONJ = (15 * _CONJ[:, None] + _CONJ).ravel()[_FLAT]
+
+
+def _real_system(system: MomentSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The stack in the real coordinates x: the (N, 15, 15) real M and (N, 15) real P.
+
+    x holds (Re, Im) of each pair's first member, then n1, n2 and nX, so
+    u = T x.  On a conjugate-consistent stack the real system is T^-1 M T and
+    T^-1 P exactly: every entry is one part of one complex entry, times +-1
+    or +-2.  Only M's structural nonzeros are read.
+    """
+    n = len(system.matrix)
+    floats = np.ascontiguousarray(system.matrix).view(float).reshape(n, 450)
+    real_m = np.zeros((n, 225))
+    real_m[:, _GATHER_FLAT] = floats[:, _GATHER_SRC] * _GATHER_FACTOR
+    return real_m.reshape(n, 15, 15), np.ascontiguousarray(system.drive).view(float)[:, _DRIVE_SRC]
+
+
+def _refined_solve(m: np.ndarray, rhs: np.ndarray, x: np.ndarray, minv: np.ndarray) -> np.ndarray:
+    """Extended-precision iterative refinement of a real stack's first solve x.
 
     Weakly driven systems have moments spanning many orders of magnitude
-    (u4 ~ omega**4 while u1 ~ omega); refinement with clongdouble residuals
+    (u4 ~ omega**4 while u1 ~ omega); refinement with longdouble residuals
     restores componentwise relative accuracy that a plain double solve loses.
     The residual carries the precision, so a correction needs only modest
     relative accuracy: it is minv @ r with the M^-1 of the stack's one LU
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 12),
     not a new factorization.  A row stops at its first non-finite correction.
-
-    Only M's 81 structural nonzeros are upcast, into a zeroed clongdouble
-    stack; entries off that pattern are taken as zero.  The residual's M u is
-    an einsum, which sums each row from zero in column order as matmul does,
-    so the bits are matmul's without its generic clongdouble loop.
     """
-    m_ld = np.zeros((len(m), 225), dtype=np.clongdouble)
-    m_ld[:, _FLAT] = m.reshape(-1, 225)[:, _FLAT]
-    m_ld = m_ld.reshape(m.shape)
-    rhs_ld = rhs.astype(np.clongdouble)
+    m_ld, rhs_ld = m.astype(np.longdouble), rhs.astype(np.longdouble)
     live = np.ones(len(m), dtype=bool)
     for _ in range(3):
-        u_ld = u.astype(np.clongdouble)
-        resid = rhs_ld - np.einsum("nij,nj->ni", m_ld, u_ld)
-        corr = (minv @ resid.astype(np.complex128)[..., None])[..., 0]
+        x_ld = x.astype(np.longdouble)
+        resid = rhs_ld - np.einsum("nij,nj->ni", m_ld, x_ld)
+        corr = (minv @ resid.astype(float)[..., None])[..., 0]
         live &= np.isfinite(corr).all(axis=1)
-        np.copyto(u, (u_ld + corr).astype(np.complex128), where=live[:, None])
-    return u
+        np.copyto(x, (x_ld + corr).astype(float), where=live[:, None])
+    return x
 
 
 def _solve_stack(system: MomentSystem, where: Callable[[int], str] = "stack row {}".format
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Steady states u = M^-1 P of a stack: (N, 15) moment vectors and (N,) condition numbers.
 
-    M is generically nonsingular for gamma0 > 0 (every moment decays at
-    gamma0/2 or faster).  cond is the exact 1-norm condition number
-    ||M||_1 ||M^-1||_1 from the solve's own LU; above 1e12 it warns, and above
-    1/eps or at an exactly singular M it raises, before any row is returned.
-    where(row) names the row in the ConditionWarning, the SingularSystemError
-    and the imaginary-residue NumericalError; it is called only for such a row.
+    The solve runs on the real system of _real_system and places x back
+    into u exactly: each pair as exact conjugates, n1, n2 and nX exactly
+    real.  A stack whose M or P is not conjugate-consistent, M[conj i, conj j]
+    = conj(M[i, j]) over M's nonzeros with conj i the partner of moment i,
+    raises NumericalError before any solve.  M is generically nonsingular for
+    gamma0 > 0 (every moment decays at gamma0/2 or faster).  cond is the exact
+    1-norm condition number ||M||_1 ||M^-1||_1 of the real M, from the solve's
+    own LU; above 1e12 it warns, and above 1/eps or at an exactly singular M
+    it raises, before any row is returned.  where(row) names the row in the
+    ConditionWarning, the SingularSystemError and the NumericalError; it is
+    called only for such a row.
     """
+    n = len(system.matrix)
+    flat = system.matrix.reshape(n, 225)
+    bad = ((flat[:, _FLAT] != flat[:, _FLAT_CONJ].conj()).any(axis=1)
+           | (system.drive != system.drive[:, _CONJ].conj()).any(axis=1))
+    if bad.any():
+        raise NumericalError(f"M or P is not conjugate-consistent at {where(int(bad.argmax()))}; "
+                             "the regression matrix is inconsistent")
+    m, rhs = _real_system(system)
     # One LU per point solves [P | I]: column 0 is the first solve, the rest M^-1.
-    m = system.matrix
     try:
         x = np.linalg.solve(m, np.concatenate(
-            (system.drive[..., None], np.broadcast_to(np.eye(15), m.shape)), axis=-1))
+            (rhs[..., None], np.broadcast_to(np.eye(15), m.shape)), axis=-1))
     except np.linalg.LinAlgError:  # an exactly singular factor; LAPACK names no row
-        row = next(k for k in range(len(m)) if np.linalg.cond(m[k], 1) == math.inf)
+        row = next(k for k in range(n) if np.linalg.cond(m[k], 1) == math.inf)
         raise SingularSystemError(math.inf, where(row)) from None
     minv = np.ascontiguousarray(x[..., 1:])
-    cond = np.abs(m).sum(axis=-2).max(axis=-1) * np.abs(minv).sum(axis=-2).max(axis=-1)
+    # einsum sums the columns in half the time of sum(axis=-2), to the same bits.
+    cond = (np.einsum("nij->nj", np.abs(m)).max(axis=-1)
+            * np.einsum("nij->nj", np.abs(minv)).max(axis=-1))
     singular = 1.0 / np.finfo(float).eps
     for row, c in enumerate(cond.tolist()):
         if not math.isfinite(c) or c > singular:
@@ -216,16 +282,11 @@ def _solve_stack(system: MomentSystem, where: Callable[[int], str] = "stack row 
             # stacklevel 3 names the caller of steady_state or run_sweep.
             warnings.warn(f"moment solve 1-norm condition number {c:.3e} exceeds 1e12 at "
                           f"{where(row)}", ConditionWarning, stacklevel=3)
-    u = _refined_solve(m, system.drive, np.ascontiguousarray(x[..., 0]), minv)
-    excitations = u[:, [IDX_N1, IDX_N2, IDX_NX]]
-    bad = np.argwhere(np.abs(excitations.imag) > IMAG_RESIDUE_TOL)
-    if len(bad):
-        row, col = bad[0]
-        raise NumericalError(
-            f"{('n1', 'n2', 'nX')[col]} has imaginary residue {excitations[row, col].imag:.3e} "
-            f"beyond {IMAG_RESIDUE_TOL:.0e} at {where(int(row))}; the regression matrix is "
-            "inconsistent"
-        )
+    x = _refined_solve(m, rhs, np.ascontiguousarray(x[..., 0]), minv)
+    u = np.empty((n, 15), dtype=complex)
+    u[:, _FIRST] = x[:, :12].view(complex)
+    u[:, _SECOND] = u[:, _FIRST].conj()
+    u[:, _REAL] = x[:, 12:]
     return u, cond
 
 

@@ -27,9 +27,11 @@ CONFIG_KEYS = ("delta", "g", "theta", "gamma", "phi", "gamma0", "omega1", "omega
 
 
 def wrap_phase(x: float) -> float:
-    """Reduce a phase to [0, 2*pi)."""
+    """Reduce a phase to [0, 2*pi); -0.0 stays -0.0."""
     x = math.fmod(x, TWO_PI)
-    return x + TWO_PI if x < 0.0 else x
+    if x < 0.0:
+        x += TWO_PI  # rounds to 2*pi itself when x is within half an ulp of 2*pi below 0
+    return 0.0 if x == TWO_PI else x
 
 
 def wrap_signed(x: float) -> float:

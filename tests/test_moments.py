@@ -20,7 +20,9 @@ from mollowpair.moments import (
     IDX_NX,
     IDX_S1,
     IDX_S2,
+    _PAIRS,
     MomentSystem,
+    _real_system,
     _solve_stack,
     build_moment_system,
     build_moment_systems,
@@ -209,26 +211,106 @@ def test_assembly_matches_the_entry_formula_bytewise(rng):
         assert stack.drive[k].tobytes() == drive.tobytes(), k
 
 
+def _place(x):
+    """u = T x, written entry by entry: each pair (Re, Im of its first member), then n1, n2, nX."""
+    u = np.zeros((len(x), 15, 2))
+    for p, (c, d) in enumerate(_PAIRS):
+        u[:, c, 0], u[:, c, 1] = x[:, 2 * p], x[:, 2 * p + 1]
+        u[:, d, 0], u[:, d, 1] = x[:, 2 * p], -x[:, 2 * p + 1]
+    for q, r in enumerate((IDX_N1, IDX_N2, IDX_NX)):
+        u[:, r, 0] = x[:, 12 + q]
+    return u.view(complex)[..., 0]
+
+
 def test_refinement_matches_the_dense_residual_bytewise(rng):
-    # Three steps of u += M^-1 (P - M u) with the residual from the dense
-    # clongdouble product of the whole M: the solver's bits, row by row.
+    # Three steps of x += M^-1 (P - M x) on the real system, with the residual
+    # from the longdouble product of the whole real M, then u = T x: the
+    # solver's bits, row by row.  The product is einsum's: matmul sums each
+    # row in another order and moves the last bits of some residuals.
     system = build_moment_systems(_signed_zero_batch(rng))
-    m, drive = system.matrix, system.drive
+    m, drive = _real_system(system)
     x = np.linalg.solve(m, np.concatenate(
         (drive[..., None], np.broadcast_to(np.eye(15), m.shape)), axis=-1))
     u, minv = np.ascontiguousarray(x[..., 0]), np.ascontiguousarray(x[..., 1:])
-    m_ld, rhs_ld = m.astype(np.clongdouble), drive.astype(np.clongdouble)
+    m_ld, rhs_ld = m.astype(np.longdouble), drive.astype(np.longdouble)
     live = np.ones(len(m), dtype=bool)
     for _ in range(3):
-        u_ld = u.astype(np.clongdouble)
-        resid = rhs_ld - (m_ld @ u_ld[..., None])[..., 0]
-        corr = (minv @ resid.astype(np.complex128)[..., None])[..., 0]
+        u_ld = u.astype(np.longdouble)
+        resid = rhs_ld - np.einsum("nij,nj->ni", m_ld, u_ld)
+        corr = (minv @ resid.astype(np.float64)[..., None])[..., 0]
         live &= np.isfinite(corr).all(axis=1)
-        np.copyto(u, (u_ld + corr).astype(np.complex128), where=live[:, None])
+        np.copyto(u, (u_ld + corr).astype(np.float64), where=live[:, None])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditionWarning)
         got, _ = _solve_stack(system)
-    assert got.tobytes() == u.tobytes()
+    assert got.tobytes() == _place(u).tobytes()
+
+
+def _units(v):
+    """A float as an exact integer count of 2**-1074, the spacing of the subnormals."""
+    num, den = v.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
+def _sparse_product(a, b):
+    """The exact product of two sparse complex integer matrices, each {(row, col): (re, im)}."""
+    rows = {}
+    for (k, j), v in b.items():
+        rows.setdefault(k, []).append((j, v))
+    out = {}
+    for (i, k), (ar, ai) in a.items():
+        for j, (br, bi) in rows.get(k, ()):
+            re, im = out.get((i, j), (0, 0))
+            out[i, j] = re + ar * br - ai * bi, im + ar * bi + ai * br
+    return out
+
+
+def _exact_real_system(system):
+    """2 T^-1 M T and 2 T^-1 P of one point in exact integer arithmetic.
+
+    Entries are counted in units of 2**-1074, so every product and sum is
+    exact.  u = T x as in _place, so 2 T^-1 takes 2 x_2p = u_c + u_d and
+    2 x_2p+1 = -i (u_c - u_d) for pair p = (c, d), and twice n1, n2, nX.
+    Returns {(row, col): (re, im)} over the nonzeros, P's in column 0.
+    """
+    t, tinv2 = {}, {}
+    for p, (c, d) in enumerate(_PAIRS):
+        t[c, 2 * p], t[d, 2 * p], t[c, 2 * p + 1], t[d, 2 * p + 1] = (1, 0), (1, 0), (0, 1), (0, -1)
+        tinv2[2 * p, c], tinv2[2 * p, d], tinv2[2 * p + 1, c], tinv2[2 * p + 1, d] = (
+            (1, 0), (1, 0), (0, -1), (0, 1))
+    for q, r in enumerate((IDX_N1, IDX_N2, IDX_NX)):
+        t[r, 12 + q], tinv2[12 + q, r] = (1, 0), (2, 0)
+    m = {(i, j): (_units(v.real), _units(v.imag))
+         for i, row in enumerate(system.matrix.tolist()) for j, v in enumerate(row) if v}
+    drive = {(i, 0): (_units(v.real), _units(v.imag))
+             for i, v in enumerate(system.drive.tolist()) if v}
+    return _sparse_product(tinv2, _sparse_product(m, t)), _sparse_product(tinv2, drive)
+
+
+def test_real_system_is_the_exact_similarity_transform(rng):
+    # The solver's real M and P are T^-1 M T and T^-1 P of the complex
+    # assembly entry by entry, exactly real, with no rounding; and the
+    # solved u holds each pair as exact conjugates and n1, n2, nX exactly
+    # real.  This is what a mis-built M would break.
+    ps = _signed_zero_batch(rng) + [random_params(rng, with_detuning=True, with_second_drive=True)
+                                    for _ in range(30)]
+    assert all(p.delta != 0 and p.omega2 > 0 for p in ps[-30:])
+    system = build_moment_systems(ps)
+    real_m, real_p = _real_system(system)
+    for k in range(len(ps)):
+        exact_m, exact_p = _exact_real_system(MomentSystem(system.matrix[k], system.drive[k]))
+        assert not any(im for _, im in (*exact_m.values(), *exact_p.values())), k
+        got_m = {(i, j): 2 * _units(v) for i, row in enumerate(real_m[k].tolist())
+                 for j, v in enumerate(row) if v}
+        got_p = {(i, 0): 2 * _units(v) for i, v in enumerate(real_p[k].tolist()) if v}
+        assert got_m == {key: re for key, (re, _) in exact_m.items() if re}, k
+        assert got_p == {key: re for key, (re, _) in exact_p.items() if re}, k
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditionWarning)
+        u, _ = _solve_stack(system)
+    for c, d in _PAIRS:
+        assert u[:, d].tobytes() == u[:, c].conj().tobytes()
+    assert not np.any(u[:, [IDX_N1, IDX_N2, IDX_NX]].imag)
 
 
 def test_one_factorization_per_stack(monkeypatch):
@@ -238,16 +320,17 @@ def test_one_factorization_per_stack(monkeypatch):
     solve = np.linalg.solve
 
     def counting_solve(*args, **kwargs):
-        calls.append(args[0].shape)
+        calls.append((args[0].dtype, args[0].shape))
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     row = [SystemParams(g=5.0, gamma=gamma, theta=0.5 * np.pi, phi=0.0, omega1=1e-3)
            for gamma in np.geomspace(0.01, 1.0, 31)]
     assert len(_solve_stack(build_moment_systems(row))[0]) == 31
-    assert calls == [(31, 15, 15)]
+    # The one solve is of the real system.
+    assert calls == [(np.float64, (31, 15, 15))]
     steady_state(build_moment_system(row[0]))
-    assert calls == [(31, 15, 15), (1, 15, 15)]
+    assert calls == [(np.float64, (31, 15, 15)), (np.float64, (1, 15, 15))]
 
 
 def _exact_steady_state(system):
@@ -414,8 +497,9 @@ def test_unidirectional_population_identity():
 
 
 def test_singular_system_raises():
+    # A conjugate-consistent M of rank 2: <s1> and <s1^dag> decay, nothing else.
     m = np.zeros((15, 15), dtype=complex)
-    m[0, 0] = 1.0
+    m[0, 0] = m[2, 2] = 1.0
     with pytest.raises(SingularSystemError, match="inf\\) at stack row 0$"):
         steady_state(MomentSystem(matrix=m, drive=np.zeros(15, dtype=complex)))
     # In a stack, before or after a regular point, LAPACK's LinAlgError for
@@ -433,13 +517,15 @@ def test_singular_system_raises():
 @pytest.mark.parametrize("p, warns", [(coherent_pair(1.0, 1.0), False),
                                       (dissipative_pair(1.0, 1e-6), True)])
 def test_cond_is_the_exact_one_norm_condition_number(p, warns):
-    # The solve's own LU gives M^-1, so cond is ||M||_1 ||M^-1||_1, not an
-    # estimate.  The trapping point omega1 = 1e-6 (6.0e12) still warns.
+    # The solve's own LU gives the real M^-1, so cond is ||M||_1 ||M^-1||_1 of
+    # the real system, not an estimate.  The trapping point omega1 = 1e-6
+    # (4.0e12) still warns.
     system = build_moment_system(p)
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
         state = steady_state(system)
-    assert state.cond == pytest.approx(np.linalg.cond(system.matrix, 1), rel=1e-12)
+    real_m = _real_system(MomentSystem(system.matrix[None], system.drive[None]))[0][0]
+    assert state.cond == pytest.approx(np.linalg.cond(real_m, 1), rel=1e-12)
     assert (state.cond > 1e12) is warns
     assert [w.category for w in record] == [ConditionWarning] * warns
 
@@ -467,33 +553,36 @@ def test_condition_warning():
     assert str(record[0].message).endswith("exceeds 1e12 at point 1 of the probe")
 
 
-def test_imaginary_residue_guard():
-    # Corrupting M must surface as a residue error, not a silent real cast.
+def test_conjugate_consistency_guard():
+    # A corrupted M or P must fail loudly, not be solved in part: the real
+    # system reads one member of each conjugate pair of entries, here the
+    # diagonal of n1, an entry it reads, one it does not and P.
     system = build_moment_system(coherent_pair(1.0, 1.0))
-    bad = system.matrix.copy()
-    bad[4, 4] += 0.3j
-    with pytest.raises(NumericalError, match="residue"):
-        steady_state(type(system)(matrix=bad, drive=system.drive))
+    message = "^M or P is not conjugate-consistent at stack row 0;"
+    for i, j, z in ((4, 4, 0.3j), (0, 1, 0.1), (2, 3, 0.1), (8, 14, 0.1j)):
+        bad = system.matrix.copy()
+        bad[i, j] += z
+        with pytest.raises(NumericalError, match=message):
+            steady_state(MomentSystem(matrix=bad, drive=system.drive))
+    drive = system.drive.copy()
+    drive[2] += 0.5
+    with pytest.raises(NumericalError, match=message):
+        steady_state(MomentSystem(matrix=system.matrix, drive=drive))
 
 
-def test_imaginary_residue_guard_in_stack():
-    # The stacked guard names the first offending row and, within it, the
-    # first of n1, n2, nX, with the text that row gives as a batch of one
-    # but for the row it names.
+def test_conjugate_consistency_guard_in_stack():
+    # The guard names the first offending row, in M or in P, with the
+    # caller's label, built for that row only.
     ps = [dissipative_pair(0.5, 0.7), coherent_pair(1.0, 1.0), SystemParams(omega1=1.0, omega2=0.7)]
     system = build_moment_systems(ps)
-    bad = system.matrix.copy()
-    bad[1, 4, 4] += 0.3j
-    bad[2, 5, 5] += 0.3j  # uncoupled point: n1 stays real, n2 does not
-    messages = []
-    for k in (1, 2):
-        with pytest.raises(NumericalError, match="residue") as one:
-            steady_state(MomentSystem(matrix=bad[k], drive=system.drive[k]))
-        messages.append(str(one.value))
-    assert messages[0].startswith("n1 ") and messages[1].startswith("n2 ")
-    assert all(" at stack row 0; " in message for message in messages)
-    # The offending point is row 1 of both stacks.
-    for rows, message in (([0, 1, 2], messages[0]), ([0, 2], messages[1])):
-        with pytest.raises(NumericalError) as stack:
-            _solve_stack(MomentSystem(matrix=bad[rows], drive=system.drive[rows]))
-        assert str(stack.value) == message.replace(" at stack row 0; ", " at stack row 1; ")
+    bad_m, bad_p = system.matrix.copy(), system.drive.copy()
+    bad_m[1, 4, 4] += 0.3j
+    bad_p[2, 1] = 0.7j  # -i w2 is -0.7j; its partner stays i w2
+    for m, p, row in ((bad_m, system.drive, 1), (system.matrix, bad_p, 2), (bad_m, bad_p, 1)):
+        named = []
+        with pytest.raises(NumericalError) as err:
+            _solve_stack(MomentSystem(matrix=m, drive=p),
+                         lambda k: named.append(k) or f"point {k} of the probe")
+        assert str(err.value) == (f"M or P is not conjugate-consistent at point {row} of the "
+                                  "probe; the regression matrix is inconsistent")
+        assert named == [row]

@@ -48,6 +48,19 @@ def test_phases_normalized():
     assert p.phi == pytest.approx(np.pi)
 
 
+@pytest.mark.parametrize("name", ["theta", "phi"])
+@pytest.mark.parametrize("x", [-1e-17, -1e-16, -4e-16])
+def test_tiny_negative_phase_wraps_to_zero(name, x):
+    # x + 2 pi rounds to 2 pi itself, outside [0, 2 pi).
+    assert getattr(SystemParams(**{name: x}), name) == 0.0
+
+
+@pytest.mark.parametrize("name", ["theta", "phi"])
+def test_negative_zero_phase_keeps_its_sign(name):
+    # M's signed zeros follow the phase's sign bit (cos and sin of -0.0).
+    assert math.copysign(1.0, getattr(SystemParams(**{name: -0.0}), name)) == -1.0
+
+
 def test_classify_forward_unidirectional():
     # g/gamma = 1/2 with relative phase pi/2 is the one-way point.
     p = SystemParams(g=0.5, gamma=1.0, theta=np.pi / 2, phi=0.0)

@@ -357,7 +357,7 @@ def test_trapping_sweep_condition_warning_names_the_sweep():
     with pytest.warns(ConditionWarning) as record:
         run_sweep(spec)
     assert [w.filename for w in record] == [__file__]
-    assert str(record[0].message) == ("moment solve 1-norm condition number 6.000e+12 exceeds "
+    assert str(record[0].message) == ("moment solve 1-norm condition number 4.000e+12 exceeds "
                                       "1e12 at sweep point 0 (omega1 = 1e-06)")
 
 
