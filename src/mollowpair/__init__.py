@@ -17,11 +17,10 @@ __version__ = "0.1.0"
 #: Public name -> the submodule that defines it.
 _EXPORTS = {name: module for module, names in {
     "errors": "ConditionWarning DegenerateSteadyStateError NumericalError ParameterError "
-              "SingularSystemError SweepSpecError TruncationWarning "
-              "UndefinedCorrelatorError UnsupportedConfigurationError",
+              "SingularSystemError SweepSpecError UndefinedCorrelatorError "
+              "UnsupportedConfigurationError",
     "hamiltonian": "build_pair_hamiltonian dressed_energies quintuplet_frequencies",
-    "liouville": "Liouvillian build_liouvillian evolve_dm liouville_spectrum steady_state_dm "
-                 "two_time_correlator",
+    "liouville": "Liouvillian build_liouvillian liouville_spectrum steady_state_dm",
     "moments": "MomentState MomentSystem Populations build_moment_system g2_cross populations "
                "steady_state",
     "params": "Regime SystemParams asymmetric_pair classify_regime coherent_pair dissipative_pair "

@@ -15,7 +15,8 @@ from .errors import NumericalError, SweepSpecError
 from .params import CONFIG_KEYS, Regime, load_config
 from .spec import GridSpec, SweepSpec, load_preset, preset_description, preset_names
 
-_REGIME_CHOICES = [r.value for r in Regime]
+#: Regimes that --regime can impose: asymmetric, the class of every other point, pins nothing.
+_REGIME_CHOICES = [r.value for r in Regime if r is not Regime.ASYMMETRIC]
 #: Flags that build a sweep, by argparse destination: a preset fixes all of them.
 _SWEEP_FLAGS = ("sweep", "set", "config", "regime", "observable", "spectrum_points")
 
@@ -59,7 +60,7 @@ def _apply_regime(fixed: dict[str, float], regime: str, swept: str,
         own = {"gamma": 0.0}
     elif regime == "dissipative":
         own = {"g": 0.0}
-    elif regime in ("unidirectional-forward", "unidirectional-backward"):
+    else:  # unidirectional-forward or unidirectional-backward
         gamma = fixed.get("gamma", 1.0)
         phi = fixed.get("phi", 0.0)
         shift = 0.5 * math.pi if regime.endswith("forward") else 1.5 * math.pi

@@ -13,7 +13,6 @@ from __future__ import annotations
 from .errors import ParameterError, UnsupportedConfigurationError
 from .moments import Populations
 from .params import Regime, SystemParams
-from .single_emitter import single_population
 
 
 # ---------------------------------------------------------------------------
@@ -251,5 +250,5 @@ __all__ = [
     "dissipative_g2", "dissipative_g2_weak_limit",
     "unidirectional_populations", "unidirectional_strong_drive_populations",
     "unidirectional_g2",
-    "covers", "regime_populations", "regime_g2", "single_population",
+    "covers", "regime_populations", "regime_g2",
 ]

@@ -45,7 +45,3 @@ class UndefinedCorrelatorError(NumericalError):
 
 class ConditionWarning(UserWarning):
     """The steady-state solve is poorly conditioned; results may lose digits."""
-
-
-class TruncationWarning(UserWarning):
-    """A two-time correlator had not decayed at the end of the delay window."""

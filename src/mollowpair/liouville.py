@@ -1,18 +1,15 @@
 """Brute-force density-matrix oracle for the pair.
 
 Everything here works in the full 4-dimensional Hilbert space through the
-vectorized 16x16 generator: steady states from its kernel, time evolution by
-matrix exponentials, two-time correlators by regression with an explicit seed
-matrix, and the emission spectrum from the regression resolvent.  It shares
-no code with the 15-dimensional moment machinery, which it exists to
-cross-check.
+vectorized 16x16 generator: steady states from its kernel and the emission
+spectrum from the regression resolvent.  It shares no code with the
+15-dimensional moment machinery, which it exists to cross-check.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +17,6 @@ from .errors import (
     DegenerateSteadyStateError,
     NumericalError,
     ParameterError,
-    TruncationWarning,
     UnsupportedConfigurationError,
 )
 from .hamiltonian import build_pair_hamiltonian
@@ -31,9 +27,6 @@ from .params import SystemParams
 KERNEL_TOL = 1e-9
 #: Most negative admissible density-matrix eigenvalue.
 POSITIVITY_TOL = -1e-10
-#: Eigenvector-matrix condition number beyond which the generator is treated
-#: as defective and propagation falls back to stepped exponentials.
-DIAGONALIZABLE_COND = 1e8
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -63,46 +56,6 @@ class Liouvillian:
 
     matrix: np.ndarray
     params: SystemParams
-    _eig: tuple | None = field(default=None, repr=False, compare=False)
-
-    def eigensystem(self):
-        """Cached right eigendecomposition (values, vectors, inverse or None)."""
-        if self._eig is None:
-            vals, vecs = np.linalg.eig(self.matrix)
-            if np.linalg.cond(vecs) < DIAGONALIZABLE_COND:
-                inv = np.linalg.inv(vecs)
-            else:
-                inv = None
-            self._eig = (vals, vecs, inv)
-        return self._eig
-
-    def propagate(self, vec: np.ndarray, tau: float) -> np.ndarray:
-        """Apply exp(L tau) to a vectorized operator."""
-        vals, vecs, inv = self.eigensystem()
-        if inv is not None:
-            return vecs @ (np.exp(vals * tau) * (inv @ vec))
-        import scipy.linalg
-
-        return scipy.linalg.expm(self.matrix * tau) @ vec
-
-    def propagate_grid(self, vec: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        """exp(L tau) vec for every tau in a grid, shape (len(taus), 16)."""
-        vals, vecs, inv = self.eigensystem()
-        if inv is not None:
-            coeff = inv @ vec
-            return (np.exp(np.outer(taus, vals)) * coeff) @ vecs.T
-        # Defective generator: step with exponentials between grid points.
-        import scipy.linalg
-
-        out = np.empty((len(taus), 16), dtype=complex)
-        cur = vec
-        prev = 0.0
-        for i, t in enumerate(taus):
-            if t != prev:
-                cur = scipy.linalg.expm(self.matrix * (t - prev)) @ cur
-                prev = t
-            out[i] = cur
-        return out
 
 
 def build_liouvillian(p: SystemParams) -> Liouvillian:
@@ -161,62 +114,11 @@ def steady_state_dm(lv: Liouvillian) -> np.ndarray:
     return rho
 
 
-def evolve_dm(lv: Liouvillian, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Propagate a density matrix for a duration t >= 0."""
-    if t < 0.0:
-        raise ParameterError(f"t must be >= 0, got {t}")
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (4, 4):
-        raise ParameterError(f"rho0 must be 4x4, got shape {rho0.shape}")
-    out = devectorize(lv.propagate(vectorize(rho0), t))
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("matrix-exponential propagation produced non-finite entries")
-    return out
-
-
 def _emitter_sigma(emitter: int) -> np.ndarray:
     """Lowering operator sigma_e of emitter 1 or 2."""
     if emitter not in (1, 2):
         raise ParameterError(f"emitter must be 1 or 2, got {emitter}")
     return SIGMA1 if emitter == 1 else SIGMA2
-
-
-def _readout(op: np.ndarray, propagated: np.ndarray) -> np.ndarray:
-    """Tr[op X(tau)] for every propagated vectorized X, via one contraction."""
-    weights = vectorize(op.T)
-    return propagated @ weights
-
-
-def two_time_correlator(
-    lv: Liouvillian,
-    tau_grid: np.ndarray,
-    emitter: int = 1,
-    rho_ss: np.ndarray | None = None,
-) -> np.ndarray:
-    """Stationary correlator <sigma_e^dag(0) sigma_e(tau)> on a delay grid.
-
-    The tau = 0 boundary is the seed matrix rho_ss sigma_e^dag, propagated
-    with the full generator; the value at zero delay equals the emitter
-    population and the infinite-delay plateau is |<sigma_e>|^2.
-    """
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    if np.any(tau_grid < 0.0) or np.any(np.diff(tau_grid) < 0.0):
-        raise ParameterError("tau grid must be nonnegative and nondecreasing")
-    sig = _emitter_sigma(emitter)
-    if rho_ss is None:
-        rho_ss = steady_state_dm(lv)
-    seed = vectorize(rho_ss @ sig.conj().T)
-    corr = _readout(sig, lv.propagate_grid(seed, tau_grid))
-    offset = abs(np.trace(sig @ rho_ss)) ** 2
-    inc0 = abs(corr[0] - offset)
-    if inc0 > 0.0 and abs(corr[-1] - offset) > 1e-6 * inc0:
-        warnings.warn(
-            "two-time correlator not decayed at tau_max: "
-            f"|C(tau_max) - offset| = {abs(corr[-1] - offset):.3e}",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return corr
 
 
 def liouville_spectrum(
@@ -255,5 +157,5 @@ def liouville_spectrum(
     diag = np.arange(16)
     shifted[:, diag, diag] += 1j * grid[:, None]
     x = np.linalg.solve(shifted, np.broadcast_to(seed[:, None], (grid.size, 16, 1)))[..., 0]
-    values = -_readout(sig, x).real / (math.pi * n_e)
+    values = -(x @ vectorize(sig.T)).real / (math.pi * n_e)  # Tr[sigma_e X] per row
     return values, float(abs(coherent) ** 2 / n_e)

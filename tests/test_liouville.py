@@ -1,4 +1,4 @@
-"""Density-matrix oracle: generator structure, steady states, regression, spectra."""
+"""Density-matrix oracle: generator structure, steady states, spectra."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,13 @@ from mollowpair import closed_forms as cf
 from mollowpair.errors import (
     DegenerateSteadyStateError,
     ParameterError,
-    TruncationWarning,
     UnsupportedConfigurationError,
 )
 from mollowpair.liouville import (
     build_liouvillian,
     devectorize,
-    evolve_dm,
     liouville_spectrum,
     steady_state_dm,
-    two_time_correlator,
     vectorize,
 )
 from mollowpair.moments import build_moment_system, steady_state
@@ -25,10 +22,9 @@ from mollowpair.params import (
     SystemParams,
     asymmetric_pair,
     coherent_pair,
-    dissipative_pair,
     unidirectional_pair,
 )
-from mollowpair.single_emitter import SingleParams, regression_system, single_spectrum
+from mollowpair.single_emitter import SingleParams, single_spectrum
 from mollowpair.spectrum import decompose_spectrum, local_maxima
 
 from conftest import random_params
@@ -122,71 +118,6 @@ def test_fft_delta_weight_at_strong_coherent_coupling():
     assert delta == pytest.approx(decompose_spectrum(p).delta_weight, rel=1e-9)
 
 
-def test_evolution_identity_trace_and_attractor(rng):
-    p = coherent_pair(0.8, 1.2)
-    lv = build_liouvillian(p)
-    rho0 = random_unit_trace_hermitian(rng)
-    np.testing.assert_allclose(evolve_dm(lv, rho0, 0.0), rho0, atol=1e-14)
-    for t in (0.3, 2.0, 10.0):
-        assert np.trace(evolve_dm(lv, rho0, t)) == pytest.approx(1.0, abs=1e-11)
-    final = evolve_dm(lv, rho0, 1e3)
-    np.testing.assert_allclose(final, steady_state_dm(lv), atol=1e-8)
-    with pytest.raises(ParameterError):
-        evolve_dm(lv, rho0, -1.0)
-
-
-def test_defective_generator_evolves_to_steady_state():
-    # At the one-way critical drive the generator does not diagonalize, so
-    # propagation takes the matrix-exponential branch.
-    lv = build_liouvillian(unidirectional_pair(1.0, 0.125))
-    assert lv.eigensystem()[2] is None
-    ground = np.zeros((4, 4), dtype=complex)
-    ground[0, 0] = 1.0
-    np.testing.assert_allclose(evolve_dm(lv, ground, 200.0), steady_state_dm(lv),
-                               rtol=0.0, atol=1e-10)
-
-
-def test_correlator_boundary_and_plateau():
-    p = dissipative_pair(0.6, 1.1)
-    lv = build_liouvillian(p)
-    rho = steady_state_dm(lv)
-    taus = np.linspace(0.0, 60.0, 1201)
-    corr = two_time_correlator(lv, taus)
-    n1 = np.trace(N1 @ rho).real
-    coh = np.trace(SIGMA1 @ rho)
-    assert corr[0] == pytest.approx(n1, abs=1e-12)
-    assert corr[-1] == pytest.approx(abs(coh) ** 2, abs=1e-9)
-
-
-def test_correlator_truncation_warning():
-    lv = build_liouvillian(coherent_pair(1.0, 1.0))
-    with pytest.warns(TruncationWarning):
-        two_time_correlator(lv, np.linspace(0.0, 0.5, 11))
-
-
-def test_correlator_reduces_to_single_emitter():
-    # Uncoupled pair: emitter 1 correlator solves the 3-moment system exactly.
-    omega, gamma0 = 0.9, 1.0
-    p = SystemParams(omega1=omega)
-    lv = build_liouvillian(p)
-    taus = np.linspace(0.0, 40.0, 801)
-    corr = two_time_correlator(lv, taus)
-
-    q, drive = regression_system(SingleParams(gamma=gamma0, omega=omega))
-    u_ss = np.linalg.solve(q, drive)
-    n, c = u_ss[2].real, u_ss[0]
-    # v(tau) solves dv/dtau = P <sig^dag> - Q v seeded with
-    # (<sig^dag sig>, <sig^dag sig^dag>, <sig^dag sig^dag sig>) = (n, 0, 0).
-    v0 = np.array([n, 0.0, 0.0], dtype=complex)
-    v_inf = u_ss * np.conj(c)
-    vals, vecs = np.linalg.eig(q)
-    a = np.linalg.solve(vecs, v0 - v_inf)
-    ref = np.array([
-        (vecs[0, :] * a * np.exp(-vals * t)).sum() + v_inf[0] for t in taus
-    ])
-    np.testing.assert_allclose(corr, ref, atol=1e-11)
-
-
 def test_spectrum_normalization_wide_grid():
     p = unidirectional_pair(1.0, 2.0)
     lv = build_liouvillian(p)
@@ -257,8 +188,7 @@ def test_spectrum_is_grid_independent():
 @pytest.mark.parametrize("emitter", [0, 3])
 @pytest.mark.parametrize("oracle", [
     lambda lv, e: liouville_spectrum(lv, np.linspace(-5.0, 5.0, 11), emitter=e),
-    lambda lv, e: two_time_correlator(lv, np.linspace(0.0, 40.0, 11), emitter=e),
-], ids=["liouville_spectrum", "two_time_correlator"])
+], ids=["liouville_spectrum"])
 def test_oracle_rejects_unknown_emitter(oracle, emitter):
     lv = build_liouvillian(asymmetric_pair(0.8, 0.9, 1.1, 1.2))
     with pytest.raises(ParameterError, match=f"emitter must be 1 or 2, got {emitter}"):

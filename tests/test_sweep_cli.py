@@ -2,8 +2,6 @@
 
 import ast
 import dataclasses
-import importlib
-import inspect
 import json
 import pkgutil
 import re
@@ -321,32 +319,36 @@ _PRODUCTION = ("params", "moments", "closed_forms", "single_emitter", "spectrum"
 
 
 def _imported_modules(name):
-    """Last components of every module that mollowpair.<name> imports, at any depth.
+    """Every dotted component of every module that mollowpair.<name> imports, at any depth.
 
     `from . import x` counts as importing x, so a submodule imported by name
-    is caught as well as one imported from.
+    is caught as well as one imported from; `import scipy.linalg` counts as
+    importing both scipy and linalg.
     """
-    source = inspect.getsource(importlib.import_module(f"mollowpair.{name}"))
+    source = (Path(mollowpair.__file__).parent / f"{name}.py").read_text()
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
-            found.add((node.module or "").split(".")[-1])
+            found.update((node.module or "").split("."))
             if node.module in (None, "mollowpair"):
                 found.update(a.name for a in node.names)
         elif isinstance(node, ast.Import):
-            found.update(a.name.split(".")[-1] for a in node.names)
+            found.update(part for a in node.names for part in a.name.split("."))
     return found
 
 
 def test_oracle_and_production_import_nothing_from_each_other():
     # The density-matrix oracle and the production path share no code: no
     # production module imports an oracle module, and the oracle imports only
-    # itself, params and errors (besides the standard library and numpy/scipy).
+    # itself, params and errors (besides the standard library and numpy).
+    # No module imports scipy: the package, oracle included, runs on numpy alone.
     for name in _PRODUCTION:
         assert not _imported_modules(name) & _ORACLE, name
     package = {m.name for m in pkgutil.iter_modules(mollowpair.__path__)}
     for name in _ORACLE:
         assert _imported_modules(name) & package <= _ORACLE | {"params", "errors"}, name
+    for path in Path(mollowpair.__file__).parent.glob("*.py"):
+        assert "scipy" not in _imported_modules(path.stem), path.name
 
 
 def test_trapping_sweep_condition_warning_names_the_sweep():
@@ -751,13 +753,20 @@ critical = ['--set', 'g=0.5', '--set', 'gamma=1', '--set', 'theta=1.570796326794
             '--sweep', 'omega1:0.124:0.126:3:linear', '--observable', 'spectrum',
             '--out', os.path.join(out, 'critical.csv')]
 assert cli.main(critical) == 0
+import numpy as np
+from mollowpair.liouville import build_liouvillian, liouville_spectrum, steady_state_dm
+from mollowpair.params import unidirectional_pair
+defective = build_liouvillian(unidirectional_pair(1.0, 0.125))
+steady_state_dm(defective)
+liouville_spectrum(defective, np.linspace(-2.0, 2.0, 5))
 """
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # scipy serves only the oracle's defective-generator branch (the oracle
-    # extra): importing the CLI leaves it unloaded, and every preset plus the
-    # critical-drive spectrum sweep (second-order poles) runs with it blocked.
+    # No module needs scipy: importing the CLI leaves it unloaded, and with it
+    # blocked every preset, the critical-drive spectrum sweep (second-order
+    # poles) and the oracle's steady state and spectrum at the defective
+    # critical-drive generator all run.
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -834,7 +843,7 @@ def test_package_import_is_lazy():
     # import mollowpair loads no numpy; each public name then resolves by
     # attribute access, by star import and in dir().
     proc = subprocess.run([sys.executable, "-c", _LAZY_PACKAGE], capture_output=True, text=True)
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "60\n")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "57\n")
 
 
 def test_cli_sweep_to_stdout():
@@ -958,6 +967,14 @@ def test_cli_numerical_error_names_the_sweep_point():
                    "--no-fastpath")
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.rstrip("\n").endswith("at sweep point 0 (omega1 = 1e-08)")
+
+
+def test_cli_regime_asymmetric_is_not_a_choice():
+    # Asymmetric is the class of every point the other regimes miss, so it
+    # constrains nothing; argparse rejects it rather than run an unconstrained sweep.
+    proc = run_cli("--regime", "asymmetric", "--sweep", "omega1:0.1:1:2:linear")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "argument --regime: invalid choice: 'asymmetric'" in proc.stderr
 
 
 @pytest.mark.parametrize("regime, param", [
