@@ -27,6 +27,9 @@ from .params import SystemParams
 KERNEL_TOL = 1e-9
 #: Most negative admissible density-matrix eigenvalue.
 POSITIVITY_TOL = -1e-10
+#: An emitter population at or below this multiple of the total excitation
+#: n1 + n2 is rounding: that emitter is never excited.
+EXCITATION_FLOOR = 16.0 * np.finfo(float).eps
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -139,15 +142,19 @@ def liouville_spectrum(
         raise ParameterError("grid must be a strictly increasing 1-d array")
     sig = _emitter_sigma(emitter)
     p = lv.params
-    if emitter == 1 and p.omega1 == 0.0:
+    # Undriven, the pair has no spectrum; at g = 0, gamma = gamma0 its steady
+    # state is not even unique, so this is decided before any solve.
+    if p.omega1 == 0.0 and p.omega2 == 0.0:
         raise UnsupportedConfigurationError(
-            "emitter 1 is undriven (omega1 = 0); its spectrum is undefined"
+            "neither emitter is driven (omega1 = omega2 = 0); its spectrum is undefined"
         )
     rho_ss = steady_state_dm(lv)
-    n_e = float(np.trace(sig.conj().T @ sig @ rho_ss).real)
-    if n_e <= 0.0:
+    n1, n2 = (float(np.trace(op.conj().T @ op @ rho_ss).real) for op in (SIGMA1, SIGMA2))
+    n_e = n1 if emitter == 1 else n2
+    if n_e <= EXCITATION_FLOOR * (n1 + n2):
         raise UnsupportedConfigurationError(
-            f"emitter {emitter} population is zero; its spectrum is undefined"
+            f"emitter {emitter} is not excited (population at the rounding level of n1 + n2); "
+            "its spectrum is undefined"
         )
     coherent = np.trace(sig @ rho_ss)
     rho_vec = vectorize(rho_ss)

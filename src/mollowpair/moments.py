@@ -210,11 +210,26 @@ def _real_system(system: MomentSystem) -> tuple[np.ndarray, np.ndarray]:
     T^-1 P exactly: every entry is one part of one complex entry, times +-1
     or +-2.  Only M's structural nonzeros are read.
     """
-    n = len(system.matrix)
-    floats = np.ascontiguousarray(system.matrix).view(float).reshape(n, 450)
+    drive = np.ascontiguousarray(system.drive).view(float)
+    return _real_matrix(system.matrix), drive[:, _DRIVE_SRC]
+
+
+def _real_matrix(m: np.ndarray) -> np.ndarray:
+    """The real M = T^-1 M T of a conjugate-consistent (N, 15, 15) stack, as _real_system."""
+    n = len(m)
+    floats = np.ascontiguousarray(m).view(float).reshape(n, 450)
     real_m = np.zeros((n, 225))
     real_m[:, _GATHER_FLAT] = floats[:, _GATHER_SRC] * _GATHER_FACTOR
-    return real_m.reshape(n, 15, 15), np.ascontiguousarray(system.drive).view(float)[:, _DRIVE_SRC]
+    return real_m.reshape(n, 15, 15)
+
+
+def _moment_columns(x: np.ndarray) -> np.ndarray:
+    """T x for a stack x of (N, 15, k) columns in the real coordinates, real or complex."""
+    u = np.empty(x.shape, dtype=complex)
+    re, im = x[:, 0:12:2], x[:, 1:12:2]
+    u[:, _FIRST], u[:, _SECOND] = re + 1j * im, re - 1j * im
+    u[:, _REAL] = x[:, 12:]
+    return u
 
 
 def _refined_solve(m: np.ndarray, rhs: np.ndarray, x: np.ndarray, minv: np.ndarray) -> np.ndarray:

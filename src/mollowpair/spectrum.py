@@ -7,13 +7,19 @@ separate coherent (Rayleigh) delta weight; evaluating the components on a
 grid is then trivial.  The two-time boundary vector is a selection of the
 one-time moments, so one moment solve per point seeds the whole spectrum,
 and a sweep decomposes all its points in one batched pass.
-Parts of the coupling landscape make the full regression matrix defective
-(at zero coherent coupling it carries a Jordan chain, mostly invisible to the
-emitter correlator), so the decomposition first restricts the system to the
-subspace that is both reachable from the boundary vector and observable by
-the readout.  Eigenvalues that still collide there are decomposed through
-their invariant subspace; a visible defect becomes a second-order pole with
-its own lineshape.  The path is numpy only and never calls the
+
+One batched eig of the full regression matrix M routes the points.  Where
+its eigenvector basis has cond at most DIRECT_COND and its eigenvalues lie
+pairwise at least CLUSTER_GAP apart (the generic case), a point is expanded
+over M's own eigenvectors: the direct route.  Elsewhere M is defective or
+nearly so (at zero coherent coupling it carries a Jordan chain, mostly
+invisible to the emitter correlator), so the Krylov route first restricts
+the system to the subspace that is both reachable from the boundary vector
+and observable by the readout.  Eigenvalues that still collide there are
+decomposed through their invariant subspace; a visible defect becomes a
+second-order pole with its own lineshape.  A spectrum is undefined where
+neither emitter is driven, or where the emitter's population is at the
+rounding level of n1 + n2.  The path is numpy only and never calls the
 density-matrix oracle.
 """
 
@@ -25,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, UnsupportedConfigurationError
-from .moments import (IDX_N1, IDX_N2, IDX_S1, IDX_S2, SEED_SELECTION, build_moment_system,
-                      steady_state)
+from .moments import (IDX_N1, IDX_N2, IDX_S1, IDX_S2, SEED_SELECTION, _moment_columns,
+                      _real_matrix, build_moment_system, steady_state)
 from .params import SystemParams
 
 #: Relative gap below which eigenvalues count as one cluster.  A Jordan pair
@@ -37,6 +43,11 @@ CLUSTER_GAP = 1e-6
 SUSPECT_COND = 1e6
 #: Weight pairs with both parts below this (relative to n_e) are zero.
 PRUNE_TOL = 1e-12
+#: Eigenvector condition number of the full M up to which a point whose
+#: eigenvalues lie apart takes the direct route.
+DIRECT_COND = 1e2
+#: An emitter population at or below this multiple of n1 + n2 is rounding.
+ROUNDING_POPULATION = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -171,15 +182,17 @@ def decompose_spectrum(p: SystemParams, emitter: int = 1) -> SpectralDecompositi
     The batch of one of the sweep's engine, _decompose_stack: build and solve
     the moment system for u; seed the two-time boundary vector
     <sigma_e^dag O_i> by selecting coordinates of u (boundary_vector) and
-    subtract the infinite-delay offset u <sigma_e^dag>; restrict the
-    regression matrix to the part of the subspace it generates that the
-    emitter correlator observes; expand the remainder over that matrix's
-    eigenvectors, one pole per eigenvalue.  Widths are -2 Re and shifts -Im
-    of the regression eigenvalues, and the delta weight is |<sigma_e>|^2 / n_e.
+    subtract the infinite-delay offset u <sigma_e^dag>; expand it over the
+    eigenvectors of the regression matrix M, one pole per eigenvalue.  Where
+    M's eigenvector basis is well conditioned and its eigenvalues apart, that
+    basis is M's own (the direct route); elsewhere M is first restricted to
+    the part of the subspace it generates that the emitter correlator
+    observes (the Krylov route).  Widths are -2 Re and shifts -Im of the
+    regression eigenvalues, and the delta weight is |<sigma_e>|^2 / n_e.
 
-    Where eigenvalues collide and the eigenvector basis degrades (the one-way
-    pair at the critical drive gamma0/8, the trapping line at strong drive),
-    each cluster is expanded over its invariant subspace instead.  A visible
+    Where eigenvalues collide and the reduced eigenvector basis degrades (the
+    one-way pair at the critical drive gamma0/8, the trapping line at strong
+    drive), each cluster is expanded over its invariant subspace.  A visible
     Jordan pair becomes one second-order pole, a component with nonzero
     L2_zeta/K2_zeta; an invisible one has weights below PRUNE_TOL and drops.
     """
@@ -193,12 +206,15 @@ def decompose_spectrum(p: SystemParams, emitter: int = 1) -> SpectralDecompositi
 
 
 def _check_defined(p: SystemParams, emitter: int) -> UnsupportedConfigurationError | None:
-    """The error of an emitter whose spectrum is undefined before anything is solved, or None."""
+    """The error of a spectrum that is undefined before anything is solved, or None.
+
+    Undriven, the pair has no spectrum, and at g = 0, gamma = gamma0 M is singular.
+    """
     if emitter not in (1, 2):
         raise ParameterError(f"emitter must be 1 or 2, got {emitter}")
-    if emitter == 1 and p.omega1 == 0.0:
+    if p.omega1 == 0.0 and p.omega2 == 0.0:
         return UnsupportedConfigurationError(
-            "emitter 1 is undriven (omega1 = 0); its spectrum is undefined"
+            "neither emitter is driven (omega1 = omega2 = 0); its spectrum is undefined"
         )
     return None
 
@@ -206,27 +222,58 @@ def _check_defined(p: SystemParams, emitter: int) -> UnsupportedConfigurationErr
 def _decompose_stack(m: np.ndarray, u: np.ndarray, emitter: int) -> list:
     """decompose_spectrum at points already solved: their (N, 15, 15) M and (N, 15) u stacks.
 
-    The reductions run over the stack and the reduced systems, grouped by
-    dimension, share one eig, cond and modal solve; only the cluster and prune
-    steps run per point.  A point whose emitter population is zero
-    gets an UnsupportedConfigurationError in place of its decomposition.
+    On the direct route each eigenvalue of M is a pole with weight
+    V[readout, k] (V^-1 w)_k; the sectors the correlator never sees get
+    rounding-level weights that _prune drops.  Every other point takes
+    _krylov_poles.  A point whose emitter population is at most
+    ROUNDING_POPULATION (n1 + n2) gets an UnsupportedConfigurationError in
+    place of its decomposition.
     """
     # The correlator <sig_e^dag(0) sig_e(tau)> sits at the sigma_e coordinate.
     readout = IDX_S1 if emitter == 1 else IDX_S2
     n_e, coh = u[:, IDX_N1 if emitter == 1 else IDX_N2].real, u[:, readout]
     out: list = [UnsupportedConfigurationError(
-        f"emitter {emitter} population is zero; its spectrum is undefined") for _ in u]
-    rows = np.flatnonzero(~(n_e <= 0.0))
+        f"emitter {emitter} is not excited (population at the rounding level of n1 + n2); "
+        "its spectrum is undefined") for _ in u]
+    rows = np.flatnonzero(~(n_e <= ROUNDING_POPULATION * (u[:, IDX_N1].real + u[:, IDX_N2].real)))
     m, u = m[rows], u[rows]
     w = boundary_vector(u, emitter) - u * np.conj(coh[rows])[:, None]
     # At least 2 gamma0, the <n1 n2> diagonal: a float sum of non-negative terms is >= each term.
     scale = np.abs(m).sum(axis=-1).max(axis=-1)
 
-    # Minimal realization of the scalar correlator: restrict to the subspace
-    # reached from the boundary, then to the part observed by the readout
-    # functional.  Sectors that are reachable but invisible to the emitter
-    # correlator drop out here instead of poisoning the eigenvector basis.
-    # by_dim collects (rows, h, b_h, c_h) of the nonempty reduced systems.
+    # M is similar to the real T^-1 M T of the moment solve, whose eig is cheaper.
+    vals, vecs = np.linalg.eig(_real_matrix(m))
+    vecs = _moment_columns(vecs)
+    gaps = np.abs(vals[:, :, None] - vals[:, None, :]) + np.diag(np.full(15, np.inf))
+    direct = ((np.linalg.cond(vecs) <= DIRECT_COND)
+              & (gaps.min(axis=(1, 2)) >= CLUSTER_GAP * scale))
+    poles: dict[int, np.ndarray | list] = {}
+    if direct.any():
+        sel = np.flatnonzero(direct)
+        contrib = vecs[sel, readout, :] * np.linalg.solve(vecs[sel], w[sel][..., None])[..., 0]
+        poles.update(zip(sel, np.stack((vals[sel], contrib, np.zeros_like(contrib)), axis=-1)))
+    if not direct.all():
+        sel = np.flatnonzero(~direct)
+        krylov = _krylov_poles(m[sel], w[sel], scale[sel], readout)
+        poles.update((sel[r], v) for r, v in krylov.items())
+    for r, i in enumerate(rows):
+        out[i] = _prune(poles.get(r, []), float(n_e[i]), complex(coh[i]), emitter)
+    return out
+
+
+def _krylov_poles(m, w, scale, readout) -> dict[int, np.ndarray | list]:
+    """Poles (lambda, b1, b2) of a stack's rows, keyed by row, from a minimal realization.
+
+    The reductions run over the stack and the reduced systems, grouped by
+    dimension, share one eig, cond and modal solve; only the cluster step
+    runs per point.  A row whose correlator realizes to nothing has no entry.
+    """
+    # The Krylov route, for points whose eigenbasis of M is ill-conditioned or
+    # whose eigenvalues cluster: restrict to the subspace reached from the
+    # boundary, then to the part observed by the readout functional.  Sectors
+    # that are reachable but invisible to the emitter correlator drop out here
+    # instead of poisoning the eigenvector basis.  by_dim collects
+    # (rows, h, b_h, c_h) of the nonempty reduced systems.
     by_dim: dict[int, list] = {}
     reach, dims = _invariant_bases(m, w, scale)
     for d in np.unique(dims[dims > 0]):
@@ -245,7 +292,7 @@ def _decompose_stack(m: np.ndarray, u: np.ndarray, emitter: int) -> list:
                 sel[sub], oh @ m_r[sub] @ o,
                 (oh @ b_r[sub][..., None])[..., 0], (oh @ c_r[sub][..., None])[..., 0]))
 
-    poles: dict[int, list] = {}
+    poles: dict[int, np.ndarray | list] = {}
     for parts in by_dim.values():
         idx, h, b_h, c_h = (np.concatenate(x) for x in zip(*parts))
         vals, vecs = np.linalg.eig(h)
@@ -262,11 +309,9 @@ def _decompose_stack(m: np.ndarray, u: np.ndarray, emitter: int) -> list:
                 plain.append(j)
         contrib = ((c_h[plain].conj()[:, None, :] @ vecs[plain])[:, 0, :]
                    * np.linalg.solve(vecs[plain], b_h[plain][..., None])[..., 0])
-        for j, c in zip(plain, contrib):
-            poles[idx[j]] = [(lam, b, 0j) for lam, b in zip(vals[j], c)]
-    for r, i in enumerate(rows):
-        out[i] = _prune(poles.get(r, []), float(n_e[i]), complex(coh[i]), emitter)
-    return out
+        poles.update(zip(idx[plain], np.stack((vals[plain], contrib, np.zeros_like(contrib)),
+                                              axis=-1)))
+    return poles
 
 
 def _prune(poles, n_e: float, coh: complex, emitter: int) -> SpectralDecomposition:

@@ -118,8 +118,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     One planning pass routes each point: closed forms where closed_forms.covers
     it (fast path on), one batched moment solve for every point that needs the
     moments, one batched decomposition for every defined spectrum.  Undefined
-    observables (the zero-drive correlator, the spectrum of an undriven emitter
-    or of a zero population) and a decomposition that holds a second-order pole
+    observables (the zero-drive correlator, the spectrum of an undriven pair or
+    of a rounding-level population) and a decomposition holding a second-order pole
     produce per-row null markers with a reason code instead of failing the run.
     Moment-routed populations and g2 are columns computed on the solved stack.
     The solve's ConditionWarning and numerical errors name the sweep point.

@@ -196,9 +196,11 @@ def test_oracle_rejects_unknown_emitter(oracle, emitter):
 
 
 def test_spectrum_undefined_without_drive():
-    lv = build_liouvillian(SystemParams(g=1.0, omega2=1.0))
-    with pytest.raises(UnsupportedConfigurationError):
-        liouville_spectrum(lv, np.linspace(-5.0, 5.0, 801))
+    # Decided before the steady state, which is not unique at g = 0, gamma = gamma0.
+    for p in (SystemParams(g=1.0), SystemParams(g=0.0, gamma=1.0)):
+        for emitter in (1, 2):
+            with pytest.raises(UnsupportedConfigurationError, match="neither emitter is driven"):
+                liouville_spectrum(build_liouvillian(p), np.linspace(-5.0, 5.0, 801), emitter)
 
 
 def test_oracle_positivity_and_coherence_consistency(rng):

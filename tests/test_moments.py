@@ -22,6 +22,8 @@ from mollowpair.moments import (
     IDX_S2,
     _PAIRS,
     MomentSystem,
+    _moment_columns,
+    _real_matrix,
     _real_system,
     _solve_stack,
     build_moment_system,
@@ -311,6 +313,24 @@ def test_real_system_is_the_exact_similarity_transform(rng):
     for c, d in _PAIRS:
         assert u[:, d].tobytes() == u[:, c].conj().tobytes()
     assert not np.any(u[:, [IDX_N1, IDX_N2, IDX_NX]].imag)
+
+
+def test_moment_columns_carry_real_eigenvectors_onto_those_of_m(rng):
+    # _moment_columns applies T (as _exact_real_system builds it) to the
+    # columns of a stack, so the eigenvectors of the real T^-1 M T that the
+    # spectral engine decomposes become eigenvectors of M.
+    t = np.zeros((15, 15), dtype=complex)
+    for p, (c, d) in enumerate(_PAIRS):
+        t[c, 2 * p], t[d, 2 * p], t[c, 2 * p + 1], t[d, 2 * p + 1] = 1, 1, 1j, -1j
+    for q, r in enumerate((IDX_N1, IDX_N2, IDX_NX)):
+        t[r, 12 + q] = 1
+    assert np.array_equal(_moment_columns(np.eye(15)[None]), t[None])
+    m = build_moment_systems([random_params(rng, with_detuning=True, with_second_drive=True)
+                              for _ in range(10)]).matrix
+    vals, vecs = np.linalg.eig(_real_matrix(m))
+    vecs = _moment_columns(vecs)
+    residual = np.abs(m @ vecs - vecs * vals[:, None, :]).max(axis=(1, 2))
+    assert np.all(residual <= 1e-13 * np.abs(m).sum(axis=-1).max(axis=-1))
 
 
 def test_one_factorization_per_stack(monkeypatch):

@@ -65,3 +65,17 @@ def test_output_manifest_hashes_every_preset_and_the_landscape(tmp_path):
     listed = "".join(line + "\n" for line in lines[:-1]).encode()
     expected.append(hashlib.sha256(listed).hexdigest())
     assert list(digests) == expected
+
+
+def test_output_manifest_names_the_outputs_that_differ_from_an_earlier_one(tmp_path):
+    lines = run_script("output_manifest.py", cwd=tmp_path).stdout.splitlines()
+    earlier = tmp_path / "earlier.txt"
+    edited = ["0" * 64 + "  fig4.csv" if line.endswith("  fig4.csv") else line
+              for line in lines if not line.endswith("  fig9.json")]
+    earlier.write_text("\n".join(edited + ["f" * 64 + "  gone.csv"]) + "\n")
+    out = run_script("output_manifest.py", "--against", earlier, cwd=tmp_path).stdout
+    assert out.splitlines() == lines + ["differs  fig4.csv", "differs  fig9.json",
+                                        "differs  gone.csv"]
+    earlier.write_text("\n".join(lines) + "\n")
+    assert run_script("output_manifest.py", "--against", earlier, cwd=tmp_path).stdout == out[
+        :out.index("differs")]

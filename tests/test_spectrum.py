@@ -12,6 +12,8 @@ from mollowpair.moments import (
     IDX_S1,
     IDX_S2,
     SEED_SELECTION,
+    _moment_columns,
+    _real_matrix,
     _solve_stack,
     build_moment_system,
     build_moment_systems,
@@ -35,6 +37,7 @@ from mollowpair.single_emitter import (
     mollow_coefficients,
     single_spectrum,
 )
+from mollowpair.spec import load_preset
 from mollowpair.spectrum import (
     SpectralComponent,
     SpectralDecomposition,
@@ -186,6 +189,86 @@ def test_semisimple_repair_accepts_ill_conditioned_basis(monkeypatch):
     assert np.max(np.abs(engine - oracle)) < 1e-9 * np.max(oracle)
 
 
+def _krylov_rows(monkeypatch):
+    """Row counts of the stacks _decompose_stack sends to the Krylov route, one per call."""
+    rows = []
+    krylov = spectrum._krylov_poles
+    monkeypatch.setattr(spectrum, "_krylov_poles",
+                        lambda m, *args: rows.append(len(m)) or krylov(m, *args))
+    return rows
+
+
+@pytest.mark.parametrize("p", [
+    *(unidirectional_pair(1.0, w) for w in (0.124, 0.1245, 0.125, 0.1255, 0.126)),
+    *(dissipative_pair(1.0, w) for w in (1e-2, 1.0, 4.0, 10.0)),
+    coherent_pair(995.5240692893162, 0.005125278118434071, theta=5.331999597276228),
+], ids=[*(f"critical-drive-{w}" for w in (0.124, 0.1245, 0.125, 0.1255, 0.126)),
+        *(f"hidden-jordan-{w}" for w in (1e-2, 1.0, 4.0, 10.0)), "corner-a-worst"])
+def test_gate_sends_defective_and_clustered_points_to_the_krylov_route(p, monkeypatch):
+    # The one-way pair around the critical drive (full-M eigenvector cond
+    # 10^2.4 at the window's edges, 10^8.7 at 1/8), the trapping line's
+    # hidden Jordan block (cond ~1e8) and corner (a)'s near-coincident pairs
+    # (cond about 2.5, but pairs far closer than CLUSTER_GAP) take the reduction.
+    rows = _krylov_rows(monkeypatch)
+    decompose_spectrum(p)
+    assert rows == [1]
+
+
+def test_generic_draws_take_the_direct_route(rng, monkeypatch):
+    # Off resonance the eigenbasis of M is nearly always well conditioned and
+    # its eigenvalues apart; the exceptions lie near the trapping line's
+    # Jordan block (one of these 100: g 0.05, gamma 0.99, cond 169).  On
+    # resonance, weak drive puts pole pairs within CLUSTER_GAP of each other,
+    # so there more draws take the reduction.
+    rows = _krylov_rows(monkeypatch)
+    for second in (False, True):
+        for _ in range(50):
+            decompose_spectrum(random_params(rng, with_detuning=True, with_second_drive=second))
+    assert len(rows) <= 2
+    del rows[:]
+    for _ in range(50):
+        decompose_spectrum(random_params(rng))
+    assert len(rows) <= 10
+
+
+@pytest.mark.parametrize("name", ["fig4", "fig8a", "fig9", "fig9b", "fig13"])
+def test_direct_route_matches_the_resolvent_at_the_spectrum_presets(name, monkeypatch):
+    rows = _krylov_rows(monkeypatch)
+    spec = load_preset(name)
+    for value in spec.grid.values():
+        p = spec.point(value)
+        grid = default_grid(p, spec.spectrum_points)
+        ref = _resolvent_spectrum(p, grid)
+        got = evaluate_spectrum(decompose_spectrum(p), grid)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref), value
+    assert rows == []
+
+
+@pytest.mark.parametrize("detuning, second", [(False, False), (True, False), (False, True),
+                                              (True, True)])
+def test_direct_route_is_as_accurate_as_the_krylov_route(detuning, second, rng, monkeypatch):
+    # Against the resolvent on the full M, per draw, as a fraction of each
+    # spectrum's maximum.  Both routes expand over eigenvectors, so both lose
+    # digits at weak drive (up to about 1e-9 over such draws), and per draw
+    # either may be the closer by a few times at the rounding level.  Over
+    # the draws the direct route's median error is no larger than the
+    # reduction's, and its worst is the reduction's up to 10 % and 1e-12.
+    direct_cond, errors = spectrum.DIRECT_COND, []
+    for _ in range(40):
+        p = random_params(rng, with_detuning=detuning, with_second_drive=second)
+        grid = default_grid(p, 401)
+        ref = _resolvent_spectrum(p, grid)
+        pair = []
+        for cond in (direct_cond, 0.0):  # below 1 no point takes the direct route
+            monkeypatch.setattr(spectrum, "DIRECT_COND", cond)
+            pair.append(np.max(np.abs(evaluate_spectrum(decompose_spectrum(p), grid) - ref))
+                        / np.max(ref))
+        errors.append(pair)
+    direct, krylov = np.array(errors).T
+    assert np.median(direct) <= np.median(krylov)
+    assert direct.max() <= 1.1 * krylov.max() + 1e-12
+
+
 def _per_point_basis(m, w, scale):
     """The per-point Arnoldi the stack engine replaced: 1-d vectors, strided views."""
     n = m.shape[0]
@@ -208,16 +291,25 @@ def _per_point_basis(m, w, scale):
 
 
 def _per_point_decomposition(p, emitter):
-    """One point's reduction, eig and modal solve, as before the stack engine."""
+    """One point's route, as before the stack engine: M's own eigenbasis where
+    it is well conditioned and its eigenvalues apart, else the reduction, eig
+    and modal solve."""
     system = build_moment_system(p)
     state, m = steady_state(system), system.matrix
     n_e, coh = (state.n1, state.s1) if emitter == 1 else (state.n2, state.s2)
+    readout = IDX_S1 if emitter == 1 else IDX_S2
     w = SEED_SELECTION[emitter] @ state.u - state.u * np.conj(coh)
     scale = max(float(np.linalg.norm(m, ord=np.inf)), p.gamma0)
+    vals, vecs = np.linalg.eig(_real_matrix(m[None])[0])  # M's eig through its real similar
+    vecs = _moment_columns(vecs[None])[0]
+    gap = min(abs(a - b) for i, a in enumerate(vals) for b in vals[:i])
+    if np.linalg.cond(vecs) <= spectrum.DIRECT_COND and gap >= spectrum.CLUSTER_GAP * scale:
+        contrib = vecs[readout] * np.linalg.solve(vecs, w)
+        return spectrum._prune([(lam, b, 0j) for lam, b in zip(vals, contrib)], n_e, coh, emitter)
     reach = _per_point_basis(m, w, scale)
     m_r = reach.conj().T @ m @ reach
     b_r = reach.conj().T @ w
-    c_r = np.conj(reach[IDX_S1 if emitter == 1 else IDX_S2, :])
+    c_r = np.conj(reach[readout, :])
     obs = _per_point_basis(m_r.conj().T, c_r, scale)
     h, b_h, c_h = obs.conj().T @ m_r @ obs, obs.conj().T @ b_r, obs.conj().T @ c_r
     vals, vecs = np.linalg.eig(h)
@@ -235,9 +327,10 @@ def _per_point_decomposition(p, emitter):
 @pytest.mark.parametrize("emitter", [1, 2])
 def test_stack_engine_matches_per_point_reduction_bitwise(emitter, rng):
     # One stack mixing reduced dimensions (the trapping line's pruned hidden
-    # block), the cluster path (critical drive) and generic draws: each point
-    # gets the bits of the per-point reduction.  Row-indexed or contiguous
-    # copies of the engine's operands would change BLAS kernels and bits.
+    # block), the cluster path (critical drive) and generic draws, so both
+    # routes: each point gets the bits of its route taken one point at a
+    # time.  Row-indexed or contiguous copies of the engine's operands would
+    # change BLAS kernels and bits.
     ps = ([dissipative_pair(1.0, w) for w in (4.0, 6.0, 8.0, 10.0)]
           + [unidirectional_pair(1.0, w) for w in (0.124, 0.125, 0.126)]
           + [random_params(rng, with_detuning=True, with_second_drive=True)
@@ -392,14 +485,40 @@ def test_second_order_lineshape_is_the_double_pole():
     np.testing.assert_allclose(evaluate_spectrum(d, grid), expected, rtol=1e-13, atol=1e-15)
 
 
-def test_undriven_emitter1_rejected():
-    with pytest.raises(UnsupportedConfigurationError):
-        decompose_spectrum(SystemParams(g=1.0, omega2=1.0), emitter=1)
+def test_undriven_emitter1_rejected(monkeypatch):
+    # Neither emitter driven: undefined before any solve (at g = 0, gamma =
+    # gamma0 M is singular there).
+    monkeypatch.setattr(spectrum, "steady_state", None)
+    for p in (SystemParams(g=1.0), SystemParams(g=0.0, gamma=1.0)):
+        with pytest.raises(UnsupportedConfigurationError, match="neither emitter is driven"):
+            decompose_spectrum(p, emitter=1)
 
 
 def test_emitter2_unpopulated_rejected():
-    with pytest.raises(UnsupportedConfigurationError):
+    with pytest.raises(UnsupportedConfigurationError, match="emitter 2 is not excited"):
         decompose_spectrum(SystemParams(g=0.0, gamma=0.0, omega1=1.0), emitter=2)
+
+
+def test_unexcited_emitter_has_no_spectrum_on_either_route():
+    # The backward one-way pair never excites emitter 2: n2 is rounding
+    # (7.9e-33 in the moments), so neither route may return a spectrum.
+    p = unidirectional_pair(1.0, 0.5, forward=False)
+    with pytest.raises(UnsupportedConfigurationError, match="emitter 2 is not excited"):
+        decompose_spectrum(p, emitter=2)
+    with pytest.raises(UnsupportedConfigurationError, match="emitter 2 is not excited"):
+        liouville_spectrum(build_liouvillian(p), default_grid(p), emitter=2)
+
+
+def test_emitter_excited_through_the_coupling_has_a_spectrum():
+    # Emitter 1 undriven (omega1 = 0) holds n1 = 0.303 through the coupling to
+    # the driven emitter 2: both routes give its spectrum, and they agree.
+    p = SystemParams(g=1.0, omega2=1.0)
+    grid = default_grid(p)
+    d = decompose_spectrum(p, emitter=1)
+    oracle, delta = liouville_spectrum(build_liouvillian(p), grid, emitter=1)
+    assert steady_state(build_moment_system(p)).n1 == pytest.approx(0.303, abs=1e-3)
+    assert np.max(np.abs(evaluate_spectrum(d, grid) - oracle)) <= 1e-12 * np.max(oracle)
+    assert d.delta_weight == pytest.approx(delta, abs=1e-12)
 
 
 def test_engine_matches_single_emitter_closed_form():

@@ -626,8 +626,24 @@ def test_undriven_spectrum_is_a_null_cell_and_never_solved(fastpath, batched, mo
     result = run_sweep(spec)
     assert sizes == [2] * batched
     assert [row[-1] for row in result.rows] == [None, None]
-    assert result.notes == ("spectrum:emitter 1 is undriven (omega1 = 0)",) * 2
+    assert result.notes == ("spectrum:neither emitter is driven (omega1 = omega2 = 0)",) * 2
     assert result.spectra == ()
+
+
+def test_spectrum_of_an_emitter_driven_only_through_the_coupling():
+    # omega1 = 0 with omega2 > 0: emitter 1 is excited through the coupling,
+    # so the point is solved and decomposed like any other, bit for bit as
+    # decompose_spectrum gives it.
+    spec = small_spec(param="omega1", grid=GridSpec(min=0.0, max=0.5, count=2),
+                      fixed={"g": 1.0, "omega2": 1.0}, observables=("spectrum",))
+    result = run_sweep(spec)
+    assert result.notes == ("", "")
+    assert result.paths == ("spectrum:eigendecomposition",) * 2
+    p = spec.point(0.0)
+    d = decompose_spectrum(p)
+    grid = default_grid(p, spec.spectrum_points)
+    assert result.spectra[0] == SpectrumBlock(0.0, grid, evaluate_spectrum(d, grid),
+                                              d.delta_weight)
 
 
 def test_eigenvalue_sweep_columns():
