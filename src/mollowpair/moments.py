@@ -210,17 +210,11 @@ def _real_system(system: MomentSystem) -> tuple[np.ndarray, np.ndarray]:
     T^-1 P exactly: every entry is one part of one complex entry, times +-1
     or +-2.  Only M's structural nonzeros are read.
     """
-    drive = np.ascontiguousarray(system.drive).view(float)
-    return _real_matrix(system.matrix), drive[:, _DRIVE_SRC]
-
-
-def _real_matrix(m: np.ndarray) -> np.ndarray:
-    """The real M = T^-1 M T of a conjugate-consistent (N, 15, 15) stack, as _real_system."""
-    n = len(m)
-    floats = np.ascontiguousarray(m).view(float).reshape(n, 450)
+    n = len(system.matrix)
+    floats = np.ascontiguousarray(system.matrix).view(float).reshape(n, 450)
     real_m = np.zeros((n, 225))
     real_m[:, _GATHER_FLAT] = floats[:, _GATHER_SRC] * _GATHER_FACTOR
-    return real_m.reshape(n, 15, 15)
+    return real_m.reshape(n, 15, 15), np.ascontiguousarray(system.drive).view(float)[:, _DRIVE_SRC]
 
 
 def _moment_columns(x: np.ndarray) -> np.ndarray:
@@ -254,30 +248,18 @@ def _refined_solve(m: np.ndarray, rhs: np.ndarray, x: np.ndarray, minv: np.ndarr
     return x
 
 
-def _solve_stack(system: MomentSystem, where: Callable[[int], str] = "stack row {}".format
+def _solve_stack(m, rhs, where: Callable[[int], str] = "stack row {}".format
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Steady states u = M^-1 P of a stack: (N, 15) moment vectors and (N,) condition numbers.
 
-    The solve runs on the real system of _real_system and places x back
-    into u exactly: each pair as exact conjugates, n1, n2 and nX exactly
-    real.  A stack whose M or P is not conjugate-consistent, M[conj i, conj j]
-    = conj(M[i, j]) over M's nonzeros with conj i the partner of moment i,
-    raises NumericalError before any solve.  M is generically nonsingular for
-    gamma0 > 0 (every moment decays at gamma0/2 or faster).  cond is the exact
-    1-norm condition number ||M||_1 ||M^-1||_1 of the real M, from the solve's
-    own LU; above 1e12 it warns, and above 1/eps or at an exactly singular M
-    it raises, before any row is returned.  where(row) names the row in the
-    ConditionWarning, the SingularSystemError and the NumericalError; it is
-    called only for such a row.
+    m and rhs are _real_system's real M and P.  x is placed back into u exactly, each
+    pair as exact conjugates and n1, n2, nX exactly real.  M is generically nonsingular
+    for gamma0 > 0 (every moment decays at gamma0/2 or faster).  cond is the exact 1-norm
+    condition number ||M||_1 ||M^-1||_1 of the real M, from the solve's own LU; above 1e12
+    it warns, and above 1/eps or at an exactly singular M it raises, before any row is
+    returned.  where(row) names such a row, and is called only for it.
     """
-    n = len(system.matrix)
-    flat = system.matrix.reshape(n, 225)
-    bad = ((flat[:, _FLAT] != flat[:, _FLAT_CONJ].conj()).any(axis=1)
-           | (system.drive != system.drive[:, _CONJ].conj()).any(axis=1))
-    if bad.any():
-        raise NumericalError(f"M or P is not conjugate-consistent at {where(int(bad.argmax()))}; "
-                             "the regression matrix is inconsistent")
-    m, rhs = _real_system(system)
+    n = len(m)
     # One LU per point solves [P | I]: column 0 is the first solve, the rest M^-1.
     try:
         x = np.linalg.solve(m, np.concatenate(
@@ -294,7 +276,7 @@ def _solve_stack(system: MomentSystem, where: Callable[[int], str] = "stack row 
         if not math.isfinite(c) or c > singular:
             raise SingularSystemError(c, where(row))
         if c > _COND_WARN:
-            # stacklevel 3 names the caller of steady_state or run_sweep.
+            # stacklevel 3 names the caller of steady_state, run_sweep or decompose_spectrum.
             warnings.warn(f"moment solve 1-norm condition number {c:.3e} exceeds 1e12 at "
                           f"{where(row)}", ConditionWarning, stacklevel=3)
     x = _refined_solve(m, rhs, np.ascontiguousarray(x[..., 0]), minv)
@@ -306,8 +288,16 @@ def _solve_stack(system: MomentSystem, where: Callable[[int], str] = "stack row 
 
 
 def steady_state(system: MomentSystem) -> MomentState:
-    """Steady state of one (15, 15) system: the batch of one."""
-    u, cond = _solve_stack(MomentSystem(system.matrix[None], system.drive[None]))
+    """Steady state of one (15, 15) system: the batch of one.
+
+    An M or P that is not conjugate-consistent (M[conj i, conj j] = conj(M[i, j]) over M's
+    nonzeros) raises NumericalError, as the real system reads one member of each pair only.
+    """
+    flat, drive = system.matrix.reshape(225), system.drive
+    if (flat[_FLAT] != flat[_FLAT_CONJ].conj()).any() or (drive != drive[_CONJ].conj()).any():
+        raise NumericalError("M or P is not conjugate-consistent at stack row 0; "
+                             "the regression matrix is inconsistent")
+    u, cond = _solve_stack(*_real_system(MomentSystem(system.matrix[None], drive[None])))
     return MomentState(u[0], *u[0, [IDX_N1, IDX_N2, IDX_NX]].real.tolist(),
                        *u[0, [IDX_S1, IDX_S2]].tolist(), cond.item())
 

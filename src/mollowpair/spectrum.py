@@ -25,6 +25,7 @@ density-matrix oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import ParameterError, UnsupportedConfigurationError
 from .moments import (IDX_N1, IDX_N2, IDX_S1, IDX_S2, SEED_SELECTION, _moment_columns,
-                      _real_matrix, build_moment_system, steady_state)
+                      _real_system, _solve_stack, build_moment_systems)
 from .params import SystemParams
 
 #: Relative gap below which eigenvalues count as one cluster.  A Jordan pair
@@ -41,7 +42,7 @@ CLUSTER_GAP = 1e-6
 #: Eigenvector condition number above which clustered poles are decomposed
 #: through their invariant subspaces instead of their eigenvectors.
 SUSPECT_COND = 1e6
-#: Weight pairs with both parts below this (relative to n_e) are zero.
+#: Weight pairs with both parts below this times the incoherent weight are zero.
 PRUNE_TOL = 1e-12
 #: Eigenvector condition number of the full M up to which a point whose
 #: eigenvalues lie apart takes the direct route.
@@ -194,12 +195,13 @@ def decompose_spectrum(p: SystemParams, emitter: int = 1) -> SpectralDecompositi
     one-way pair at the critical drive gamma0/8, the trapping line at strong
     drive), each cluster is expanded over its invariant subspace.  A visible
     Jordan pair becomes one second-order pole, a component with nonzero
-    L2_zeta/K2_zeta; an invisible one has weights below PRUNE_TOL and drops.
+    L2_zeta/K2_zeta; an invisible one has weights below _prune's cut and drops.
     """
     d = _check_defined(p, emitter)
     if d is None:
-        system = build_moment_system(p)
-        (d,) = _decompose_stack(system.matrix[None], steady_state(system).u[None], emitter)
+        system = build_moment_systems([p])
+        real_m, rhs = _real_system(system)
+        (d,) = _decompose_stack(system.matrix, real_m, _solve_stack(real_m, rhs)[0], emitter)
     if isinstance(d, UnsupportedConfigurationError):
         raise d
     return d
@@ -219,54 +221,51 @@ def _check_defined(p: SystemParams, emitter: int) -> UnsupportedConfigurationErr
     return None
 
 
-def _decompose_stack(m: np.ndarray, u: np.ndarray, emitter: int) -> list:
-    """decompose_spectrum at points already solved: their (N, 15, 15) M and (N, 15) u stacks.
+def _decompose_stack(m: np.ndarray, real_m: np.ndarray, u: np.ndarray, emitter: int) -> list:
+    """decompose_spectrum at solved points: (N, 15, 15) M, the solve's real M and (N, 15) u.
 
     On the direct route each eigenvalue of M is a pole with weight
     V[readout, k] (V^-1 w)_k; the sectors the correlator never sees get
     rounding-level weights that _prune drops.  Every other point takes
-    _krylov_poles.  A point whose emitter population is at most
-    ROUNDING_POPULATION (n1 + n2) gets an UnsupportedConfigurationError in
-    place of its decomposition.
+    _krylov_poles.  Both routes fill one zero-padded pole array for _prune.
+    A point whose emitter population is at most ROUNDING_POPULATION (n1 + n2)
+    gets an UnsupportedConfigurationError in place of its decomposition.
     """
     # The correlator <sig_e^dag(0) sig_e(tau)> sits at the sigma_e coordinate.
     readout = IDX_S1 if emitter == 1 else IDX_S2
     n_e, coh = u[:, IDX_N1 if emitter == 1 else IDX_N2].real, u[:, readout]
-    out: list = [UnsupportedConfigurationError(
-        f"emitter {emitter} is not excited (population at the rounding level of n1 + n2); "
-        "its spectrum is undefined") for _ in u]
-    rows = np.flatnonzero(~(n_e <= ROUNDING_POPULATION * (u[:, IDX_N1].real + u[:, IDX_N2].real)))
-    m, u = m[rows], u[rows]
-    w = boundary_vector(u, emitter) - u * np.conj(coh[rows])[:, None]
+    excited = ~(n_e <= ROUNDING_POPULATION * (u[:, IDX_N1].real + u[:, IDX_N2].real))
+    m, real_m, u, n_e, coh = m[excited], real_m[excited], u[excited], n_e[excited], coh[excited]
+    w = boundary_vector(u, emitter) - u * np.conj(coh)[:, None]
     # At least 2 gamma0, the <n1 n2> diagonal: a float sum of non-negative terms is >= each term.
     scale = np.abs(m).sum(axis=-1).max(axis=-1)
 
     # M is similar to the real T^-1 M T of the moment solve, whose eig is cheaper.
-    vals, vecs = np.linalg.eig(_real_matrix(m))
+    vals, vecs = np.linalg.eig(real_m)
     vecs = _moment_columns(vecs)
     gaps = np.abs(vals[:, :, None] - vals[:, None, :]) + np.diag(np.full(15, np.inf))
     direct = ((np.linalg.cond(vecs) <= DIRECT_COND)
               & (gaps.min(axis=(1, 2)) >= CLUSTER_GAP * scale))
-    poles: dict[int, np.ndarray | list] = {}
+    poles = np.zeros(u.shape + (3,), dtype=complex)
     if direct.any():
         sel = np.flatnonzero(direct)
         contrib = vecs[sel, readout, :] * np.linalg.solve(vecs[sel], w[sel][..., None])[..., 0]
-        poles.update(zip(sel, np.stack((vals[sel], contrib, np.zeros_like(contrib)), axis=-1)))
+        poles[sel, :, :2] = np.stack((vals[sel], contrib), axis=-1)
     if not direct.all():
         sel = np.flatnonzero(~direct)
-        krylov = _krylov_poles(m[sel], w[sel], scale[sel], readout)
-        poles.update((sel[r], v) for r, v in krylov.items())
-    for r, i in enumerate(rows):
-        out[i] = _prune(poles.get(r, []), float(n_e[i]), complex(coh[i]), emitter)
-    return out
+        poles[sel] = _krylov_poles(m[sel], w[sel], scale[sel], readout)
+    pruned = iter(_prune(poles, n_e, coh, emitter))
+    return [next(pruned) if row else UnsupportedConfigurationError(
+        f"emitter {emitter} is not excited (population at the rounding level of n1 + n2); "
+        "its spectrum is undefined") for row in excited.tolist()]
 
 
-def _krylov_poles(m, w, scale, readout) -> dict[int, np.ndarray | list]:
-    """Poles (lambda, b1, b2) of a stack's rows, keyed by row, from a minimal realization.
+def _krylov_poles(m, w, scale, readout) -> np.ndarray:
+    """Poles (lambda, b1, b2) of a stack's rows from a minimal realization, zero-padded (N, 15, 3).
 
     The reductions run over the stack and the reduced systems, grouped by
     dimension, share one eig, cond and modal solve; only the cluster step
-    runs per point.  A row whose correlator realizes to nothing has no entry.
+    runs per point.  A row whose correlator realizes to nothing keeps zeros.
     """
     # The Krylov route, for points whose eigenbasis of M is ill-conditioned or
     # whose eigenvalues cluster: restrict to the subspace reached from the
@@ -292,8 +291,8 @@ def _krylov_poles(m, w, scale, readout) -> dict[int, np.ndarray | list]:
                 sel[sub], oh @ m_r[sub] @ o,
                 (oh @ b_r[sub][..., None])[..., 0], (oh @ c_r[sub][..., None])[..., 0]))
 
-    poles: dict[int, np.ndarray | list] = {}
-    for parts in by_dim.values():
+    poles = np.zeros(w.shape + (3,), dtype=complex)
+    for e, parts in by_dim.items():
         idx, h, b_h, c_h = (np.concatenate(x) for x in zip(*parts))
         vals, vecs = np.linalg.eig(h)
         # A suspicious eigenvector basis means poles have collided: a cluster
@@ -304,26 +303,35 @@ def _krylov_poles(m, w, scale, readout) -> dict[int, np.ndarray | list]:
         for j, r in enumerate(idx):
             groups = _cluster_indices(vals[j], CLUSTER_GAP * scale[r]) if suspect[j] else []
             if groups:
-                poles[r] = _cluster_poles(h[j], vals[j], vecs[j], b_h[j], c_h[j], groups)
+                cluster = _cluster_poles(h[j], vals[j], vecs[j], b_h[j], c_h[j], groups)
+                poles[r, :len(cluster)] = cluster
             else:
                 plain.append(j)
         contrib = ((c_h[plain].conj()[:, None, :] @ vecs[plain])[:, 0, :]
                    * np.linalg.solve(vecs[plain], b_h[plain][..., None])[..., 0])
-        poles.update(zip(idx[plain], np.stack((vals[plain], contrib, np.zeros_like(contrib)),
-                                              axis=-1)))
+        poles[idx[plain], :e, :2] = np.stack((vals[plain], contrib), axis=-1)
     return poles
 
 
-def _prune(poles, n_e: float, coh: complex, emitter: int) -> SpectralDecomposition:
-    """One point's decomposition from its poles (lambda, b1, b2), invisible weights dropped."""
-    lam, b1, b2 = np.array(poles, dtype=complex).reshape(-1, 3).T
-    b1, b2 = b1 / n_e, b2 / n_e
-    faint1, faint2 = (np.maximum(abs(w.real), abs(w.imag)) < PRUNE_TOL for w in (b1, b2))
-    b2[faint2] = 0.0
-    table = np.column_stack((lam.imag, 2.0 * lam.real, b1.real, b1.imag, b2.real, b2.imag))
-    components = sorted((SpectralComponent(*row) for row in table[~(faint1 & faint2)].tolist()),
-                        key=lambda c: (c.omega_zeta, c.gamma_zeta))
-    return SpectralDecomposition(tuple(components), float(abs(coh) ** 2 / n_e), emitter)
+def _prune(poles: np.ndarray, n_e: np.ndarray, coh: np.ndarray, emitter: int) -> list:
+    """Each row's decomposition from a zero-padded (N, 15, 3) stack of poles (lambda, b1, b2).
+
+    A pole drops where both parts of both weights b / n_e lie below PRUNE_TOL times the row's
+    incoherent weight 1 - |<sigma_e>|^2 / n_e (floored at eps), which shrinks like omega^2 at
+    weak drive; the zero padding always drops.  Components sort by (omega_zeta, gamma_zeta).
+    """
+    b = poles[..., 1:] / n_e[:, None, None]
+    delta = [abs(c) ** 2 / n for c, n in zip(coh.tolist(), n_e.tolist())]
+    tol = PRUNE_TOL * np.maximum(1.0 - np.array(delta), np.finfo(float).eps)
+    faint = np.maximum(abs(b.real), abs(b.imag)) < tol[:, None, None]
+    b[..., 1][faint[..., 1]] = 0.0
+    table = np.concatenate((poles[..., :1].imag, 2.0 * poles[..., :1].real, b.view(float)), -1)
+    order = np.lexsort((table[..., 1], table[..., 0]), axis=-1)
+    keep = np.take_along_axis(~faint.all(axis=-1), order, axis=-1)
+    components = iter([SpectralComponent(*row) for row in
+                       np.take_along_axis(table, order[..., None], axis=1)[keep].tolist()])
+    return [SpectralDecomposition(tuple(itertools.islice(components, k)), d, emitter)
+            for k, d in zip(keep.sum(axis=-1).tolist(), delta)]
 
 
 def evaluate_spectrum(d: SpectralDecomposition, grid: np.ndarray) -> np.ndarray:

@@ -36,8 +36,8 @@ from . import __version__
 from . import closed_forms
 from .errors import SweepSpecError, UnsupportedConfigurationError
 from .floattext import _G17, _json_list, _table_texts
-from .moments import (G2_NORM_FLOOR, IDX_N1, IDX_N2, IDX_NX, _populations, _solve_stack,
-                      build_moment_systems)
+from .moments import (G2_NORM_FLOOR, IDX_N1, IDX_N2, IDX_NX, _populations, _real_system,
+                      _solve_stack, build_moment_systems)
 from .params import classify_regime
 # The spec document and the preset catalog live in spec; they stay importable from here.
 from .spec import (GridSpec, SweepSpec, _load_preset_file, load_preset, preset_description,
@@ -140,12 +140,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     u = np.zeros((n, 15), dtype=complex)  # the moments of the solved points, zero elsewhere
     if solve:
         system = build_moment_systems([points[k] for k in solve])
-        u[solve] = _solve_stack(system, lambda row: f"sweep point {solve[row]} "
+        real_m, rhs = _real_system(system)
+        u[solve] = _solve_stack(real_m, rhs, lambda row: f"sweep point {solve[row]} "
                                 f"({spec.param} = {float(values[solve[row]])!r})")[0]
-        defined = [k for k in solve if spectral[k]]
-        if defined:
-            m = system.matrix[[spectral[k] for k in solve]]
-            for k, d in zip(defined, _decompose_stack(m, u[defined], 1)):
+        if any(spectral):
+            mask = [spectral[k] for k in solve]  # the solved points that are decomposed
+            for k, d in zip(np.flatnonzero(spectral), _decompose_stack(
+                    system.matrix[mask], real_m[mask], u[spectral], 1)):
                 decomposed[k] = d
 
     # One list per table column; one label list per observable for the paths and notes.

@@ -23,7 +23,6 @@ from mollowpair.moments import (
     _PAIRS,
     MomentSystem,
     _moment_columns,
-    _real_matrix,
     _real_system,
     _solve_stack,
     build_moment_system,
@@ -118,7 +117,7 @@ def test_batch_engine_matches_per_point_bitwise(rng):
     stack = build_moment_systems(ps)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditionWarning)
-        u, cond = _solve_stack(stack)
+        u, cond = _solve_stack(*_real_system(stack))
         for k, p in enumerate(ps):
             one = build_moment_system(p)
             assert one.matrix.tobytes() == stack.matrix[k].tobytes()
@@ -129,7 +128,7 @@ def test_batch_engine_matches_per_point_bitwise(rng):
     # The one-point state holds Python scalars, not numpy ones.
     assert [type(v) for v in (st.n1, st.n2, st.nX, st.s1, st.s2, st.cond)] == [float] * 3 + [
         complex] * 2 + [float]
-    u, cond = _solve_stack(build_moment_systems([]))
+    u, cond = _solve_stack(*_real_system(build_moment_systems([])))
     assert u.shape == (0, 15) and cond.shape == (0,)
 
 
@@ -244,7 +243,7 @@ def test_refinement_matches_the_dense_residual_bytewise(rng):
         np.copyto(u, (u_ld + corr).astype(np.float64), where=live[:, None])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditionWarning)
-        got, _ = _solve_stack(system)
+        got, _ = _solve_stack(m, drive)
     assert got.tobytes() == _place(u).tobytes()
 
 
@@ -309,7 +308,7 @@ def test_real_system_is_the_exact_similarity_transform(rng):
         assert got_p == {key: re for key, (re, _) in exact_p.items() if re}, k
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditionWarning)
-        u, _ = _solve_stack(system)
+        u, _ = _solve_stack(real_m, real_p)
     for c, d in _PAIRS:
         assert u[:, d].tobytes() == u[:, c].conj().tobytes()
     assert not np.any(u[:, [IDX_N1, IDX_N2, IDX_NX]].imag)
@@ -325,9 +324,10 @@ def test_moment_columns_carry_real_eigenvectors_onto_those_of_m(rng):
     for q, r in enumerate((IDX_N1, IDX_N2, IDX_NX)):
         t[r, 12 + q] = 1
     assert np.array_equal(_moment_columns(np.eye(15)[None]), t[None])
-    m = build_moment_systems([random_params(rng, with_detuning=True, with_second_drive=True)
-                              for _ in range(10)]).matrix
-    vals, vecs = np.linalg.eig(_real_matrix(m))
+    system = build_moment_systems([random_params(rng, with_detuning=True, with_second_drive=True)
+                                   for _ in range(10)])
+    m = system.matrix
+    vals, vecs = np.linalg.eig(_real_system(system)[0])
     vecs = _moment_columns(vecs)
     residual = np.abs(m @ vecs - vecs * vals[:, None, :]).max(axis=(1, 2))
     assert np.all(residual <= 1e-13 * np.abs(m).sum(axis=-1).max(axis=-1))
@@ -346,7 +346,7 @@ def test_one_factorization_per_stack(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     row = [SystemParams(g=5.0, gamma=gamma, theta=0.5 * np.pi, phi=0.0, omega1=1e-3)
            for gamma in np.geomspace(0.01, 1.0, 31)]
-    assert len(_solve_stack(build_moment_systems(row))[0]) == 31
+    assert len(_solve_stack(*_real_system(build_moment_systems(row)))[0]) == 31
     # The one solve is of the real system.
     assert calls == [(np.float64, (31, 15, 15))]
     steady_state(build_moment_system(row[0]))
@@ -529,7 +529,8 @@ def test_singular_system_raises():
     for row, matrices, drives in ((1, [regular.matrix, m], [regular.drive, zero]),
                                   (0, [m, regular.matrix], [zero, regular.drive])):
         with pytest.raises(SingularSystemError) as err:
-            _solve_stack(MomentSystem(matrix=np.stack(matrices), drive=np.stack(drives)))
+            _solve_stack(*_real_system(MomentSystem(matrix=np.stack(matrices),
+                                                    drive=np.stack(drives))))
         assert str(err.value) == ("moment matrix numerically singular (1-norm condition "
                                   f"number inf) at stack row {row}")
 
@@ -559,16 +560,18 @@ def test_condition_warning():
     # In a stack it names the row.
     regular = build_moment_system(coherent_pair(1.0, 1.0))
     with pytest.warns(ConditionWarning) as record:
-        _solve_stack(MomentSystem(matrix=np.stack([regular.matrix, m]),
-                                  drive=np.stack([regular.drive, np.zeros(15, dtype=complex)])))
+        _solve_stack(*_real_system(MomentSystem(
+            matrix=np.stack([regular.matrix, m]),
+            drive=np.stack([regular.drive, np.zeros(15, dtype=complex)]))))
     assert [str(w.message) for w in record] == [
         "moment solve 1-norm condition number 1.000e+13 exceeds 1e12 at stack row 1"]
     # A caller's label is built only for the row that warns.
     named = []
     with pytest.warns(ConditionWarning) as record:
-        _solve_stack(MomentSystem(matrix=np.stack([regular.matrix, m]),
-                                  drive=np.stack([regular.drive, np.zeros(15, dtype=complex)])),
-                     lambda row: named.append(row) or f"point {row} of the probe")
+        _solve_stack(*_real_system(MomentSystem(
+            matrix=np.stack([regular.matrix, m]),
+            drive=np.stack([regular.drive, np.zeros(15, dtype=complex)]))),
+            lambda row: named.append(row) or f"point {row} of the probe")
     assert named == [1]
     assert str(record[0].message).endswith("exceeds 1e12 at point 1 of the probe")
 
@@ -588,21 +591,3 @@ def test_conjugate_consistency_guard():
     drive[2] += 0.5
     with pytest.raises(NumericalError, match=message):
         steady_state(MomentSystem(matrix=system.matrix, drive=drive))
-
-
-def test_conjugate_consistency_guard_in_stack():
-    # The guard names the first offending row, in M or in P, with the
-    # caller's label, built for that row only.
-    ps = [dissipative_pair(0.5, 0.7), coherent_pair(1.0, 1.0), SystemParams(omega1=1.0, omega2=0.7)]
-    system = build_moment_systems(ps)
-    bad_m, bad_p = system.matrix.copy(), system.drive.copy()
-    bad_m[1, 4, 4] += 0.3j
-    bad_p[2, 1] = 0.7j  # -i w2 is -0.7j; its partner stays i w2
-    for m, p, row in ((bad_m, system.drive, 1), (system.matrix, bad_p, 2), (bad_m, bad_p, 1)):
-        named = []
-        with pytest.raises(NumericalError) as err:
-            _solve_stack(MomentSystem(matrix=m, drive=p),
-                         lambda k: named.append(k) or f"point {k} of the probe")
-        assert str(err.value) == (f"M or P is not conjugate-consistent at point {row} of the "
-                                  "probe; the regression matrix is inconsistent")
-        assert named == [row]

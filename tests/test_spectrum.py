@@ -12,8 +12,9 @@ from mollowpair.moments import (
     IDX_S1,
     IDX_S2,
     SEED_SELECTION,
+    MomentSystem,
     _moment_columns,
-    _real_matrix,
+    _real_system,
     _solve_stack,
     build_moment_system,
     build_moment_systems,
@@ -105,6 +106,20 @@ def test_sum_rule_at_strong_coherent_coupling_weak_drive(g):
     st = steady_state(build_moment_system(p))
     assert d.lorentzian_sum + d.delta_weight == pytest.approx(1.0, abs=1e-9)
     assert d.delta_weight == pytest.approx(abs(st.s1) ** 2 / st.n1, rel=1e-12)
+
+
+def test_weak_drive_cut_follows_the_incoherent_weight():
+    # At weak detuned drive the incoherent weight 1 - |<sigma_1>|^2 / n1 is
+    # 6.4e-5 here, so poles whose weights lie below a fixed 1e-12 of n1 still
+    # carry 1e-8 of the spectrum: the cut scales with that weight, and this
+    # draw (the worst of 200 detuned ones) keeps them.
+    p = SystemParams(delta=-1.7388051579206363, g=0.014339327139888381,
+                     theta=1.3282556213789987, gamma=0.137822775848633, phi=6.181083101548878,
+                     omega1=0.010223862889640266)
+    grid = default_grid(p, 401)
+    oracle, _ = liouville_spectrum(build_liouvillian(p), grid)
+    engine = evaluate_spectrum(decompose_spectrum(p), grid)
+    assert np.max(np.abs(engine - oracle)) <= 1e-9 * np.max(oracle)
 
 
 def _resolvent_spectrum(p, grid):
@@ -248,9 +263,9 @@ def test_direct_route_matches_the_resolvent_at_the_spectrum_presets(name, monkey
                                               (True, True)])
 def test_direct_route_is_as_accurate_as_the_krylov_route(detuning, second, rng, monkeypatch):
     # Against the resolvent on the full M, per draw, as a fraction of each
-    # spectrum's maximum.  Both routes expand over eigenvectors, so both lose
-    # digits at weak drive (up to about 1e-9 over such draws), and per draw
-    # either may be the closer by a few times at the rounding level.  Over
+    # spectrum's maximum.  Both routes expand over eigenvectors and share the
+    # cut, and per draw either may be the closer by a few times at the
+    # rounding level.  Over
     # the draws the direct route's median error is no larger than the
     # reduction's, and its worst is the reduction's up to 10 % and 1e-12.
     direct_cond, errors = spectrum.DIRECT_COND, []
@@ -290,6 +305,23 @@ def _per_point_basis(m, w, scale):
     return q[:, :dim]
 
 
+def _per_point_cut(poles, n_e, coh, emitter):
+    """One point's decomposition from its poles (lambda, b1, b2), cut one point
+    at a time: a pole drops where both parts of both weights b / n_e lie below
+    PRUNE_TOL times the incoherent weight 1 - |<sigma_e>|^2 / n_e, floored at
+    eps.  Components sort by (omega_zeta, gamma_zeta)."""
+    delta = float(abs(coh) ** 2 / n_e)
+    tol = spectrum.PRUNE_TOL * max(1.0 - delta, np.finfo(float).eps)
+    lam, b1, b2 = np.array(poles, dtype=complex).reshape(-1, 3).T
+    b1, b2 = b1 / n_e, b2 / n_e
+    faint1, faint2 = (np.maximum(abs(w.real), abs(w.imag)) < tol for w in (b1, b2))
+    b2[faint2] = 0.0
+    table = np.column_stack((lam.imag, 2.0 * lam.real, b1.real, b1.imag, b2.real, b2.imag))
+    components = sorted((SpectralComponent(*row) for row in table[~(faint1 & faint2)].tolist()),
+                        key=lambda c: (c.omega_zeta, c.gamma_zeta))
+    return SpectralDecomposition(tuple(components), delta, emitter)
+
+
 def _per_point_decomposition(p, emitter):
     """One point's route, as before the stack engine: M's own eigenbasis where
     it is well conditioned and its eigenvalues apart, else the reduction, eig
@@ -297,15 +329,20 @@ def _per_point_decomposition(p, emitter):
     system = build_moment_system(p)
     state, m = steady_state(system), system.matrix
     n_e, coh = (state.n1, state.s1) if emitter == 1 else (state.n2, state.s2)
+    if n_e <= spectrum.ROUNDING_POPULATION * (state.n1 + state.n2):
+        return UnsupportedConfigurationError(
+            f"emitter {emitter} is not excited (population at the rounding level of n1 + n2); "
+            "its spectrum is undefined")
     readout = IDX_S1 if emitter == 1 else IDX_S2
     w = SEED_SELECTION[emitter] @ state.u - state.u * np.conj(coh)
     scale = max(float(np.linalg.norm(m, ord=np.inf)), p.gamma0)
-    vals, vecs = np.linalg.eig(_real_matrix(m[None])[0])  # M's eig through its real similar
+    # M's eig through its real similar T^-1 M T.
+    vals, vecs = np.linalg.eig(_real_system(MomentSystem(m[None], system.drive[None]))[0][0])
     vecs = _moment_columns(vecs[None])[0]
     gap = min(abs(a - b) for i, a in enumerate(vals) for b in vals[:i])
     if np.linalg.cond(vecs) <= spectrum.DIRECT_COND and gap >= spectrum.CLUSTER_GAP * scale:
         contrib = vecs[readout] * np.linalg.solve(vecs, w)
-        return spectrum._prune([(lam, b, 0j) for lam, b in zip(vals, contrib)], n_e, coh, emitter)
+        return _per_point_cut([(lam, b, 0j) for lam, b in zip(vals, contrib)], n_e, coh, emitter)
     reach = _per_point_basis(m, w, scale)
     m_r = reach.conj().T @ m @ reach
     b_r = reach.conj().T @ w
@@ -321,22 +358,30 @@ def _per_point_decomposition(p, emitter):
     else:
         contrib = (c_h.conj() @ vecs) * np.linalg.solve(vecs, b_h)
         poles = [(lam, b, 0j) for lam, b in zip(vals, contrib)]
-    return spectrum._prune(poles, n_e, coh, emitter)
+    return _per_point_cut(poles, n_e, coh, emitter)
 
 
 @pytest.mark.parametrize("emitter", [1, 2])
 def test_stack_engine_matches_per_point_reduction_bitwise(emitter, rng):
     # One stack mixing reduced dimensions (the trapping line's pruned hidden
-    # block), the cluster path (critical drive) and generic draws, so both
-    # routes: each point gets the bits of its route taken one point at a
-    # time.  Row-indexed or contiguous copies of the engine's operands would
-    # change BLAS kernels and bits.
-    ps = ([dissipative_pair(1.0, w) for w in (4.0, 6.0, 8.0, 10.0)]
-          + [unidirectional_pair(1.0, w) for w in (0.124, 0.125, 0.126)]
+    # block), the cluster path (the critical-drive window), corner (a)'s
+    # near-coincident pairs, weak drive, generic draws and the backward
+    # one-way pair, whose emitter 2 is undefined, so both routes and the
+    # error: each point gets the bits of its route taken one point at a time,
+    # and the stack's one cut is the per-point cut.  Row-indexed or
+    # contiguous copies of the engine's operands would change BLAS kernels
+    # and bits.
+    ps = ([dissipative_pair(1.0, w) for w in (1e-4, 1e-2, 1.0, 4.0, 6.0, 8.0, 10.0)]
+          + [unidirectional_pair(1.0, w) for w in (0.124, 0.1245, 0.125, 0.1255, 0.126)]
+          + [coherent_pair(10 ** rng.uniform(1, 3), 10 ** rng.uniform(np.log10(0.005), -1.3),
+                           theta=rng.uniform(0.0, 2.0 * np.pi)) for _ in range(10)]
+          + [unidirectional_pair(1.0, 0.5, forward=False)]
           + [random_params(rng, with_detuning=True, with_second_drive=True)
              for _ in range(40)])
     system = build_moment_systems(ps)
-    got = spectrum._decompose_stack(system.matrix, _solve_stack(system)[0], emitter)
+    real_m, rhs = _real_system(system)
+    got = spectrum._decompose_stack(system.matrix, real_m, _solve_stack(real_m, rhs)[0], emitter)
+    assert (emitter == 2) == isinstance(got[22], UnsupportedConfigurationError)
     for p, d in zip(ps, got):
         assert repr(d) == repr(_per_point_decomposition(p, emitter)), p
 
@@ -488,7 +533,7 @@ def test_second_order_lineshape_is_the_double_pole():
 def test_undriven_emitter1_rejected(monkeypatch):
     # Neither emitter driven: undefined before any solve (at g = 0, gamma =
     # gamma0 M is singular there).
-    monkeypatch.setattr(spectrum, "steady_state", None)
+    monkeypatch.setattr(spectrum, "_solve_stack", None)
     for p in (SystemParams(g=1.0), SystemParams(g=0.0, gamma=1.0)):
         with pytest.raises(UnsupportedConfigurationError, match="neither emitter is driven"):
             decompose_spectrum(p, emitter=1)

@@ -368,19 +368,19 @@ def test_sweep_passes_other_solver_warnings_unchanged(monkeypatch):
     # origin, and RuntimeWarning still fails the suite (pyproject filterwarnings).
     solve = mollowpair.sweep._solve_stack
 
-    def warning_solve(system, where, category):
+    def warning_solve(m, rhs, where, category):
         warnings.warn("probe", category)
-        return solve(system, where)
+        return solve(m, rhs, where)
 
     spec = small_spec(fastpath=False)
     monkeypatch.setattr(mollowpair.sweep, "_solve_stack",
-                        lambda system, where: warning_solve(system, where, UserWarning))
+                        lambda m, rhs, where: warning_solve(m, rhs, where, UserWarning))
     with pytest.warns(UserWarning) as record:
         run_sweep(spec)
     assert [(w.category, str(w.message), w.filename) for w in record] == [
         (UserWarning, "probe", __file__)]
     monkeypatch.setattr(mollowpair.sweep, "_solve_stack",
-                        lambda system, where: warning_solve(system, where, RuntimeWarning))
+                        lambda m, rhs, where: warning_solve(m, rhs, where, RuntimeWarning))
     with pytest.raises(RuntimeWarning, match="probe"):
         run_sweep(spec)
 
@@ -567,8 +567,8 @@ def test_spectrum_points_share_the_sweep_moment_solve(fixed, grid, observables, 
 
     monkeypatch.setattr(mollowpair.sweep, "_solve_stack",
                         counting("batched", mollowpair.sweep._solve_stack))
-    monkeypatch.setattr(mollowpair.spectrum, "steady_state",
-                        counting("one-point", mollowpair.spectrum.steady_state))
+    monkeypatch.setattr(mollowpair.spectrum, "_solve_stack",
+                        counting("one-point", mollowpair.spectrum._solve_stack))
     result = run_sweep(spec)
     assert calls == {"batched": 1, "one-point": 0}
     monkeypatch.undo()
@@ -621,8 +621,7 @@ def test_undriven_spectrum_is_a_null_cell_and_never_solved(fastpath, batched, mo
     sizes = []
     solve = mollowpair.sweep._solve_stack
     monkeypatch.setattr(mollowpair.sweep, "_solve_stack",
-                        lambda system, where: sizes.append(len(system.matrix))
-                        or solve(system, where))
+                        lambda m, rhs, where: sizes.append(len(m)) or solve(m, rhs, where))
     result = run_sweep(spec)
     assert sizes == [2] * batched
     assert [row[-1] for row in result.rows] == [None, None]
