@@ -248,29 +248,38 @@ def _refined_solve(m: np.ndarray, rhs: np.ndarray, x: np.ndarray, minv: np.ndarr
     return x
 
 
+def _solve_inverse(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a^-1 rhs, a^-1 and the exact 1-norm condition number ||a||_1 ||a^-1||_1 over a stack.
+
+    One LU per row of the (N, n, n) a solves [rhs | I] for the (N, n) rhs (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., ch. 15).  A row whose factor is exactly
+    singular gets cond inf and NaN; the other rows keep the bits of the stacked solve.
+    """
+    both = np.concatenate((rhs[..., None], np.broadcast_to(np.eye(a.shape[-1]), a.shape)), -1)
+    try:
+        sol = np.linalg.solve(a, both)
+    except np.linalg.LinAlgError:  # LAPACK names no row; slogdet's sign is 0 at one
+        ok = (np.linalg.slogdet(a)[0] != 0)[:, None, None]
+        sol = np.where(ok, np.linalg.solve(np.where(ok, a, np.eye(a.shape[-1])), both), np.nan)
+    inv = np.ascontiguousarray(sol[..., 1:])
+    # einsum sums the columns in half the time of sum(axis=-2), to the same bits.
+    cond = (np.einsum("nij->nj", np.abs(a)).max(axis=-1)
+            * np.einsum("nij->nj", np.abs(inv)).max(axis=-1))
+    cond[np.isnan(cond)] = math.inf  # the exactly singular rows
+    return sol[..., 0], inv, cond
+
+
 def _solve_stack(m, rhs, where: Callable[[int], str] = "stack row {}".format
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Steady states u = M^-1 P of a stack: (N, 15) moment vectors and (N,) condition numbers.
 
     m and rhs are _real_system's real M and P.  x is placed back into u exactly, each
     pair as exact conjugates and n1, n2, nX exactly real.  M is generically nonsingular
-    for gamma0 > 0 (every moment decays at gamma0/2 or faster).  cond is the exact 1-norm
-    condition number ||M||_1 ||M^-1||_1 of the real M, from the solve's own LU; above 1e12
-    it warns, and above 1/eps or at an exactly singular M it raises, before any row is
-    returned.  where(row) names such a row, and is called only for it.
+    for gamma0 > 0 (every moment decays at gamma0/2 or faster).  cond is _solve_inverse's
+    for the real M; above 1e12 it warns, and above 1/eps or at an exactly singular M it
+    raises, before any row is returned.  where(row) names such a row, called only for it.
     """
-    n = len(m)
-    # One LU per point solves [P | I]: column 0 is the first solve, the rest M^-1.
-    try:
-        x = np.linalg.solve(m, np.concatenate(
-            (rhs[..., None], np.broadcast_to(np.eye(15), m.shape)), axis=-1))
-    except np.linalg.LinAlgError:  # an exactly singular factor; LAPACK names no row
-        row = next(k for k in range(n) if np.linalg.cond(m[k], 1) == math.inf)
-        raise SingularSystemError(math.inf, where(row)) from None
-    minv = np.ascontiguousarray(x[..., 1:])
-    # einsum sums the columns in half the time of sum(axis=-2), to the same bits.
-    cond = (np.einsum("nij->nj", np.abs(m)).max(axis=-1)
-            * np.einsum("nij->nj", np.abs(minv)).max(axis=-1))
+    x, minv, cond = _solve_inverse(m, rhs)
     singular = 1.0 / np.finfo(float).eps
     for row, c in enumerate(cond.tolist()):
         if not math.isfinite(c) or c > singular:
@@ -279,8 +288,8 @@ def _solve_stack(m, rhs, where: Callable[[int], str] = "stack row {}".format
             # stacklevel 3 names the caller of steady_state, run_sweep or decompose_spectrum.
             warnings.warn(f"moment solve 1-norm condition number {c:.3e} exceeds 1e12 at "
                           f"{where(row)}", ConditionWarning, stacklevel=3)
-    x = _refined_solve(m, rhs, np.ascontiguousarray(x[..., 0]), minv)
-    u = np.empty((n, 15), dtype=complex)
+    x = _refined_solve(m, rhs, np.ascontiguousarray(x), minv)
+    u = np.empty((len(m), 15), dtype=complex)
     u[:, _FIRST] = x[:, :12].view(complex)
     u[:, _SECOND] = u[:, _FIRST].conj()
     u[:, _REAL] = x[:, 12:]

@@ -9,18 +9,19 @@ one-time moments, so one moment solve per point seeds the whole spectrum,
 and a sweep decomposes all its points in one batched pass.
 
 One batched eig of the full regression matrix M routes the points.  Where
-its eigenvector basis has cond at most DIRECT_COND and its eigenvalues lie
-pairwise at least CLUSTER_GAP apart (the generic case), a point is expanded
-over M's own eigenvectors: the direct route.  Elsewhere M is defective or
-nearly so (at zero coherent coupling it carries a Jordan chain, mostly
-invisible to the emitter correlator), so the Krylov route first restricts
-the system to the subspace that is both reachable from the boundary vector
-and observable by the readout.  Eigenvalues that still collide there are
-decomposed through their invariant subspace; a visible defect becomes a
-second-order pole with its own lineshape.  A spectrum is undefined where
-neither emitter is driven, or where the emitter's population is at the
-rounding level of n1 + n2.  The path is numpy only and never calls the
-density-matrix oracle.
+its eigenvector basis V has an exact 1-norm condition number
+||V||_1 ||V^-1||_1 at most DIRECT_COND (read from the LU that gives the
+weights V^-1 w) and its eigenvalues lie pairwise at least CLUSTER_GAP apart
+(the generic case), a point is expanded over M's own eigenvectors: the
+direct route.  Elsewhere M is defective or nearly so (at zero coherent
+coupling it carries a Jordan chain, mostly invisible to the emitter
+correlator), so the Krylov route first restricts the system to the subspace
+that is both reachable from the boundary vector and observable by the
+readout.  Eigenvalues that still collide there are decomposed through their
+invariant subspace; a visible defect becomes a second-order pole with its
+own lineshape.  A spectrum is undefined where neither emitter is driven, or
+where the emitter's population is at the rounding level of n1 + n2.  The
+path is numpy only and never calls the density-matrix oracle.
 """
 
 from __future__ import annotations
@@ -33,20 +34,20 @@ import numpy as np
 
 from .errors import ParameterError, UnsupportedConfigurationError
 from .moments import (IDX_N1, IDX_N2, IDX_S1, IDX_S2, SEED_SELECTION, _moment_columns,
-                      _real_system, _solve_stack, build_moment_systems)
+                      _real_system, _solve_inverse, _solve_stack, build_moment_systems)
 from .params import SystemParams
 
 #: Relative gap below which eigenvalues count as one cluster.  A Jordan pair
 #: splits by about sqrt(eps) of the matrix scale, well inside it.
 CLUSTER_GAP = 1e-6
-#: Eigenvector condition number above which clustered poles are decomposed
-#: through their invariant subspaces instead of their eigenvectors.
+#: Exact 1-norm condition number of a reduced eigenvector basis, from the LU of its weights,
+#: above which clustered poles are decomposed through their invariant subspaces.
 SUSPECT_COND = 1e6
 #: Weight pairs with both parts below this times the incoherent weight are zero.
 PRUNE_TOL = 1e-12
-#: Eigenvector condition number of the full M up to which a point whose
-#: eigenvalues lie apart takes the direct route.
-DIRECT_COND = 1e2
+#: Exact 1-norm condition number of M's eigenvector basis, from the LU of its weights, up
+#: to which a point whose eigenvalues lie apart takes the direct route.
+DIRECT_COND = 1.75e2
 #: An emitter population at or below this multiple of n1 + n2 is rounding.
 ROUNDING_POPULATION = 16.0 * np.finfo(float).eps
 
@@ -131,7 +132,7 @@ def _cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
 
 
 def _cluster_poles(h, vals, vecs, b, c, groups) -> list[tuple[complex, complex, complex]]:
-    """Poles (lambda, b1, b2) of c^H exp(-h tau) b when eigenvalues collide.
+    """Poles (lambda, b1, b2) of c^H exp(-h tau) b when eigenvalues collide, zero-padded to len(h).
 
     Each group of k clustered eigenvalues with mean mu is represented by an
     orthonormal basis X of its invariant subspace, the null space of
@@ -162,7 +163,7 @@ def _cluster_poles(h, vals, vecs, b, c, groups) -> list[tuple[complex, complex, 
         nil = x.conj().T @ h @ x - mu * np.eye(k)
         poles.append((mu, cx @ x0, cx @ nil @ x0))
         col += k
-    return poles
+    return poles + [(0j, 0j, 0j)] * (n - len(poles))
 
 
 def boundary_vector(u: np.ndarray, emitter: int = 1) -> np.ndarray:
@@ -244,16 +245,12 @@ def _decompose_stack(m: np.ndarray, real_m: np.ndarray, u: np.ndarray, emitter: 
     vals, vecs = np.linalg.eig(real_m)
     vecs = _moment_columns(vecs)
     gaps = np.abs(vals[:, :, None] - vals[:, None, :]) + np.diag(np.full(15, np.inf))
-    direct = ((np.linalg.cond(vecs) <= DIRECT_COND)
-              & (gaps.min(axis=(1, 2)) >= CLUSTER_GAP * scale))
+    weights, _, cond = _solve_inverse(vecs, w)
+    direct = (cond <= DIRECT_COND) & (gaps.min(axis=(1, 2)) >= CLUSTER_GAP * scale)
     poles = np.zeros(u.shape + (3,), dtype=complex)
-    if direct.any():
-        sel = np.flatnonzero(direct)
-        contrib = vecs[sel, readout, :] * np.linalg.solve(vecs[sel], w[sel][..., None])[..., 0]
-        poles[sel, :, :2] = np.stack((vals[sel], contrib), axis=-1)
+    poles[direct, :, :2] = np.stack((vals, vecs[:, readout, :] * weights), axis=-1)[direct]
     if not direct.all():
-        sel = np.flatnonzero(~direct)
-        poles[sel] = _krylov_poles(m[sel], w[sel], scale[sel], readout)
+        poles[~direct] = _krylov_poles(m[~direct], w[~direct], scale[~direct], readout)
     pruned = iter(_prune(poles, n_e, coh, emitter))
     return [next(pruned) if row else UnsupportedConfigurationError(
         f"emitter {emitter} is not excited (population at the rounding level of n1 + n2); "
@@ -264,8 +261,8 @@ def _krylov_poles(m, w, scale, readout) -> np.ndarray:
     """Poles (lambda, b1, b2) of a stack's rows from a minimal realization, zero-padded (N, 15, 3).
 
     The reductions run over the stack and the reduced systems, grouped by
-    dimension, share one eig, cond and modal solve; only the cluster step
-    runs per point.  A row whose correlator realizes to nothing keeps zeros.
+    dimension, share one eig and one LU for weights and cond; only the cluster
+    step runs per point.  A row whose correlator realizes to nothing keeps zeros.
     """
     # The Krylov route, for points whose eigenbasis of M is ill-conditioned or
     # whose eigenvalues cluster: restrict to the subspace reached from the
@@ -295,21 +292,15 @@ def _krylov_poles(m, w, scale, readout) -> np.ndarray:
     for e, parts in by_dim.items():
         idx, h, b_h, c_h = (np.concatenate(x) for x in zip(*parts))
         vals, vecs = np.linalg.eig(h)
-        # A suspicious eigenvector basis means poles have collided: a cluster
-        # is taken through its invariant subspace, which also covers a Jordan
-        # block (a second-order pole).
-        suspect = np.linalg.cond(vecs) > SUSPECT_COND
-        plain = []
-        for j, r in enumerate(idx):
-            groups = _cluster_indices(vals[j], CLUSTER_GAP * scale[r]) if suspect[j] else []
+        # One LU gives every row's weights and cond.  A suspicious basis means poles have
+        # collided: each cluster goes through its invariant subspace, Jordan blocks included.
+        weights, _, cond = _solve_inverse(vecs, b_h)
+        contrib = (c_h.conj()[:, None, :] @ vecs)[:, 0, :] * weights
+        poles[idx, :e, :2] = np.stack((vals, contrib), axis=-1)
+        for j in np.flatnonzero(cond > SUSPECT_COND):
+            groups = _cluster_indices(vals[j], CLUSTER_GAP * scale[idx[j]])
             if groups:
-                cluster = _cluster_poles(h[j], vals[j], vecs[j], b_h[j], c_h[j], groups)
-                poles[r, :len(cluster)] = cluster
-            else:
-                plain.append(j)
-        contrib = ((c_h[plain].conj()[:, None, :] @ vecs[plain])[:, 0, :]
-                   * np.linalg.solve(vecs[plain], b_h[plain][..., None])[..., 0])
-        poles[idx[plain], :e, :2] = np.stack((vals[plain], contrib), axis=-1)
+                poles[idx[j], :e] = _cluster_poles(h[j], vals[j], vecs[j], b_h[j], c_h[j], groups)
     return poles
 
 

@@ -259,6 +259,37 @@ def test_direct_route_matches_the_resolvent_at_the_spectrum_presets(name, monkey
     assert rows == []
 
 
+def test_exactly_singular_eigenbasis_row_takes_the_krylov_route(rng, monkeypatch):
+    # A stack row whose eigenvector matrix V has an exactly singular LU factor
+    # gets cond inf from the solve of [w | I] and takes the Krylov route; the
+    # rest of the stack keeps the direct route and its bits.
+    ps = [random_params(rng, with_detuning=True, with_second_drive=True) for _ in range(6)]
+    system = build_moment_systems(ps)
+    real_m, rhs = _real_system(system)
+    u = _solve_stack(real_m, rhs)[0]
+    krylov, krylov_m = spectrum._krylov_poles, []
+    monkeypatch.setattr(spectrum, "_krylov_poles",
+                        lambda m, *args: krylov_m.append(m) or krylov(m, *args))
+    clean = spectrum._decompose_stack(system.matrix, real_m, u, 1)
+    assert krylov_m == []
+    eig = np.linalg.eig
+
+    def singular_eig(a):
+        vals, vecs = eig(a)
+        if a.shape == real_m.shape:  # the routing eig of the whole stack
+            vecs[3, :, 0] = 0.0
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eig", singular_eig)
+    got = spectrum._decompose_stack(system.matrix, real_m, u, 1)
+    assert len(krylov_m) == 1 and np.array_equal(krylov_m[0], system.matrix[[3]])
+    for k in (0, 1, 2, 4, 5):
+        assert repr(got[k]) == repr(clean[k])
+    grid = default_grid(ps[3], 401)
+    ref = evaluate_spectrum(clean[3], grid)
+    assert np.max(np.abs(evaluate_spectrum(got[3], grid) - ref)) < 1e-9 * np.max(ref)
+
+
 @pytest.mark.parametrize("detuning, second", [(False, False), (True, False), (False, True),
                                               (True, True)])
 def test_direct_route_is_as_accurate_as_the_krylov_route(detuning, second, rng, monkeypatch):
@@ -340,7 +371,7 @@ def _per_point_decomposition(p, emitter):
     vals, vecs = np.linalg.eig(_real_system(MomentSystem(m[None], system.drive[None]))[0][0])
     vecs = _moment_columns(vecs[None])[0]
     gap = min(abs(a - b) for i, a in enumerate(vals) for b in vals[:i])
-    if np.linalg.cond(vecs) <= spectrum.DIRECT_COND and gap >= spectrum.CLUSTER_GAP * scale:
+    if np.linalg.cond(vecs, 1) <= spectrum.DIRECT_COND and gap >= spectrum.CLUSTER_GAP * scale:
         contrib = vecs[readout] * np.linalg.solve(vecs, w)
         return _per_point_cut([(lam, b, 0j) for lam, b in zip(vals, contrib)], n_e, coh, emitter)
     reach = _per_point_basis(m, w, scale)
@@ -351,7 +382,7 @@ def _per_point_decomposition(p, emitter):
     h, b_h, c_h = obs.conj().T @ m_r @ obs, obs.conj().T @ b_r, obs.conj().T @ c_r
     vals, vecs = np.linalg.eig(h)
     groups = []
-    if np.linalg.cond(vecs) > spectrum.SUSPECT_COND:
+    if np.linalg.cond(vecs, 1) > spectrum.SUSPECT_COND:
         groups = spectrum._cluster_indices(vals, spectrum.CLUSTER_GAP * scale)
     if groups:
         poles = spectrum._cluster_poles(h, vals, vecs, b_h, c_h, groups)

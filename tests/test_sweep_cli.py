@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import json
+import os
 import pkgutil
 import re
 import subprocess
@@ -748,9 +749,18 @@ def test_unknown_preset_rejected():
 
 # --- CLI ---------------------------------------------------------------------
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(*args, **kw):
+    """A child interpreter that imports this checkout's package, installed or not."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, **kw)
+
+
 def run_cli(*args, **kw):
-    return subprocess.run([sys.executable, "-m", "mollowpair", *args],
-                          capture_output=True, text=True, **kw)
+    return run_python("-m", "mollowpair", *args, **kw)
 
 
 _WITHOUT_SCIPY = """
@@ -782,8 +792,7 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # blocked every preset, the critical-drive spectrum sweep (second-order
     # poles) and the oracle's steady state and spectrum at the defective
     # critical-drive generator all run.
-    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
-                          capture_output=True, text=True)
+    proc = run_python("-c", _WITHOUT_SCIPY, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert len(list(tmp_path.iterdir())) == 2 * len(preset_names()) + 1
 
@@ -812,8 +821,7 @@ def test_cli_commands_that_run_no_sweep_need_no_numpy(argv, code, err, monkeypat
     listing = "".join(f"{name}: {catalog['presets'][name]['description']}\n"
                       for name in sorted(catalog["presets"]))
     out = {"--list-presets": listing, "--help": cli.build_parser().format_help()}
-    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *argv],
-                          capture_output=True, text=True)
+    proc = run_python("-c", _WITHOUT_NUMPY, *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         code, out.get(argv[0], "") if code == 0 else "", err)
 
@@ -830,8 +838,7 @@ def test_production_sweep_loads_no_oracle_module(tmp_path):
     # The runtime side of the import scan above: a preset sweep through the
     # CLI (a spectrum preset, the moment solver and the pole decomposition)
     # never loads an oracle module.
-    proc = subprocess.run([sys.executable, "-c", _PRESET_MODULES, str(tmp_path / "fig9.csv")],
-                          capture_output=True, text=True)
+    proc = run_python("-c", _PRESET_MODULES, str(tmp_path / "fig9.csv"))
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "mollowpair.sweep" in loaded
@@ -857,7 +864,7 @@ print(len(names))
 def test_package_import_is_lazy():
     # import mollowpair loads no numpy; each public name then resolves by
     # attribute access, by star import and in dir().
-    proc = subprocess.run([sys.executable, "-c", _LAZY_PACKAGE], capture_output=True, text=True)
+    proc = run_python("-c", _LAZY_PACKAGE)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "57\n")
 
 
