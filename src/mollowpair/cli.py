@@ -8,15 +8,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import math
 import sys
 
 from .errors import NumericalError, SweepSpecError
-from .params import CONFIG_KEYS, Regime, load_config
+from .params import CONFIG_KEYS, ONE_WAY, REGIME_PINS, Regime, load_config
 from .spec import GridSpec, SweepSpec, load_preset, preset_description, preset_names
 
-#: Regimes that --regime can impose: asymmetric, the class of every other point, pins nothing.
-_REGIME_CHOICES = [r.value for r in Regime if r is not Regime.ASYMMETRIC]
 #: Flags that build a sweep, by argparse destination: a preset fixes all of them.
 _SWEEP_FLAGS = ("sweep", "set", "config", "regime", "observable", "spectrum_points")
 
@@ -55,18 +52,10 @@ def _apply_regime(fixed: dict[str, float], regime: str, swept: str,
     given (the --set keys).  It overrides a --config value, since a config
     file lists every key.
     """
-    pinned, own = {}, {}  # own: the values the regime sets rather than reads
-    if regime == "coherent":
-        own = {"gamma": 0.0}
-    elif regime == "dissipative":
-        own = {"g": 0.0}
-    else:  # unidirectional-forward or unidirectional-backward
-        gamma = fixed.get("gamma", 1.0)
-        phi = fixed.get("phi", 0.0)
-        shift = 0.5 * math.pi if regime.endswith("forward") else 1.5 * math.pi
-        pinned = dict(gamma=gamma, phi=phi)
-        own = dict(g=0.5 * gamma, theta=phi + shift)
-    pinned.update(own)
+    read = {"gamma": fixed.get("gamma", 1.0), "phi": fixed.get("phi", 0.0)}
+    own = REGIME_PINS[Regime(regime)](read)  # the values the regime sets rather than reads
+    # A one-way regime's g and theta follow gamma and phi, so it fixes those too.
+    pinned = {**(read if Regime(regime) in ONE_WAY else {}), **own}
     if swept in pinned:
         raise SweepSpecError(f"--regime {regime} fixes {swept}, so {swept} cannot be swept")
     clash = sorted(given & own.keys())
@@ -95,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run a named figure-reproduction preset")
     parser.add_argument("--list-presets", action="store_true",
                         help="list available presets and exit")
-    parser.add_argument("--regime", choices=_REGIME_CHOICES,
+    parser.add_argument("--regime", choices=[r.value for r in REGIME_PINS],
                         help="constrain fixed parameters to a coupling regime")
     parser.add_argument("--sweep", metavar="NAME:MIN:MAX:COUNT:SCALE",
                         help="swept parameter and grid (SCALE is linear or log)")
@@ -176,7 +165,12 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:
                 sys.stderr.write(f"error: cannot write {args.out}: {exc}\n")
                 return 4
-        else:
+        elif hasattr(sys.stdout, "buffer"):
+            # The bytes of emit() as they are: the text layer would re-encode
+            # them and translate newlines.
+            sys.stdout.flush()
+            sys.stdout.buffer.write(payload)
+        else:  # a text-only stream, such as io.StringIO
             sys.stdout.write(payload.decode())
         return 0
 

@@ -123,6 +123,19 @@ def generalized_couplings(p: SystemParams) -> tuple[complex, complex]:
     return 1j * coh + dis, -1j * coh + dis
 
 
+#: g / gamma and the offset theta - phi of each one-way regime.
+ONE_WAY = {Regime.UNIDIRECTIONAL_FORWARD: (0.5, 0.5 * math.pi),
+           Regime.UNIDIRECTIONAL_BACKWARD: (0.5, 1.5 * math.pi)}
+#: What each pure regime sets, given the point's other values p (a dict): coherent zeroes
+#: gamma, dissipative zeroes g, and a one-way regime sets g and theta by its ONE_WAY rule.
+REGIME_PINS = {
+    Regime.COHERENT: lambda p: {"gamma": 0.0},
+    Regime.DISSIPATIVE: lambda p: {"g": 0.0},
+    **{regime: lambda p, k=ratio, s=offset: {"g": k * p["gamma"], "theta": p["phi"] + s}
+       for regime, (ratio, offset) in ONE_WAY.items()},
+}
+
+
 def classify_regime(p: SystemParams) -> Regime:
     """Classify the coupling regime of a parameter set.
 
@@ -134,12 +147,10 @@ def classify_regime(p: SystemParams) -> Regime:
         return Regime.COHERENT
     if p.g <= REGIME_TOL * p.gamma0:
         return Regime.DISSIPATIVE
-    rel = p.theta - p.phi
-    if abs(p.g / p.gamma - 0.5) <= REGIME_TOL:
-        if abs(wrap_signed(rel - 0.5 * math.pi)) <= REGIME_TOL:
-            return Regime.UNIDIRECTIONAL_FORWARD
-        if abs(wrap_signed(rel - 1.5 * math.pi)) <= REGIME_TOL:
-            return Regime.UNIDIRECTIONAL_BACKWARD
+    for regime, (ratio, offset) in ONE_WAY.items():
+        if (abs(p.g / p.gamma - ratio) <= REGIME_TOL
+                and abs(wrap_signed(p.theta - p.phi - offset)) <= REGIME_TOL):
+            return regime
     return Regime.ASYMMETRIC
 
 
@@ -150,15 +161,15 @@ def classify_regime(p: SystemParams) -> Regime:
 def coherent_pair(g: float, omega: float, gamma0: float = 1.0, delta: float = 0.0,
                   theta: float = 0.0) -> SystemParams:
     """Purely coherently coupled pair (gamma = 0), emitter 1 driven."""
-    return SystemParams(delta=delta, g=g, theta=theta, gamma=0.0, gamma0=gamma0,
-                        omega1=omega)
+    values = dict(delta=delta, g=g, theta=theta, gamma0=gamma0, omega1=omega)
+    return SystemParams(**values, **REGIME_PINS[Regime.COHERENT](values))
 
 
 def dissipative_pair(gamma: float, omega: float, gamma0: float = 1.0, delta: float = 0.0,
                      phi: float = 0.0) -> SystemParams:
     """Purely dissipatively coupled pair (g = 0), emitter 1 driven."""
-    return SystemParams(delta=delta, g=0.0, gamma=gamma, phi=phi, gamma0=gamma0,
-                        omega1=omega)
+    values = dict(delta=delta, gamma=gamma, phi=phi, gamma0=gamma0, omega1=omega)
+    return SystemParams(**values, **REGIME_PINS[Regime.DISSIPATIVE](values))
 
 
 def unidirectional_pair(gamma: float, omega: float, gamma0: float = 1.0,
@@ -168,9 +179,9 @@ def unidirectional_pair(gamma: float, omega: float, gamma0: float = 1.0,
 
     forward=True suppresses all backaction from emitter 2 onto emitter 1.
     """
-    shift = 0.5 * math.pi if forward else 1.5 * math.pi
-    return SystemParams(delta=delta, g=0.5 * gamma, theta=phi + shift, gamma=gamma,
-                        phi=phi, gamma0=gamma0, omega1=omega)
+    regime = Regime.UNIDIRECTIONAL_FORWARD if forward else Regime.UNIDIRECTIONAL_BACKWARD
+    values = dict(delta=delta, gamma=gamma, phi=phi, gamma0=gamma0, omega1=omega)
+    return SystemParams(**values, **REGIME_PINS[regime](values))
 
 
 def asymmetric_pair(g: float, gamma: float, relative_phase: float, omega: float,

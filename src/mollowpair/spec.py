@@ -66,6 +66,10 @@ class GridSpec:
             raise SweepSpecError(f"log grids require min > 0, got {self.min}")
         if not (self.max > self.min):
             raise SweepSpecError(f"grid needs max > min, got [{self.min}, {self.max}]")
+        if self.scale == "linear" and not math.isfinite(self.max - self.min):
+            # linspace steps by (max - min) / (count - 1), so an infinite span makes nan and inf
+            raise SweepSpecError(f"linear grid span max - min is not finite, "
+                                 f"got [{self.min}, {self.max}]")
 
     def values(self) -> np.ndarray:
         import numpy as np

@@ -36,8 +36,8 @@ from . import __version__
 from . import closed_forms
 from .errors import SweepSpecError, UnsupportedConfigurationError
 from .floattext import _G17, _json_list, _table_texts
-from .moments import (G2_NORM_FLOOR, IDX_N1, IDX_N2, IDX_NX, _populations, _real_system,
-                      _solve_stack, build_moment_systems)
+from .moments import (G2_NORM_FLOOR, IDX_N1, IDX_N2, IDX_NX, MomentSystem, _populations,
+                      _real_system, _solve_stack, build_moment_systems)
 from .params import classify_regime
 # The spec document and the preset catalog live in spec; they stay importable from here.
 from .spec import (GridSpec, SweepSpec, _load_preset_file, load_preset, preset_description,
@@ -138,8 +138,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     spectral = [want_spectrum and d is None for d in decomposed]
     solve = [k for k in range(n) if (want_state and not closed[k]) or spectral[k]]
     u = np.zeros((n, 15), dtype=complex)  # the moments of the solved points, zero elsewhere
+    want_eigs = "eigenvalues" in obs
+    # One build of M: every point when its eigenvalues are asked for, else the solved ones.
+    if want_eigs or solve:
+        built = build_moment_systems(points if want_eigs else [points[k] for k in solve])
     if solve:
-        system = build_moment_systems([points[k] for k in solve])
+        system = MomentSystem(built.matrix[solve], built.drive[solve]) if want_eigs else built
         real_m, rhs = _real_system(system)
         u[solve] = _solve_stack(real_m, rhs, lambda row: f"sweep point {solve[row]} "
                                 f"({spec.param} = {float(values[solve[row]])!r})")[0]
@@ -202,8 +206,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         for part, column in zip((columns, path_parts, note_parts), zip(*cells)):
             part.append(column)
 
-    if "eigenvalues" in obs:
-        eigs = np.linalg.eigvals(build_moment_systems(points).matrix)
+    if want_eigs:
+        eigs = np.linalg.eigvals(built.matrix)
         eigs = np.take_along_axis(eigs, np.lexsort((eigs.imag, eigs.real)), axis=-1)
         columns += np.stack((eigs.real, eigs.imag), axis=-1).reshape(n, 30).T.tolist()
         path_parts.append(["eigenvalues:moments"] * n)

@@ -25,7 +25,8 @@ from mollowpair.errors import (ConditionWarning, SweepSpecError, UndefinedCorrel
 from mollowpair.liouville import build_liouvillian, liouville_spectrum
 from mollowpair.moments import (IDX_N1, IDX_N2, IDX_NX, build_moment_system, g2_cross, populations,
                                steady_state)
-from mollowpair.params import Regime, classify_regime
+from mollowpair.params import (REGIME_PINS, Regime, SystemParams, classify_regime, coherent_pair,
+                               dissipative_pair, unidirectional_pair)
 from mollowpair.single_emitter import SingleParams, single_spectrum
 from mollowpair.spectrum import decompose_spectrum, default_grid, evaluate_spectrum
 from mollowpair.sweep import (
@@ -84,6 +85,14 @@ def test_spec_validation():
 def test_grid_rejects_non_finite_bounds(bounds, bound, got, scale):
     with pytest.raises(SweepSpecError, match=f"^grid {bound} must be finite, got {got}$"):
         GridSpec(*bounds, 2, scale)
+
+
+def test_grid_rejects_a_linear_span_that_overflows():
+    # Both bounds are finite, but max - min is not: linspace would write nan and inf.
+    with pytest.raises(SweepSpecError, match=r"^linear grid span max - min is not finite, "
+                                             r"got \[-1e\+308, 1e\+308\]$"):
+        GridSpec(-1e308, 1e308, 3)
+    assert GridSpec(1e-308, 1e308, 3, "log").values()[-1] == 1e308
 
 
 def test_cli_non_finite_grid_bound_exits_2_without_warning():
@@ -755,8 +764,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def run_python(*args, **kw):
     """A child interpreter that imports this checkout's package, installed or not."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, **kw)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, **{"text": True, **kw})
 
 
 def run_cli(*args, **kw):
@@ -811,8 +820,12 @@ raise SystemExit(main(sys.argv[1:]))
     (["--preset", "fig99"], 2,
      f"error: unknown preset 'fig99' (valid: {', '.join(preset_names())})\n"),
     (["--list-presets", "--format", "csv"], 2,
-     "error: --list-presets cannot be combined with --format\n")],
-    ids=["list-presets", "help", "bad-sweep", "unknown-preset", "list-presets-with-flag"])
+     "error: --list-presets cannot be combined with --format\n"),
+    (["--sweep", "g:-1e308:1e308:3:linear", "--set", "omega1=1"], 2,
+     "error: bad --sweep value 'g:-1e308:1e308:3:linear': linear grid span max - min is not "
+     "finite, got [-1e+308, 1e+308]\n")],
+    ids=["list-presets", "help", "bad-sweep", "unknown-preset", "list-presets-with-flag",
+         "grid-span-overflow"])
 def test_cli_commands_that_run_no_sweep_need_no_numpy(argv, code, err, monkeypatch):
     # Listing presets, help and flag or spec errors run with numpy blocked
     # and write the same text as with it.
@@ -884,6 +897,15 @@ def test_cli_preset_to_file(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(out.read_text())
     assert doc["schema"] == "mollowpair.sweep"
+
+
+def test_cli_stdout_is_the_out_file_bytes_whatever_the_text_encoding(tmp_path, monkeypatch):
+    # stdout gets emit()'s bytes as they are, not re-encoded by the text layer.
+    out = tmp_path / "fig12.csv"
+    assert run_cli("--preset", "fig12", "--out", str(out)).returncode == 0
+    monkeypatch.setenv("PYTHONIOENCODING", "utf-16")
+    proc = run_cli("--preset", "fig12", text=False)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", out.read_bytes())
 
 
 @pytest.mark.parametrize("flag", [["--sweep", "omega1:1:2:2:linear"], ["--set", "g=3"],
@@ -1051,6 +1073,36 @@ def test_cli_regime_overrides_config_values_and_reads_set_ones(tmp_path, capsys)
     out, err = capsys.readouterr()
     fixed = json.loads(out.splitlines()[0][2:])["spec"]["fixed"]
     assert err == "" and (fixed["gamma"], fixed["g"], fixed["theta"]) == (0.6, 0.3, np.pi / 2)
+
+
+_NAMED_PAIRS = {
+    Regime.COHERENT: lambda gamma, phi: coherent_pair(gamma, 0.5, theta=phi),
+    Regime.DISSIPATIVE: lambda gamma, phi: dissipative_pair(gamma, 0.5, phi=phi),
+    Regime.UNIDIRECTIONAL_FORWARD: lambda gamma, phi: unidirectional_pair(gamma, 0.5, phi=phi),
+    Regime.UNIDIRECTIONAL_BACKWARD:
+        lambda gamma, phi: unidirectional_pair(gamma, 0.5, phi=phi, forward=False),
+}
+
+
+@pytest.mark.parametrize("phi", [0.0, 1.1, 2 * np.pi - 1e-12])
+@pytest.mark.parametrize("gamma", [0.3, 1.0])
+@pytest.mark.parametrize("regime", list(REGIME_PINS), ids=lambda r: r.value)
+def test_cli_regime_named_constructor_and_table_build_one_point(regime, gamma, phi, tmp_path):
+    # The --regime spec point, the named constructor and REGIME_PINS itself agree
+    # bit for bit, and the point classifies as its regime.  gamma and phi are the
+    # magnitude and phase of the coupling the regime keeps (g and theta for coherent).
+    kept = dict(zip(("g", "theta") if regime is Regime.COHERENT else ("gamma", "phi"),
+                    (gamma, phi)))
+    out = tmp_path / "sweep.json"
+    sets = [arg for key, value in kept.items() for arg in ("--set", f"{key}={value!r}")]
+    assert cli.main(["--regime", regime.value, *sets, "--sweep", "omega1:0.5:1:2:linear",
+                     "--format", "json", "--out", str(out)]) == 0
+    from_cli = SweepSpec.from_dict(json.loads(out.read_text())["spec"]).point(0.5)
+    values = {**kept, "omega1": 0.5}
+    from_table = SystemParams(**values, **REGIME_PINS[regime](values))
+    points = (from_cli, _NAMED_PAIRS[regime](gamma, phi), from_table)
+    assert len({tuple(v.hex() for v in p.as_dict().values()) for p in points}) == 1
+    assert classify_regime(from_cli) is regime
 
 
 @pytest.mark.parametrize("source, code", [("set", 2), ("config", 0)])
