@@ -138,8 +138,9 @@ def liouville_spectrum(
     defective generators and on any grid.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0.0):
-        raise ParameterError("grid must be a strictly increasing 1-d array")
+    if (grid.ndim != 1 or grid.size < 2 or not np.isfinite(grid).all()
+            or np.any(np.diff(grid) <= 0.0)):
+        raise ParameterError("grid must be a finite, strictly increasing 1-d array")
     sig = _emitter_sigma(emitter)
     p = lv.params
     # Undriven, the pair has no spectrum; at g = 0, gamma = gamma0 its steady

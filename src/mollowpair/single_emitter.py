@@ -32,6 +32,9 @@ class SingleParams:
             raise ParameterError(f"gamma must be > 0, got {self.gamma}")
         if self.omega < 0.0:
             raise ParameterError(f"omega must be >= 0, got {self.omega}")
+        for name in ("delta", "gamma", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,8 @@ def critical_drive(gamma: float) -> float:
     """Drive amplitude where the regression eigenvalues collide: gamma/8."""
     if not (gamma > 0.0):
         raise ParameterError(f"gamma must be > 0, got {gamma}")
+    if not math.isfinite(gamma):
+        raise ParameterError(f"gamma must be finite, got {gamma}")
     return gamma / 8.0
 
 

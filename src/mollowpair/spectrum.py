@@ -349,10 +349,11 @@ def evaluate_spectrum(d: SpectralDecomposition, grid: np.ndarray) -> np.ndarray:
 
 
 def _as_grid(grid) -> np.ndarray:
-    """grid as a float array, which must be strictly increasing and 1-d."""
+    """grid as a float array, which must be finite, strictly increasing and 1-d."""
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0.0):
-        raise ParameterError("grid must be a strictly increasing 1-d array")
+    if (grid.ndim != 1 or grid.size < 2 or not np.isfinite(grid).all()
+            or np.any(np.diff(grid) <= 0.0)):
+        raise ParameterError("grid must be a finite, strictly increasing 1-d array")
     return grid
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from . import closed_forms
-from .errors import SweepSpecError, UnsupportedConfigurationError
+from .errors import ParameterError, SweepSpecError, UnsupportedConfigurationError
 from .floattext import _G17, _json_list, _table_texts
 from .moments import (G2_NORM_FLOOR, IDX_N1, IDX_N2, IDX_NX, MomentSystem, _populations,
                       _real_system, _solve_stack, build_moment_systems)
@@ -98,20 +98,6 @@ class SweepResult:
     version: str = __version__
 
 
-def _scalar_columns(observables) -> list[str]:
-    cols: list[str] = []
-    if "populations" in observables:
-        cols += ["rho00", "rho10", "rho01", "rho11"]
-    if "g2" in observables:
-        cols += ["g2"]
-    if "spectrum" in observables or "decomposition" in observables:
-        cols += ["delta_weight"]
-    if "eigenvalues" in observables:
-        for k in range(15):
-            cols += [f"eig{k:02d}_re", f"eig{k:02d}_im"]
-    return cols
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the requested observables at every grid point.
 
@@ -122,12 +108,22 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     of a rounding-level population) and a decomposition holding a second-order pole
     produce per-row null markers with a reason code instead of failing the run.
     Moment-routed populations and g2 are columns computed on the solved stack.
-    The solve's ConditionWarning and numerical errors name the sweep point.
+    A point's ParameterError and the solve's ConditionWarning and numerical
+    errors name the sweep point.
     """
     values = spec.grid.values()
     obs = spec.observables
     n = len(values)
-    points = [spec.point(value) for value in values]
+
+    def where(k: int) -> str:
+        return f"sweep point {k} ({spec.param} = {float(values[k])!r})"
+
+    points = []
+    for k, value in enumerate(values):
+        try:
+            points.append(spec.point(value))
+        except ParameterError as exc:
+            raise ParameterError(f"{exc} at {where(k)}") from exc
     regimes = [classify_regime(p) for p in points]
     closed = [spec.fastpath and closed_forms.covers(p, r) for p, r in zip(points, regimes)]
     fast = [k for k in range(n) if closed[k]]
@@ -145,16 +141,17 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     if solve:
         system = MomentSystem(built.matrix[solve], built.drive[solve]) if want_eigs else built
         real_m, rhs = _real_system(system)
-        u[solve] = _solve_stack(real_m, rhs, lambda row: f"sweep point {solve[row]} "
-                                f"({spec.param} = {float(values[solve[row]])!r})")[0]
+        u[solve] = _solve_stack(real_m, rhs, lambda row: where(solve[row]))[0]
         if any(spectral):
             mask = [spectral[k] for k in solve]  # the solved points that are decomposed
             for k, d in zip(np.flatnonzero(spectral), _decompose_stack(
                     system.matrix[mask], real_m[mask], u[spectral], 1)):
                 decomposed[k] = d
 
-    # One list per table column; one label list per observable for the paths and notes.
-    columns, path_parts, note_parts, spectra, decomps = [values.tolist()], [], [], [], []
+    # The table's (name, column) pairs, each named where it is built; one label
+    # list per observable for the paths and notes.
+    swept = values.tolist()
+    table, path_parts, note_parts, spectra, decomps = [(spec.param, swept)], [], [], [], []
     n1, n2, nx = u[:, [IDX_N1, IDX_N2, IDX_NX]].real.T
     if "populations" in obs:
         pops = [column.tolist() for column in _populations(n1, n2, nx)]
@@ -163,7 +160,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             cf = closed_forms.regime_populations(points[k], regimes[k])
             pops[0][k], pops[1][k], pops[2][k], pops[3][k] = cf.rho00, cf.rho10, cf.rho01, cf.rho11
             degenerate[k] = "populations:degenerate-steady-state" if cf.degenerate else ""
-        columns += pops
+        table += zip(("rho00", "rho10", "rho01", "rho11"), pops)
         path_parts.append([("populations:moments", "populations:closed-form")[c] for c in closed])
         note_parts.append(degenerate)
 
@@ -176,14 +173,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
               for v, z, on in zip((nx / np.where(null, 1.0, norm)).tolist(), null.tolist(), driven)]
         for k in fast:
             g2[k] = closed_forms.regime_g2(points[k], regimes[k]) if driven[k] else None
-        columns.append(g2)
+        table.append(("g2", g2))
         path_parts.append(["g2:null" if v is None else ("g2:moments", "g2:closed-form")[c]
                            for v, c in zip(g2, closed)])
         note_parts.append(["g2:undefined-correlator" if v is None else "" for v in g2])
 
     if want_spectrum:
         cells = []  # (delta weight, path, note) of each point
-        for value, p, d in zip(columns[0], points, decomposed):
+        for value, p, d in zip(swept, points, decomposed):
             if isinstance(d, UnsupportedConfigurationError):
                 cells.append((None, "spectrum:null", f"spectrum:{d.args[0].split(';')[0]}"))
                 continue
@@ -193,9 +190,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                     note = "decomposition:second-order-pole"
                     labels.append("decomposition:null")
                 else:
-                    table = tuple((c.omega_zeta, c.gamma_zeta, c.L_zeta, c.K_zeta)
+                    poles = tuple((c.omega_zeta, c.gamma_zeta, c.L_zeta, c.K_zeta)
                                   for c in d.components)
-                    decomps.append(DecompositionBlock(value, table, d.delta_weight))
+                    decomps.append(DecompositionBlock(value, poles, d.delta_weight))
                     labels.append("decomposition:eigendecomposition")
             if "spectrum" in obs:
                 grid = default_grid(p, spec.spectrum_points)
@@ -203,19 +200,23 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                                              d.delta_weight))
                 labels.append("spectrum:eigendecomposition")
             cells.append((d.delta_weight, ";".join(labels), note))
-        for part, column in zip((columns, path_parts, note_parts), zip(*cells)):
-            part.append(column)
+        weights, cell_paths, cell_notes = zip(*cells)
+        table.append(("delta_weight", weights))
+        path_parts.append(cell_paths)
+        note_parts.append(cell_notes)
 
     if want_eigs:
         eigs = np.linalg.eigvals(built.matrix)
         eigs = np.take_along_axis(eigs, np.lexsort((eigs.imag, eigs.real)), axis=-1)
-        columns += np.stack((eigs.real, eigs.imag), axis=-1).reshape(n, 30).T.tolist()
+        table += zip([f"eig{k:02d}_{part}" for k in range(15) for part in ("re", "im")],
+                     np.stack((eigs.real, eigs.imag), axis=-1).reshape(n, 30).T.tolist())
         path_parts.append(["eigenvalues:moments"] * n)
 
     # Each point's labels joined by ';', empty ones left out.
     paths, notes = (tuple(";".join(filter(None, labels)) for labels in zip(*parts, [""] * n))
                     for parts in (path_parts, note_parts))
-    return SweepResult(spec, (spec.param, *_scalar_columns(obs)), tuple(zip(*columns)),
+    names, columns = zip(*table)
+    return SweepResult(spec, names, tuple(zip(*columns)),
                        tuple(r.value for r in regimes), paths, notes, tuple(spectra),
                        tuple(decomps))
 

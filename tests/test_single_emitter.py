@@ -46,6 +46,16 @@ def test_critical_drive_scaling():
     assert critical_drive(2.0) == 0.25
     with pytest.raises(ParameterError):
         critical_drive(0.0)
+    with pytest.raises(ParameterError, match="^gamma must be finite, got inf$"):
+        critical_drive(np.inf)
+
+
+@pytest.mark.parametrize("field, value", [("omega", np.nan), ("omega", np.inf),
+                                          ("delta", np.nan), ("delta", -np.inf),
+                                          ("gamma", np.inf)])
+def test_single_params_rejects_non_finite(field, value):
+    with pytest.raises(ParameterError, match=f"^{field} must be finite, got {value}$"):
+        SingleParams(**{field: value})
 
 
 def test_dressed_state_invariants(rng):

@@ -459,6 +459,21 @@ def test_grid_validation():
         evaluate_spectrum(d, np.array([0.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize("grid", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("spectrum_of", [
+    lambda grid: evaluate_spectrum(decompose_spectrum(unidirectional_pair(1.0, 0.5)), grid),
+    lambda grid: single_spectrum(SingleParams(gamma=1.0, omega=1.0), grid),
+    lambda grid: liouville_spectrum(build_liouvillian(unidirectional_pair(1.0, 0.5)), grid),
+], ids=["evaluate_spectrum", "single_spectrum", "liouville_spectrum"])
+def test_non_finite_grid_is_rejected(spectrum_of, grid):
+    # Production and the oracle each check their own grid: NaN fails no
+    # comparison, so only an explicit finiteness test rejects it.
+    with pytest.raises(ParameterError,
+                       match="^grid must be a finite, strictly increasing 1-d array$"):
+        spectrum_of(np.array(grid))
+
+
 def test_engine_matches_oracle_across_regimes():
     cases = [
         coherent_pair(1.0, 1.0),

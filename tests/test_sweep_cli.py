@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import itertools
 import json
 import os
 import pkgutil
@@ -28,6 +29,7 @@ from mollowpair.moments import (IDX_N1, IDX_N2, IDX_NX, build_moment_system, g2_
 from mollowpair.params import (REGIME_PINS, Regime, SystemParams, classify_regime, coherent_pair,
                                dissipative_pair, unidirectional_pair)
 from mollowpair.single_emitter import SingleParams, single_spectrum
+from mollowpair.spec import OBSERVABLES
 from mollowpair.spectrum import decompose_spectrum, default_grid, evaluate_spectrum
 from mollowpair.sweep import (
     DecompositionBlock,
@@ -662,6 +664,29 @@ def test_eigenvalue_sweep_columns():
     assert len(result.columns) == 1 + 30
 
 
+# The scalar columns each observable adds; the table lists them in this order.
+_OBSERVABLE_COLUMNS = {
+    "populations": ("rho00", "rho10", "rho01", "rho11"), "g2": ("g2",),
+    "spectrum": ("delta_weight",), "decomposition": ("delta_weight",),
+    "eigenvalues": tuple(f"eig{k:02d}_{part}" for k in range(15) for part in ("re", "im"))}
+
+
+@pytest.mark.parametrize("observables", [
+    subset for size in range(1, len(OBSERVABLES) + 1)
+    for subset in itertools.combinations(OBSERVABLES, size)], ids="+".join)
+def test_column_layout_of_every_observable_set(observables):
+    # Asked for in reverse, the columns still come in the table's own order.
+    spec = small_spec(observables=observables[::-1], spectrum_points=9,
+                      grid=GridSpec(min=0.5, max=2.0, count=2))
+    result = run_sweep(spec)
+    expected = ("omega1", *dict.fromkeys(
+        name for obs in OBSERVABLES if obs in observables for name in _OBSERVABLE_COLUMNS[obs]))
+    assert result.columns == expected
+    assert len(set(result.columns)) == len(result.columns)
+    assert [len(row) for row in result.rows] == [len(result.columns)] * 2
+    assert emit(result, "csv").split(b"\n")[1] == ",".join(result.columns).encode()
+
+
 # --- serialization -----------------------------------------------------------
 
 def test_csv_deterministic_and_17_digits():
@@ -1011,6 +1036,13 @@ def test_cli_numerical_error_names_the_sweep_point():
                    "--no-fastpath")
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.rstrip("\n").endswith("at sweep point 0 (omega1 = 1e-08)")
+
+
+def test_cli_parameter_error_names_the_sweep_point():
+    proc = run_cli("--sweep", "gamma:0.5:2:4:linear", "--set", "omega1=1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: gamma must not exceed gamma0 (0 <= gamma <= gamma0), "
+                           "got gamma=1.5, gamma0=1.0 at sweep point 2 (gamma = 1.5)\n")
 
 
 def test_cli_regime_asymmetric_is_not_a_choice():
