@@ -6,13 +6,37 @@ sweeps and as oracles for the numerical machinery; the formulas are written
 out term by term rather than algebraically simplified, so each piece stays
 auditable.  One table of the three covered regimes serves covers(p, regime),
 regime_populations and regime_g2.
+
+Where a form's pieces overflow (omega**6 from a drive near 1e51 gamma0) at a
+drive STRONG_DRIVE_RATIO times every other rate, it returns its strong-drive
+limit, which is then its value to rounding.
 """
 
 from __future__ import annotations
 
+import math
+
 from .errors import ParameterError, UnsupportedConfigurationError
 from .moments import Populations
 from .params import Regime, SystemParams
+
+
+#: A drive this many times every other rate puts each closed form within rounding of its
+#: strong-drive limit: the corrections are of relative order (rate / omega)**2.
+STRONG_DRIVE_RATIO = 1e10
+
+
+def _strong_drive_rates(pieces, omega: float, coupling: float, gamma0: float):
+    """(coupling, gamma0) for the strong-drive limit where pieces overflowed, else None.
+
+    Only at omega above STRONG_DRIVE_RATIO times both rates.  The limits depend on
+    coupling / gamma0 alone: both come divided by one power of two, which keeps the
+    limits' bits and their squares in range.
+    """
+    if all(map(math.isfinite, pieces)) or not omega > STRONG_DRIVE_RATIO * max(coupling, gamma0):
+        return None
+    k = math.frexp(max(coupling, gamma0))[1]
+    return math.ldexp(coupling, -k), math.ldexp(gamma0, -k)
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +64,9 @@ def coherent_populations(g: float, omega: float, gamma0: float) -> Populations:
     )
     n01 = 16 * g2 * w2 * (9 * c2 * c2 + 9 * c2 * w2 + 4 * w4 + 4 * g2 * (c2 + w2))
     n11 = 16 * g2 * w4 * (4 * g2 + 9 * c2 + 4 * w2)
+    limit = _strong_drive_rates((den, n00, n10, n01, n11), omega, g, gamma0)
+    if limit is not None:
+        return coherent_strong_drive_populations(*limit)
     return Populations(n00 / den, n10 / den, n01 / den, n11 / den)
 
 
@@ -68,7 +95,8 @@ def coherent_g2(g: float, omega: float, gamma0: float) -> float:
         (16 * g2 * g2 + 27 * c2 * c2 - 4 * c2 * w2 + 16 * g2 * (3 * c2 + w2))
         / (4 * (9 * c2 * c2 + 18 * c2 * w2 + 8 * w4 + 4 * g2 * (c2 + 2 * w2)))
     )
-    return 1.0 + term2 - term3
+    value = 1.0 + term2 - term3
+    return value if _strong_drive_rates((value,), omega, g, gamma0) is None else 1.0
 
 
 def coherent_g2_weak_limit(g: float, gamma0: float) -> float:
@@ -115,6 +143,9 @@ def dissipative_populations(gamma: float, omega: float, gamma0: float) -> Popula
     )
     n01 = 4 * y2 * w2 * (9 * c2 * c2 + 9 * c2 * w2 + 4 * w4 + y2 * (w2 - c2))
     n11 = 4 * y2 * w4 * (4 * w2 + 9 * c2 - y2)
+    limit = _strong_drive_rates((den, n00, n10, n01, n11), omega, gamma, gamma0)
+    if limit is not None:
+        return dissipative_strong_drive_populations(*limit)
     return Populations(n00 / den, n10 / den, n01 / den, n11 / den)
 
 
@@ -145,7 +176,8 @@ def dissipative_g2(gamma: float, omega: float, gamma0: float) -> float:
         * (4 * c2 * w2 - 27 * c2 * c2 + y2 * (3 * c2 - 10 * w2))
         / (9 * c2 * c2 - y2 * c2 + 18 * c2 * w2 + 8 * w4)
     )
-    return 1.0 + term2 + term3
+    value = 1.0 + term2 + term3
+    return value if _strong_drive_rates((value,), omega, gamma, gamma0) is None else 1.0
 
 
 def dissipative_g2_weak_limit(gamma: float, gamma0: float) -> float:
@@ -176,6 +208,10 @@ def unidirectional_populations(gamma: float, omega: float, gamma0: float) -> Pop
     rho10 = (4 * w2 / front) * (1.0 - 4 * y2 * w2 * (9 * c2 + 4 * w2) / den)
     rho01 = (16 * y2 * w2 / front) * (9 * c2 * c2 + 9 * c2 * w2 + 4 * w2 * (y2 + w2)) / den
     rho11 = (16 * y2 * w4 / front) * (9 * c2 + 4 * w2) / den
+    limit = _strong_drive_rates((den, front * den, rho00, rho10, rho01, rho11),
+                                omega, gamma, gamma0)
+    if limit is not None:
+        return unidirectional_strong_drive_populations(*limit)
     return Populations(rho00, rho10, rho01, rho11)
 
 
@@ -196,7 +232,8 @@ def unidirectional_g2(gamma: float, omega: float, gamma0: float) -> float:
     y2, w2, c2 = gamma * gamma, omega * omega, gamma0 * gamma0
     num = (c2 + 8 * w2) * (9 * c2 + 4 * w2)
     den = 36 * c2 * c2 + 8 * w2 * (2 * y2 + 9 * c2) + 32 * w2 * w2
-    return num / den
+    value = num / den
+    return value if _strong_drive_rates((value,), omega, gamma, gamma0) is None else 1.0
 
 
 # ---------------------------------------------------------------------------

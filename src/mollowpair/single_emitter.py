@@ -16,7 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, UnsupportedConfigurationError
-from .spectrum import CLUSTER_GAP, SpectralComponent, SpectralDecomposition, _as_grid
+from .spectrum import (CLUSTER_GAP, SpectralComponent, SpectralDecomposition, _as_grid,
+                       evaluate_spectrum)
+
+#: Above this drive each closed form is written in ratios to omega, whose square and
+#: fourth power leave the floats from 1.3e154 and 5e76; below it the direct forms keep
+#: their bits.
+_RATIO_DRIVE = 1e10
+
+
+def _in_range(values: tuple, omega: float) -> tuple:
+    """values, or ParameterError naming omega where one lies beyond the float range."""
+    if not all(map(math.isfinite, values)):
+        raise ParameterError(f"omega = {omega!r} puts a result beyond the float range")
+    return values
 
 
 @dataclass(frozen=True)
@@ -48,15 +61,26 @@ class DressedState:
 
 def steady_population_coherence(p: SingleParams) -> tuple[float, complex]:
     """Steady-state excited population n and coherence <sigma>."""
-    den = 2.0 * p.omega**2 + p.delta**2 + (0.5 * p.gamma) ** 2
-    n = p.omega**2 / den
-    c = -p.omega * (p.delta + 0.5j * p.gamma) / den
-    return n, c
+    return _population_coherence(p.delta, p.gamma, p.omega)
 
 
 def single_population(omega: float, gamma0: float) -> float:
     """Resonant steady population n0 of a solitary emitter with decay gamma0."""
-    return omega**2 / (2.0 * omega**2 + (0.5 * gamma0) ** 2)
+    return _population_coherence(0.0, gamma0, omega)[0]
+
+
+def _population_coherence(delta, gamma, omega) -> tuple[float, complex]:
+    """n = omega**2 / den and <sigma> = -omega (delta + i gamma / 2) / den.
+
+    den = 2 omega**2 + delta**2 + gamma**2 / 4; above _RATIO_DRIVE both are
+    written in delta / omega and gamma / omega.
+    """
+    if omega > _RATIO_DRIVE:
+        d, h = delta / omega, 0.5 * gamma / omega
+        den = 2.0 + d * d + h * h
+        return 1.0 / den, -complex(d, h) / den
+    den = 2.0 * omega**2 + delta**2 + (0.5 * gamma) ** 2
+    return omega**2 / den, -omega * (delta + 0.5j * gamma) / den
 
 
 def critical_drive(gamma: float) -> float:
@@ -69,16 +93,17 @@ def critical_drive(gamma: float) -> float:
 
 
 def dressed_state(p: SingleParams) -> DressedState:
-    """Dressed energies delta/2 +- R and the Bogoliubov coefficients."""
-    r = math.sqrt((0.5 * p.delta) ** 2 + p.omega**2)
+    """Dressed energies delta/2 +- R and the Bogoliubov coefficients.
+
+    Raises ParameterError where an energy lies beyond the float range.
+    """
+    r = (math.hypot(0.5 * p.delta, p.omega) if p.omega > _RATIO_DRIVE
+         else math.sqrt((0.5 * p.delta) ** 2 + p.omega**2))
     ratio = 0.0 if r == 0.0 else 0.5 * p.delta / r
     sin_b = math.sqrt(0.5 * (1.0 - ratio))
     cos_b = math.sqrt(0.5 * (1.0 + ratio))
-    return DressedState(
-        energies=(0.5 * p.delta + r, 0.5 * p.delta - r),
-        splitting=r,
-        bogoliubov=(sin_b, cos_b),
-    )
+    energies = _in_range((0.5 * p.delta + r, 0.5 * p.delta - r), p.omega)
+    return DressedState(energies=energies, splitting=r, bogoliubov=(sin_b, cos_b))
 
 
 def regression_system(p: SingleParams) -> tuple[np.ndarray, np.ndarray]:
@@ -101,7 +126,13 @@ def regression_system(p: SingleParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mollow_splitting(gamma: float, omega: float) -> float:
-    """Supercritical sideband frequency sqrt((2*omega)**2 - (gamma/4)**2)."""
+    """Supercritical sideband frequency sqrt((2*omega)**2 - (gamma/4)**2).
+
+    Raises ParameterError where it lies beyond the float range.
+    """
+    if omega > _RATIO_DRIVE:
+        x = 0.125 * gamma / omega
+        return _in_range((omega * (2.0 * math.sqrt(1.0 - x * x)),), omega)[0]
     return math.sqrt((2.0 * omega) ** 2 - (0.25 * gamma) ** 2)
 
 
@@ -124,12 +155,23 @@ def mollow_coefficients(p: SingleParams) -> SpectralDecomposition:
         For delta != 0, where no closed-form decomposition is available, and
         where omega**2 is 0 (undriven or underflowing): the side-pole
         weights divide by it.
+    ParameterError
+        Where a pole lies beyond the float range (omega above about 9e307).
     """
     if p.delta != 0.0:
         raise UnsupportedConfigurationError(
             "Mollow coefficients are only available at resonance (delta = 0); "
             "use the numerical pair machinery for detuned spectra"
         )
+    if p.omega > _RATIO_DRIVE:
+        # Decompose at both rates divided by a power of two s, below _RATIO_DRIVE where
+        # every square fits a float, then multiply the rates back: the poles and L2, K2
+        # are rates, L and K ratios of rates.
+        s = 2.0 ** math.frexp(p.omega / _RATIO_DRIVE)[1]
+        d = mollow_coefficients(SingleParams(0.0, p.gamma / s, p.omega / s))
+        return SpectralDecomposition(tuple(SpectralComponent(*_in_range((
+            c.omega_zeta * s, c.gamma_zeta * s, c.L_zeta, c.K_zeta, c.L2_zeta * s,
+            c.K2_zeta * s), p.omega)) for c in d.components), d.delta_weight, emitter=1)
     g, w = p.gamma, p.omega
     if w**2 == 0.0:
         raise UnsupportedConfigurationError(
@@ -202,6 +244,9 @@ def single_spectrum(p: SingleParams, grid: np.ndarray) -> SingleSpectrum:
     the incoherent density only; the Rayleigh delta weight is reported
     separately and never binned onto the grid.  An undriven emitter has no
     incoherent emission: all-zero values, delta weight 1, degenerate flag.
+
+    Above _RATIO_DRIVE the values are mollow_coefficients' lineshapes, and a
+    term whose squared shift overflows adds 0.
     """
     if p.delta != 0.0:
         raise UnsupportedConfigurationError(
@@ -211,6 +256,10 @@ def single_spectrum(p: SingleParams, grid: np.ndarray) -> SingleSpectrum:
     grid = _as_grid(grid)
     if p.omega == 0.0:
         return SingleSpectrum(np.zeros_like(grid), 1.0, degenerate=True)
+    if p.omega > _RATIO_DRIVE:
+        d = mollow_coefficients(p)
+        with np.errstate(over="ignore"):
+            return SingleSpectrum(evaluate_spectrum(d, grid), d.delta_weight)
     g, w = p.gamma, p.omega
     x2 = grid * grid
     central = (0.5 / math.pi) * (0.5 * g) / ((0.5 * g) ** 2 + x2)

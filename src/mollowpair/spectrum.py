@@ -260,17 +260,18 @@ def _decompose_stack(m: np.ndarray, real_m: np.ndarray, u: np.ndarray, emitter: 
 def _krylov_poles(m, w, scale, readout) -> np.ndarray:
     """Poles (lambda, b1, b2) of a stack's rows from a minimal realization, zero-padded (N, 15, 3).
 
-    The reductions run over the stack and the reduced systems, grouped by
-    dimension, share one eig and one LU for weights and cond; only the cluster
-    step runs per point.  A row whose correlator realizes to nothing keeps zeros.
+    The reductions run over the stack, row groups of equal reachable and then
+    observed dimension in lockstep.  Each group's reduced systems are
+    decomposed where they are formed: one eig and one LU for weights and cond;
+    only the cluster step runs per point.  A row whose correlator realizes to
+    nothing keeps zeros.
     """
     # The Krylov route, for points whose eigenbasis of M is ill-conditioned or
     # whose eigenvalues cluster: restrict to the subspace reached from the
     # boundary, then to the part observed by the readout functional.  Sectors
     # that are reachable but invisible to the emitter correlator drop out here
-    # instead of poisoning the eigenvector basis.  by_dim collects
-    # (rows, h, b_h, c_h) of the nonempty reduced systems.
-    by_dim: dict[int, list] = {}
+    # instead of poisoning the eigenvector basis.
+    poles = np.zeros(w.shape + (3,), dtype=complex)
     reach, dims = _invariant_bases(m, w, scale)
     for d in np.unique(dims[dims > 0]):
         sel = np.flatnonzero(dims == d)
@@ -282,25 +283,21 @@ def _krylov_poles(m, w, scale, readout) -> np.ndarray:
         obs, odims = _invariant_bases(m_r.conj().transpose(0, 2, 1), c_r, scale[sel])
         for e in np.unique(odims[odims > 0]):
             sub = np.flatnonzero(odims == e)
-            o = obs[sub][:, :, :e]
+            idx, o = sel[sub], obs[sub][:, :, :e]
             oh = o.conj().transpose(0, 2, 1)
-            by_dim.setdefault(int(e), []).append((
-                sel[sub], oh @ m_r[sub] @ o,
-                (oh @ b_r[sub][..., None])[..., 0], (oh @ c_r[sub][..., None])[..., 0]))
-
-    poles = np.zeros(w.shape + (3,), dtype=complex)
-    for e, parts in by_dim.items():
-        idx, h, b_h, c_h = (np.concatenate(x) for x in zip(*parts))
-        vals, vecs = np.linalg.eig(h)
-        # One LU gives every row's weights and cond.  A suspicious basis means poles have
-        # collided: each cluster goes through its invariant subspace, Jordan blocks included.
-        weights, _, cond = _solve_inverse(vecs, b_h)
-        contrib = (c_h.conj()[:, None, :] @ vecs)[:, 0, :] * weights
-        poles[idx, :e, :2] = np.stack((vals, contrib), axis=-1)
-        for j in np.flatnonzero(cond > SUSPECT_COND):
-            groups = _cluster_indices(vals[j], CLUSTER_GAP * scale[idx[j]])
-            if groups:
-                poles[idx[j], :e] = _cluster_poles(h[j], vals[j], vecs[j], b_h[j], c_h[j], groups)
+            h = oh @ m_r[sub] @ o
+            b_h, c_h = (oh @ b_r[sub][..., None])[..., 0], (oh @ c_r[sub][..., None])[..., 0]
+            vals, vecs = np.linalg.eig(h)
+            # One LU gives every row's weights and cond.  A suspicious basis means poles have
+            # collided: each cluster goes through its invariant subspace, Jordan blocks included.
+            weights, _, cond = _solve_inverse(vecs, b_h)
+            contrib = (c_h.conj()[:, None, :] @ vecs)[:, 0, :] * weights
+            poles[idx, :e, :2] = np.stack((vals, contrib), axis=-1)
+            for j in np.flatnonzero(cond > SUSPECT_COND):
+                groups = _cluster_indices(vals[j], CLUSTER_GAP * scale[idx[j]])
+                if groups:
+                    poles[idx[j], :e] = _cluster_poles(h[j], vals[j], vecs[j], b_h[j], c_h[j],
+                                                       groups)
     return poles
 
 

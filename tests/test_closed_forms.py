@@ -109,6 +109,53 @@ def test_unidirectional_g2_values():
     assert cf.unidirectional_g2(0.7, 1e2, 1.0) == pytest.approx(1.0, abs=1e-3)
 
 
+# --- strong drive past the float range -------------------------------------
+
+#: Per regime: populations, correlator, strong-drive limit, and the coupling of the listed sweeps.
+_STRONG_DRIVE = {
+    "coherent": (cf.coherent_populations, cf.coherent_g2,
+                 cf.coherent_strong_drive_populations, 1.0),
+    "dissipative": (cf.dissipative_populations, cf.dissipative_g2,
+                    cf.dissipative_strong_drive_populations, 0.5),
+    "unidirectional": (cf.unidirectional_populations, cf.unidirectional_g2,
+                       cf.unidirectional_strong_drive_populations, 1.0),
+}
+
+
+@pytest.mark.parametrize("omega", [1e52, 1e80, 1e160, 1e300])
+@pytest.mark.parametrize("regime", list(_STRONG_DRIVE))
+def test_strong_drive_overflow_returns_the_limits(regime, omega):
+    # omega**6 and omega**4 overflow from about 1e51 and 1e77; there the exact
+    # values lie within a relative gamma0**2 / omega**2 < 1e-100 of the limits.
+    pops_of, g2_of, limit_of, coupling = _STRONG_DRIVE[regime]
+    pops = pops_of(coupling, omega, 1.0)
+    assert np.isfinite(pops.as_array()).all()
+    assert pops.total == pytest.approx(1.0, abs=1e-15)
+    assert pops == limit_of(coupling, 1.0)
+    assert g2_of(coupling, omega, 1.0) == 1.0
+
+
+@pytest.mark.parametrize("regime", list(_STRONG_DRIVE))
+def test_populations_stay_normalized_where_the_polynomials_overflow(regime):
+    # Between 8e50 and 1e51 a denominator overflows while its numerators do not,
+    # which gave finite zeros rather than NaN.
+    pops_of, _, limit_of, coupling = _STRONG_DRIVE[regime]
+    limit = limit_of(coupling, 1.0).as_array()
+    for omega in np.geomspace(1e50, 1e52, 81):
+        pops = pops_of(coupling, float(omega), 1.0)
+        assert pops.total == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(pops.as_array(), limit, rtol=1e-15)
+
+
+def test_strong_drive_limit_needs_the_drive_far_above_every_rate():
+    # g = 1e41 at omega = 1.01e51 overflows the polynomials but is 1e10 below the
+    # drive, so the limit (here 1/4 each, as g >> gamma0) is the exact value.
+    pops = cf.coherent_populations(1e41, 1.01e51, 1.0)
+    assert pops.as_array().tolist() == [0.25] * 4
+    # A coupling past 1e154 squares to inf; the limit takes it scaled.
+    assert cf.coherent_populations(1e200, 1e300, 1.0).as_array().tolist() == [0.25] * 4
+
+
 # --- cross-regime consistency ------------------------------------------------
 
 def test_populations_sum_to_one(rng):

@@ -1,6 +1,9 @@
 """Single-emitter closed forms: populations, regression system, Mollow spectrum."""
 
+import math
 from dataclasses import astuple
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from mollowpair.single_emitter import (
     mollow_coefficients,
     mollow_splitting,
     regression_system,
+    single_population,
     single_spectrum,
     steady_population_coherence,
 )
@@ -208,3 +212,108 @@ def test_integral_plus_delta_normalizes():
     spec = single_spectrum(SingleParams(gamma=1.0, omega=1.0), grid)
     integral = np.trapezoid(spec.values, grid)
     assert integral + spec.delta_weight == pytest.approx(1.0, abs=2e-3)
+
+
+# --- drives whose square or fourth power leaves the floats -------------------
+
+#: From 5e76 omega**4 overflows, from 1.3e154 omega**2 does, and 1e300 is near the top.
+HUGE_DRIVES = [5e76, 1.3e154, 1e155, 1e300]
+
+
+def _exact_spectrum(x: float, gamma: float, omega: float) -> float:
+    """single_spectrum's direct form in exact rational arithmetic, pi the float's."""
+    x2, g, w = Fraction(x) ** 2, Fraction(gamma), Fraction(omega)
+    central = (g / 4) / (g * g / 4 + x2)
+    side = g * (x2 + g * g - 16 * w * w) / (
+        4 * x2 * x2 + x2 * (5 * g * g - 32 * w * w) + (g * g + 8 * w * w) ** 2)
+    return float((central - side) / Fraction(math.pi))
+
+
+@pytest.mark.parametrize("omega", HUGE_DRIVES)
+def test_population_and_dressed_state_at_huge_drive(omega):
+    w = Fraction(omega)
+    den = 2 * w * w + Fraction(1, 4)
+    n, c = steady_population_coherence(SingleParams(gamma=1.0, omega=omega))
+    assert n == float(w * w / den) == 0.5
+    assert c.real == 0.0
+    assert c.imag == pytest.approx(float(-w / 2 / den), rel=1e-15)
+    assert single_population(omega, 1.0) == 0.5
+    dressed = dressed_state(SingleParams(gamma=1.0, omega=omega))
+    assert dressed.energies == (omega, -omega) and dressed.splitting == omega
+    assert dressed.bogoliubov == (math.sqrt(0.5), math.sqrt(0.5))
+
+
+@pytest.mark.parametrize("omega", HUGE_DRIVES)
+def test_mollow_decomposition_at_huge_drive(omega):
+    with localcontext() as ctx:
+        ctx.prec = 50
+        w2 = Decimal(omega) ** 2
+        wm = (4 * w2 - Decimal(1) / 16).sqrt()
+        share = 8 * w2 / (1 + 8 * w2)
+        disp = share / (4 * wm) * (16 * w2 - 1 + 16 * wm * wm) / (16 * wm * wm + 1)
+    assert mollow_splitting(1.0, omega) == pytest.approx(float(wm), rel=1e-15)
+    coeffs = mollow_coefficients(SingleParams(gamma=1.0, omega=omega))
+    central, upper, lower = (astuple(c) for c in coeffs.components)
+    assert central == (0.0, 1.0, 0.5, 0.0, 0.0, 0.0)
+    for sign, pole in ((1.0, upper), (-1.0, lower)):
+        np.testing.assert_allclose(pole, (sign * float(wm), 1.5, 0.25, sign * float(disp), 0, 0),
+                                   rtol=1e-15, atol=0.0)
+    assert coeffs.delta_weight == pytest.approx(float(1 / (1 + 8 * Fraction(omega) ** 2)),
+                                                rel=1e-6, abs=0.0)
+    assert coeffs.lorentzian_sum + coeffs.delta_weight == 1.0
+
+
+@pytest.mark.parametrize("omega", HUGE_DRIVES)
+def test_spectrum_at_huge_drive_matches_exact_arithmetic(omega):
+    grid = np.array([-3.0, -2.0, -1.0, -0.5, 0.0]) * omega
+    grid = np.concatenate((grid, [-2.0, 0.0, 0.5, 2.0, 3.0], -grid[::-1]))
+    grid = np.unique(np.concatenate((grid, 2.0 * omega + np.array([-1.0, 0.5, 3.0]))))
+    got = single_spectrum(SingleParams(gamma=1.0, omega=omega), grid)
+    exact = np.array([_exact_spectrum(x, 1.0, omega) for x in grid])
+    # Equal to 1e-13 where the exact value is a normal float, and within the smallest
+    # normal float below it: both sidebands keep their height 1 / (3 pi gamma).
+    tiny = np.finfo(float).tiny
+    assert np.all(np.abs(got.values - exact) <= np.maximum(1e-13 * np.abs(exact), tiny))
+    assert got.values.max() == pytest.approx(1.0 / math.pi, rel=1e-15)
+    assert got.delta_weight == pytest.approx(float(1 / (1 + 8 * Fraction(omega) ** 2)),
+                                             rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma_over_omega, expected", [
+    (8.0, [(0.0, 1.0, 0.5, 0.0, 0.0, 0.0), (0.0, 1.5, -7.0 / 18.0, 0.0, 1.0 / 24.0, 0.0)]),
+    (80.0, None)], ids=["critical", "subcritical"])
+def test_mollow_decomposition_at_huge_drive_in_every_regime(gamma_over_omega, expected):
+    # Rates scale out: the same decomposition at omega = 1 and 2**400, the rates
+    # (poles, L2) multiplied by 2**400 and the weights L, K kept.
+    small = mollow_coefficients(SingleParams(gamma=gamma_over_omega, omega=1.0))
+    big = mollow_coefficients(SingleParams(gamma=gamma_over_omega * 2.0**400, omega=2.0**400))
+    scale = np.array([2.0**400, 2.0**400, 1.0, 1.0, 2.0**400, 2.0**400])
+    for a, b in zip(small.components, big.components):
+        np.testing.assert_allclose(np.array(astuple(b)) / scale, astuple(a), rtol=1e-15, atol=0)
+    assert big.delta_weight == small.delta_weight
+    if expected is not None:
+        np.testing.assert_allclose([np.array(astuple(c)) / scale for c in big.components],
+                                   np.array(expected) * [1, gamma_over_omega, 1, 1,
+                                                         gamma_over_omega, 1], atol=1e-12)
+
+
+def test_poles_past_the_float_range_raise_parameter_error():
+    # The Mollow splitting 2 omega exceeds the largest float from omega = 9e307.
+    p = SingleParams(gamma=1.0, omega=1.7e308)
+    for call in (lambda: mollow_splitting(1.0, 1.7e308), lambda: mollow_coefficients(p),
+                 lambda: single_spectrum(p, np.array([-1.0, 0.0, 1.0]))):
+        with pytest.raises(ParameterError, match=r"^omega = 1\.7e\+308 puts "):
+            call()
+
+
+@pytest.mark.parametrize("omega", [1e-3, 0.125, 1.0, 1e4, 1e10])
+def test_direct_forms_keep_their_bits_up_to_1e10(omega):
+    g = 1.0
+    p = SingleParams(delta=0.3 if omega > 1.0 else 0.0, gamma=g, omega=omega)
+    den = 2.0 * omega**2 + p.delta**2 + (0.5 * g) ** 2
+    assert steady_population_coherence(p) == (omega**2 / den,
+                                              -omega * (p.delta + 0.5j * g) / den)
+    assert single_population(omega, g) == omega**2 / (2.0 * omega**2 + (0.5 * g) ** 2)
+    assert dressed_state(p).splitting == math.sqrt((0.5 * p.delta) ** 2 + omega**2)
+    if omega > g / 8.0:
+        assert mollow_splitting(g, omega) == math.sqrt((2.0 * omega) ** 2 - (0.25 * g) ** 2)

@@ -237,6 +237,34 @@ def test_degenerate_closed_form_point_is_noted():
     assert result.notes == ("populations:degenerate-steady-state;g2:undefined-correlator", "")
 
 
+def _unnoted_non_finite(result: SweepResult) -> list:
+    """(point, column) of every null or non-finite scalar cell whose point has no note."""
+    return [(k, name) for k, (row, note) in enumerate(zip(result.rows, result.notes))
+            for name, v in zip(result.columns, row)
+            if (v is None or not np.isfinite(v)) and not note]
+
+
+@pytest.mark.parametrize("fixed", [
+    ("--regime", "coherent", "--set", "g=1"), ("--regime", "dissipative", "--set", "gamma=0.5"),
+    ("--regime", "unidirectional-forward", "--set", "gamma=1")], ids=lambda a: a[1])
+def test_closed_forms_past_the_float_range_write_their_limits(fixed, tmp_path):
+    # omega1**6 overflows from about 1e51: the closed forms return the strong-drive
+    # limits there, which are their values to rounding, never NaN.
+    out = tmp_path / "sweep.json"
+    assert cli.main([*fixed, "--sweep", "omega1:1e40:1e200:5:log", "--observable",
+                     "populations,g2", "--format", "json", "--out", str(out)]) == 0
+    result = parse_json(out.read_bytes())
+    assert set(result.paths) == {"populations:closed-form;g2:closed-form"}
+    assert _unnoted_non_finite(result) == []
+    for row in result.rows:
+        assert sum(row[1:5]) == pytest.approx(1.0, abs=1e-15) and row[5] == 1.0
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_preset_scalar_cells_are_finite_or_noted(name):
+    assert _unnoted_non_finite(run_sweep(load_preset(name))) == []
+
+
 def test_fastpath_agrees_with_forced_numeric():
     spec = small_spec(observables=("populations", "g2"),
                       grid=GridSpec(min=0.05, max=20.0, count=7, scale="log"))
@@ -655,13 +683,6 @@ def test_spectrum_of_an_emitter_driven_only_through_the_coupling():
     grid = default_grid(p, spec.spectrum_points)
     assert result.spectra[0] == SpectrumBlock(0.0, grid, evaluate_spectrum(d, grid),
                                               d.delta_weight)
-
-
-def test_eigenvalue_sweep_columns():
-    spec = small_spec(observables=("eigenvalues",),
-                      grid=GridSpec(min=1.0, max=2.0, count=2))
-    result = run_sweep(spec)
-    assert len(result.columns) == 1 + 30
 
 
 # The scalar columns each observable adds; the table lists them in this order.
