@@ -19,10 +19,22 @@ from .errors import ParameterError, UnsupportedConfigurationError
 from .spectrum import (CLUSTER_GAP, SpectralComponent, SpectralDecomposition, _as_grid,
                        evaluate_spectrum)
 
-#: Above this drive each closed form is written in ratios to omega, whose square and
-#: fourth power leave the floats from 1.3e154 and 5e76; below it the direct forms keep
-#: their bits.
-_RATIO_DRIVE = 1e10
+#: Rates up to this (about 1.6e60) enter the closed forms as given, and the forms keep
+#: their bits.  Above it a form is evaluated at its rates divided by the power of two
+#: _scale picks, whose squares and fourth powers then fit a float, and multiplied back
+#: by that power to the form's degree in the rates.
+_SCALE_TOP = 2.0**200
+
+#: Above this drive, where it also exceeds gamma, single_spectrum evaluates the pole
+#: decomposition instead of the direct form, whose cancellation between omega**2 and
+#: gamma**2 grows with omega / gamma.
+_POLE_DRIVE = 1e10
+
+
+def _scale(*rates: float) -> float:
+    """1, or the power of two s that brings the largest |rate| just under _SCALE_TOP."""
+    top = max(map(abs, rates))
+    return 1.0 if top <= _SCALE_TOP else 2.0 ** math.frexp(top / _SCALE_TOP)[1]
 
 
 def _in_range(values: tuple, omega: float) -> tuple:
@@ -72,13 +84,11 @@ def single_population(omega: float, gamma0: float) -> float:
 def _population_coherence(delta, gamma, omega) -> tuple[float, complex]:
     """n = omega**2 / den and <sigma> = -omega (delta + i gamma / 2) / den.
 
-    den = 2 omega**2 + delta**2 + gamma**2 / 4; above _RATIO_DRIVE both are
-    written in delta / omega and gamma / omega.
+    den = 2 omega**2 + delta**2 + gamma**2 / 4.  Both are of degree 0 in the
+    rates, which enter divided by _scale.
     """
-    if omega > _RATIO_DRIVE:
-        d, h = delta / omega, 0.5 * gamma / omega
-        den = 2.0 + d * d + h * h
-        return 1.0 / den, -complex(d, h) / den
+    s = _scale(delta, gamma, omega)
+    delta, gamma, omega = delta / s, gamma / s, omega / s
     den = 2.0 * omega**2 + delta**2 + (0.5 * gamma) ** 2
     return omega**2 / den, -omega * (delta + 0.5j * gamma) / den
 
@@ -97,13 +107,14 @@ def dressed_state(p: SingleParams) -> DressedState:
 
     Raises ParameterError where an energy lies beyond the float range.
     """
-    r = (math.hypot(0.5 * p.delta, p.omega) if p.omega > _RATIO_DRIVE
-         else math.sqrt((0.5 * p.delta) ** 2 + p.omega**2))
-    ratio = 0.0 if r == 0.0 else 0.5 * p.delta / r
+    s = _scale(p.delta, p.omega)
+    half, w = 0.5 * p.delta / s, p.omega / s
+    r = math.sqrt(half**2 + w**2)
+    ratio = 0.0 if r == 0.0 else half / r
     sin_b = math.sqrt(0.5 * (1.0 - ratio))
     cos_b = math.sqrt(0.5 * (1.0 + ratio))
-    energies = _in_range((0.5 * p.delta + r, 0.5 * p.delta - r), p.omega)
-    return DressedState(energies=energies, splitting=r, bogoliubov=(sin_b, cos_b))
+    upper, lower, r = _in_range(((half + r) * s, (half - r) * s, r * s), p.omega)
+    return DressedState(energies=(upper, lower), splitting=r, bogoliubov=(sin_b, cos_b))
 
 
 def regression_system(p: SingleParams) -> tuple[np.ndarray, np.ndarray]:
@@ -130,10 +141,9 @@ def mollow_splitting(gamma: float, omega: float) -> float:
 
     Raises ParameterError where it lies beyond the float range.
     """
-    if omega > _RATIO_DRIVE:
-        x = 0.125 * gamma / omega
-        return _in_range((omega * (2.0 * math.sqrt(1.0 - x * x)),), omega)[0]
-    return math.sqrt((2.0 * omega) ** 2 - (0.25 * gamma) ** 2)
+    s = _scale(gamma, omega)
+    g, w = gamma / s, omega / s
+    return _in_range((math.sqrt((2.0 * w) ** 2 - (0.25 * g) ** 2) * s,), omega)[0]
 
 
 def mollow_coefficients(p: SingleParams) -> SpectralDecomposition:
@@ -163,15 +173,10 @@ def mollow_coefficients(p: SingleParams) -> SpectralDecomposition:
             "Mollow coefficients are only available at resonance (delta = 0); "
             "use the numerical pair machinery for detuned spectra"
         )
-    if p.omega > _RATIO_DRIVE:
-        # Decompose at both rates divided by a power of two s, below _RATIO_DRIVE where
-        # every square fits a float, then multiply the rates back: the poles and L2, K2
-        # are rates, L and K ratios of rates.
-        s = 2.0 ** math.frexp(p.omega / _RATIO_DRIVE)[1]
-        d = mollow_coefficients(SingleParams(0.0, p.gamma / s, p.omega / s))
-        return SpectralDecomposition(tuple(SpectralComponent(*_in_range((
-            c.omega_zeta * s, c.gamma_zeta * s, c.L_zeta, c.K_zeta, c.L2_zeta * s,
-            c.K2_zeta * s), p.omega)) for c in d.components), d.delta_weight, emitter=1)
+    s = _scale(p.gamma, p.omega)
+    if s != 1.0:
+        return _rates_times(mollow_coefficients(SingleParams(0.0, p.gamma / s, p.omega / s)),
+                            s, p.omega)
     g, w = p.gamma, p.omega
     if w**2 == 0.0:
         raise UnsupportedConfigurationError(
@@ -227,6 +232,16 @@ def mollow_coefficients(p: SingleParams) -> SpectralDecomposition:
     return SpectralDecomposition(components, delta_weight, emitter=1)
 
 
+def _rates_times(d: SpectralDecomposition, s: float, omega: float) -> SpectralDecomposition:
+    """d with its rates, the poles and L2, K2, multiplied by the power of two s.
+
+    The weights L, K and the delta weight are ratios of rates and stay.
+    """
+    return SpectralDecomposition(tuple(SpectralComponent(*_in_range((
+        c.omega_zeta * s, c.gamma_zeta * s, c.L_zeta, c.K_zeta, c.L2_zeta * s,
+        c.K2_zeta * s), omega)) for c in d.components), d.delta_weight, emitter=1)
+
+
 @dataclass(frozen=True)
 class SingleSpectrum:
     """Incoherent spectrum on a grid plus the separate coherent delta weight."""
@@ -245,8 +260,12 @@ def single_spectrum(p: SingleParams, grid: np.ndarray) -> SingleSpectrum:
     separately and never binned onto the grid.  An undriven emitter has no
     incoherent emission: all-zero values, delta weight 1, degenerate flag.
 
-    Above _RATIO_DRIVE the values are mollow_coefficients' lineshapes, and a
-    term whose squared shift overflows adds 0.
+    The values are of degree -1 in the rates and the grid: they are evaluated
+    at both divided by a power of two s, then divided by s.  Where omega
+    exceeds both gamma and _POLE_DRIVE they are mollow_coefficients'
+    lineshapes, and s is the power of two nearest the geometric mean of gamma
+    and the largest shift, so neither the widths' squares nor the shifts'
+    leave the floats; elsewhere s is _scale's.
     """
     if p.delta != 0.0:
         raise UnsupportedConfigurationError(
@@ -256,11 +275,14 @@ def single_spectrum(p: SingleParams, grid: np.ndarray) -> SingleSpectrum:
     grid = _as_grid(grid)
     if p.omega == 0.0:
         return SingleSpectrum(np.zeros_like(grid), 1.0, degenerate=True)
-    if p.omega > _RATIO_DRIVE:
+    if p.omega > max(p.gamma, _POLE_DRIVE):
         d = mollow_coefficients(p)
-        with np.errstate(over="ignore"):
-            return SingleSpectrum(evaluate_spectrum(d, grid), d.delta_weight)
-    g, w = p.gamma, p.omega
+        top = max(-grid[0], grid[-1], 2.0 * p.omega)
+        s = math.ldexp(1.0, (math.frexp(p.gamma)[1] + math.frexp(top)[1]) // 2)
+        values = evaluate_spectrum(_rates_times(d, 1.0 / s, p.omega), grid / s) / s
+        return SingleSpectrum(values, d.delta_weight)
+    s = _scale(p.gamma, p.omega)
+    g, w, grid = p.gamma / s, p.omega / s, grid / s
     x2 = grid * grid
     central = (0.5 / math.pi) * (0.5 * g) / ((0.5 * g) ** 2 + x2)
     side = (
@@ -269,5 +291,5 @@ def single_spectrum(p: SingleParams, grid: np.ndarray) -> SingleSpectrum:
         / (4.0 * x2 * x2 + x2 * (5.0 * g**2 - 32.0 * w**2) + (g**2 + 8.0 * w**2) ** 2)
     )
     delta_weight = g**2 / (g**2 + 8.0 * w**2)
-    return SingleSpectrum(central - side, delta_weight)
+    return SingleSpectrum((central - side) / s, delta_weight)
 

@@ -229,18 +229,27 @@ def _exact_spectrum(x: float, gamma: float, omega: float) -> float:
     return float((central - side) / Fraction(math.pi))
 
 
-@pytest.mark.parametrize("omega", HUGE_DRIVES)
-def test_population_and_dressed_state_at_huge_drive(omega):
-    w = Fraction(omega)
-    den = 2 * w * w + Fraction(1, 4)
-    n, c = steady_population_coherence(SingleParams(gamma=1.0, omega=omega))
-    assert n == float(w * w / den) == 0.5
-    assert c.real == 0.0
-    assert c.imag == pytest.approx(float(-w / 2 / den), rel=1e-15)
-    assert single_population(omega, 1.0) == 0.5
-    dressed = dressed_state(SingleParams(gamma=1.0, omega=omega))
-    assert dressed.energies == (omega, -omega) and dressed.splitting == omega
-    assert dressed.bogoliubov == (math.sqrt(0.5), math.sqrt(0.5))
+@pytest.mark.parametrize("delta, gamma, omega", [(0.0, 1.0, w) for w in HUGE_DRIVES] + [
+    (1e300, 1e300, 1e300), (1e300, 1.0, 1.0), (1.0, 1e300, 1e-10), (-3e200, 2e180, 5e199)])
+def test_population_and_dressed_state_with_huge_rates(delta, gamma, omega):
+    d, g, w = Fraction(delta), Fraction(gamma), Fraction(omega)
+    den = 2 * w * w + d * d + g * g / 4
+    p = SingleParams(delta=delta, gamma=gamma, omega=omega)
+    n, c = steady_population_coherence(p)
+    assert n == pytest.approx(float(w * w / den), rel=1e-15, abs=0.0)
+    assert c.real == pytest.approx(float(-w * d / den), rel=1e-15, abs=0.0)
+    assert c.imag == pytest.approx(float(-w * g / 2 / den), rel=1e-15, abs=0.0)
+    assert single_population(omega, gamma) == pytest.approx(
+        float(w * w / (2 * w * w + g * g / 4)), rel=1e-15, abs=0.0)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r = (Decimal(delta) ** 2 / 4 + Decimal(omega) ** 2).sqrt()
+    dressed = dressed_state(p)
+    assert dressed.splitting == pytest.approx(float(r), rel=1e-15)
+    assert dressed.energies[0] - dressed.energies[1] == pytest.approx(2.0 * float(r), rel=1e-15)
+    if delta == 0.0:
+        assert dressed.energies == (omega, -omega) and dressed.splitting == omega
+        assert dressed.bogoliubov == (math.sqrt(0.5), math.sqrt(0.5))
 
 
 @pytest.mark.parametrize("omega", HUGE_DRIVES)
@@ -263,20 +272,26 @@ def test_mollow_decomposition_at_huge_drive(omega):
     assert coeffs.lorentzian_sum + coeffs.delta_weight == 1.0
 
 
-@pytest.mark.parametrize("omega", HUGE_DRIVES)
-def test_spectrum_at_huge_drive_matches_exact_arithmetic(omega):
-    grid = np.array([-3.0, -2.0, -1.0, -0.5, 0.0]) * omega
-    grid = np.concatenate((grid, [-2.0, 0.0, 0.5, 2.0, 3.0], -grid[::-1]))
-    grid = np.unique(np.concatenate((grid, 2.0 * omega + np.array([-1.0, 0.5, 3.0]))))
-    got = single_spectrum(SingleParams(gamma=1.0, omega=omega), grid)
-    exact = np.array([_exact_spectrum(x, 1.0, omega) for x in grid])
+@pytest.mark.parametrize("gamma, omega", [(1.0, w) for w in HUGE_DRIVES] + [
+    (1e200, 1e200), (8e200, 1e200), (1e200, 1e202), (1e300, 1e299), (1e-5, 1e300)],
+    ids=[f"drive-{w:g}" for w in HUGE_DRIVES]
+    + ["equal", "critical", "supercritical", "weak-drive", "strong-drive"])
+def test_spectrum_at_huge_rates_matches_exact_arithmetic(gamma, omega):
+    # The values, of degree -1 in the rates and the grid, are computed at both divided by
+    # a power of two and divided by it: no overflow on the way, nor a NaN.
+    grid = np.concatenate((np.linspace(-3.0, 3.0, 7) * omega,
+                           gamma * np.array([-2.0, 0.0, 0.5, 2.0, 3.0]),
+                           2.0 * omega + gamma * np.array([-1.0, 0.5, 3.0])))
+    grid = np.unique(grid)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = single_spectrum(SingleParams(gamma=gamma, omega=omega), grid)
+    exact = np.array([_exact_spectrum(x, gamma, omega) for x in grid])
     # Equal to 1e-13 where the exact value is a normal float, and within the smallest
-    # normal float below it: both sidebands keep their height 1 / (3 pi gamma).
+    # normal float below it.
     tiny = np.finfo(float).tiny
     assert np.all(np.abs(got.values - exact) <= np.maximum(1e-13 * np.abs(exact), tiny))
-    assert got.values.max() == pytest.approx(1.0 / math.pi, rel=1e-15)
-    assert got.delta_weight == pytest.approx(float(1 / (1 + 8 * Fraction(omega) ** 2)),
-                                             rel=1e-6, abs=0.0)
+    w2, g2 = Fraction(omega) ** 2, Fraction(gamma) ** 2
+    assert got.delta_weight == pytest.approx(float(g2 / (g2 + 8 * w2)), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("gamma_over_omega, expected", [
