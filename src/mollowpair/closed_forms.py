@@ -7,13 +7,15 @@ out term by term rather than algebraically simplified, so each piece stays
 auditable.  One table of the three covered regimes serves covers(p, regime),
 regime_populations and regime_g2.
 
-Where a form's pieces overflow (omega**6 from a drive near 1e51 gamma0) at a
-drive STRONG_DRIVE_RATIO times every other rate, it returns its strong-drive
-limit, which is then its value to rounding.
+Every form is homogeneous of degree 0 in its rates: _at_scaled_rates runs it at
+them divided by rate_scale's power of two, which is exact, or at strong drive
+returns its limit.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 
 from .errors import ParameterError, UnsupportedConfigurationError
@@ -25,24 +27,69 @@ from .params import Regime, SystemParams
 #: strong-drive limit: the corrections are of relative order (rate / omega)**2.
 STRONG_DRIVE_RATIO = 1e10
 
+#: Rates enter every closed form as given while every nonzero |rate| lies within
+#: 2**(+-_EXPONENT): there the eighth powers in the pair's forms stay normal floats.
+_EXPONENT = 100
+_LOW, _HIGH = 2.0**-_EXPONENT, 2.0**_EXPONENT
 
-def _strong_drive_rates(pieces, omega: float, coupling: float, gamma0: float):
-    """(coupling, gamma0) for the strong-drive limit where pieces overflowed, else None.
 
-    Only at omega above STRONG_DRIVE_RATIO times both rates.  The limits depend on
-    coupling / gamma0 alone: both come divided by one power of two, which keeps the
-    limits' bits and their squares in range.
-    """
-    if all(map(math.isfinite, pieces)) or not omega > STRONG_DRIVE_RATIO * max(coupling, gamma0):
-        return None
-    k = math.frexp(max(coupling, gamma0))[1]
-    return math.ldexp(coupling, -k), math.ldexp(gamma0, -k)
+def _as_given(rates: tuple) -> bool:
+    for r in rates:
+        if r and not _LOW <= abs(r) <= _HIGH:
+            return False
+    return True
+
+
+def rate_scale(*rates: float) -> float:
+    """1 where every nonzero |rate| lies in [2**-100, 2**100], else the power of two (at
+    least the smallest float) that takes the largest just under 2**100."""
+    if _as_given(rates):
+        return 1.0
+    return math.ldexp(1.0, max(math.frexp(max(map(abs, rates)))[1] - _EXPONENT, -1074))
+
+
+def _at_scaled_rates(limit):
+    """Run a pair form f(coupling, omega, gamma0) at its rates divided by rate_scale.  Out of
+    range, a drive STRONG_DRIVE_RATIO times both others gives limit(coupling, gamma0) (g2's is
+    1) at those two divided by their rate_scale, and a result still beyond the floats (a
+    coherent g2 above 1e308, or g / gamma0 above about 1e250) raises ParameterError."""
+    def wrap(form):
+        @functools.wraps(form)
+        def scaled(coupling: float, omega: float, gamma0: float):
+            rates = (coupling, omega, gamma0)
+            if _as_given(rates):
+                return form(*rates)
+            if omega > STRONG_DRIVE_RATIO * max(coupling, gamma0):
+                t = rate_scale(coupling, gamma0)
+                return limit(coupling / t, gamma0 / t)
+            s = rate_scale(*rates)
+            with contextlib.suppress(ZeroDivisionError):
+                value = form(coupling / s, omega / s, gamma0 / s)
+                if math.isfinite(value if isinstance(value, float) else value.total):
+                    return value
+            raise ParameterError(f"{form.__name__}{rates}: the ratios of these rates take the "
+                                 "closed form beyond the float range")
+        return scaled
+    return wrap
 
 
 # ---------------------------------------------------------------------------
 # Coherent coupling (gamma = 0)
 # ---------------------------------------------------------------------------
 
+def coherent_strong_drive_populations(g: float, gamma0: float) -> Populations:
+    """Asymptotic populations for omega >> gamma0 with coherent coupling g.
+
+    The same function serves one-way coupling gamma at g = gamma, and dissipative
+    coupling gamma at g = gamma / 2.
+    """
+    g2, c2 = g * g, gamma0 * gamma0
+    lead = 0.25 * (g2 + 2 * c2) / (g2 + c2)
+    tail = 0.25 * g2 / (g2 + c2)
+    return Populations(lead, lead, tail, tail)
+
+
+@_at_scaled_rates(coherent_strong_drive_populations)
 def coherent_populations(g: float, omega: float, gamma0: float) -> Populations:
     """Steady populations with purely coherent coupling."""
     g2, w2, c2 = g * g, omega * omega, gamma0 * gamma0
@@ -64,20 +111,10 @@ def coherent_populations(g: float, omega: float, gamma0: float) -> Populations:
     )
     n01 = 16 * g2 * w2 * (9 * c2 * c2 + 9 * c2 * w2 + 4 * w4 + 4 * g2 * (c2 + w2))
     n11 = 16 * g2 * w4 * (4 * g2 + 9 * c2 + 4 * w2)
-    limit = _strong_drive_rates((den, n00, n10, n01, n11), omega, g, gamma0)
-    if limit is not None:
-        return coherent_strong_drive_populations(*limit)
     return Populations(n00 / den, n10 / den, n01 / den, n11 / den)
 
 
-def coherent_strong_drive_populations(g: float, gamma0: float) -> Populations:
-    """Asymptotic populations for omega >> gamma0 with coherent coupling."""
-    g2, c2 = g * g, gamma0 * gamma0
-    lead = 0.25 * (g2 + 2 * c2) / (g2 + c2)
-    tail = 0.25 * g2 / (g2 + c2)
-    return Populations(lead, lead, tail, tail)
-
-
+@_at_scaled_rates(lambda coupling, gamma0: 1.0)
 def coherent_g2(g: float, omega: float, gamma0: float) -> float:
     """Zero-delay cross-correlator with purely coherent coupling."""
     g2, w2, c2 = g * g, omega * omega, gamma0 * gamma0
@@ -95,8 +132,7 @@ def coherent_g2(g: float, omega: float, gamma0: float) -> float:
         (16 * g2 * g2 + 27 * c2 * c2 - 4 * c2 * w2 + 16 * g2 * (3 * c2 + w2))
         / (4 * (9 * c2 * c2 + 18 * c2 * w2 + 8 * w4 + 4 * g2 * (c2 + 2 * w2)))
     )
-    value = 1.0 + term2 - term3
-    return value if _strong_drive_rates((value,), omega, g, gamma0) is None else 1.0
+    return 1.0 + term2 - term3
 
 
 def coherent_g2_weak_limit(g: float, gamma0: float) -> float:
@@ -108,6 +144,12 @@ def coherent_g2_weak_limit(g: float, gamma0: float) -> float:
 # Dissipative coupling (g = 0)
 # ---------------------------------------------------------------------------
 
+def dissipative_strong_drive_populations(gamma: float, gamma0: float) -> Populations:
+    """Asymptotic populations for omega >> gamma0 with dissipative coupling."""
+    return coherent_strong_drive_populations(0.5 * gamma, gamma0)
+
+
+@_at_scaled_rates(dissipative_strong_drive_populations)
 def dissipative_populations(gamma: float, omega: float, gamma0: float) -> Populations:
     """Steady populations with purely dissipative coupling.
 
@@ -120,6 +162,10 @@ def dissipative_populations(gamma: float, omega: float, gamma0: float) -> Popula
         raise ParameterError(f"dissipative regime needs 0 <= gamma <= gamma0, got {gamma}")
     if omega == 0.0:
         return Populations(1.0, 0.0, 0.0, 0.0, degenerate=(gamma == gamma0))
+    if gamma == gamma0 and omega < _LOW * _LOW * gamma0:
+        # Every term carries omega**2 here: the omega -> 0+ limit, to rounding.
+        ratio = 0.5 * omega / gamma0
+        return Populations(0.5, 0.25, 0.25, ratio * ratio)
     y2, w2, c2 = gamma * gamma, omega * omega, gamma0 * gamma0
     w4, w6 = w2 * w2, w2 * w2 * w2
     den = (
@@ -143,20 +189,10 @@ def dissipative_populations(gamma: float, omega: float, gamma0: float) -> Popula
     )
     n01 = 4 * y2 * w2 * (9 * c2 * c2 + 9 * c2 * w2 + 4 * w4 + y2 * (w2 - c2))
     n11 = 4 * y2 * w4 * (4 * w2 + 9 * c2 - y2)
-    limit = _strong_drive_rates((den, n00, n10, n01, n11), omega, gamma, gamma0)
-    if limit is not None:
-        return dissipative_strong_drive_populations(*limit)
     return Populations(n00 / den, n10 / den, n01 / den, n11 / den)
 
 
-def dissipative_strong_drive_populations(gamma: float, gamma0: float) -> Populations:
-    """Asymptotic populations for omega >> gamma0 with dissipative coupling."""
-    half2 = (0.5 * gamma) ** 2
-    tail = 0.25 * half2 / (half2 + gamma0 * gamma0)
-    lead = 0.5 * (1.0 - 0.5 * half2 / (half2 + gamma0 * gamma0))
-    return Populations(lead, lead, tail, tail)
-
-
+@_at_scaled_rates(lambda coupling, gamma0: 1.0)
 def dissipative_g2(gamma: float, omega: float, gamma0: float) -> float:
     """Zero-delay cross-correlator with purely dissipative coupling."""
     y2, w2, c2 = gamma * gamma, omega * omega, gamma0 * gamma0
@@ -176,8 +212,7 @@ def dissipative_g2(gamma: float, omega: float, gamma0: float) -> float:
         * (4 * c2 * w2 - 27 * c2 * c2 + y2 * (3 * c2 - 10 * w2))
         / (9 * c2 * c2 - y2 * c2 + 18 * c2 * w2 + 8 * w4)
     )
-    value = 1.0 + term2 + term3
-    return value if _strong_drive_rates((value,), omega, gamma, gamma0) is None else 1.0
+    return 1.0 + term2 + term3
 
 
 def dissipative_g2_weak_limit(gamma: float, gamma0: float) -> float:
@@ -189,6 +224,10 @@ def dissipative_g2_weak_limit(gamma: float, gamma0: float) -> float:
 # Unidirectional coupling (g = gamma/2, relative phase pi/2, drive on 1)
 # ---------------------------------------------------------------------------
 
+unidirectional_strong_drive_populations = coherent_strong_drive_populations
+
+
+@_at_scaled_rates(unidirectional_strong_drive_populations)
 def unidirectional_populations(gamma: float, omega: float, gamma0: float) -> Populations:
     """Steady populations under forward one-way coupling.
 
@@ -208,21 +247,10 @@ def unidirectional_populations(gamma: float, omega: float, gamma0: float) -> Pop
     rho10 = (4 * w2 / front) * (1.0 - 4 * y2 * w2 * (9 * c2 + 4 * w2) / den)
     rho01 = (16 * y2 * w2 / front) * (9 * c2 * c2 + 9 * c2 * w2 + 4 * w2 * (y2 + w2)) / den
     rho11 = (16 * y2 * w4 / front) * (9 * c2 + 4 * w2) / den
-    limit = _strong_drive_rates((den, front * den, rho00, rho10, rho01, rho11),
-                                omega, gamma, gamma0)
-    if limit is not None:
-        return unidirectional_strong_drive_populations(*limit)
     return Populations(rho00, rho10, rho01, rho11)
 
 
-def unidirectional_strong_drive_populations(gamma: float, gamma0: float) -> Populations:
-    """Asymptotic populations for omega >> gamma0 under one-way coupling."""
-    y2, c2 = gamma * gamma, gamma0 * gamma0
-    lead = 0.25 * (y2 + 2 * c2) / (y2 + c2)
-    tail = 0.25 * y2 / (y2 + c2)
-    return Populations(lead, lead, tail, tail)
-
-
+@_at_scaled_rates(lambda coupling, gamma0: 1.0)
 def unidirectional_g2(gamma: float, omega: float, gamma0: float) -> float:
     """Zero-delay cross-correlator under forward one-way coupling.
 
@@ -232,8 +260,7 @@ def unidirectional_g2(gamma: float, omega: float, gamma0: float) -> float:
     y2, w2, c2 = gamma * gamma, omega * omega, gamma0 * gamma0
     num = (c2 + 8 * w2) * (9 * c2 + 4 * w2)
     den = 36 * c2 * c2 + 8 * w2 * (2 * y2 + 9 * c2) + 32 * w2 * w2
-    value = num / den
-    return value if _strong_drive_rates((value,), omega, gamma, gamma0) is None else 1.0
+    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -287,5 +314,5 @@ __all__ = [
     "dissipative_g2", "dissipative_g2_weak_limit",
     "unidirectional_populations", "unidirectional_strong_drive_populations",
     "unidirectional_g2",
-    "covers", "regime_populations", "regime_g2",
+    "covers", "regime_populations", "regime_g2", "rate_scale",
 ]

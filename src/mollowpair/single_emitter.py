@@ -15,26 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_forms import _EXPONENT, rate_scale
 from .errors import ParameterError, UnsupportedConfigurationError
 from .spectrum import (CLUSTER_GAP, SpectralComponent, SpectralDecomposition, _as_grid,
                        evaluate_spectrum)
 
-#: Rates up to this (about 1.6e60) enter the closed forms as given, and the forms keep
-#: their bits.  Above it a form is evaluated at its rates divided by the power of two
-#: _scale picks, whose squares and fourth powers then fit a float, and multiplied back
-#: by that power to the form's degree in the rates.
-_SCALE_TOP = 2.0**200
-
-#: Above this drive, where it also exceeds gamma, single_spectrum evaluates the pole
-#: decomposition instead of the direct form, whose cancellation between omega**2 and
-#: gamma**2 grows with omega / gamma.
-_POLE_DRIVE = 1e10
-
-
-def _scale(*rates: float) -> float:
-    """1, or the power of two s that brings the largest |rate| just under _SCALE_TOP."""
-    top = max(map(abs, rates))
-    return 1.0 if top <= _SCALE_TOP else 2.0 ** math.frexp(top / _SCALE_TOP)[1]
+#: Above this omega / gamma, single_spectrum's one-term form gives way to the poles'.
+_POLE_RATIO = 1e60
 
 
 def _in_range(values: tuple, omega: float) -> tuple:
@@ -82,12 +69,9 @@ def single_population(omega: float, gamma0: float) -> float:
 
 
 def _population_coherence(delta, gamma, omega) -> tuple[float, complex]:
-    """n = omega**2 / den and <sigma> = -omega (delta + i gamma / 2) / den.
-
-    den = 2 omega**2 + delta**2 + gamma**2 / 4.  Both are of degree 0 in the
-    rates, which enter divided by _scale.
-    """
-    s = _scale(delta, gamma, omega)
+    """n = omega**2 / den and <sigma> = -omega (delta + i gamma / 2) / den, with den =
+    2 omega**2 + delta**2 + gamma**2 / 4: of degree 0 in the rates, divided by rate_scale."""
+    s = rate_scale(delta, gamma, omega)
     delta, gamma, omega = delta / s, gamma / s, omega / s
     den = 2.0 * omega**2 + delta**2 + (0.5 * gamma) ** 2
     return omega**2 / den, -omega * (delta + 0.5j * gamma) / den
@@ -107,13 +91,16 @@ def dressed_state(p: SingleParams) -> DressedState:
 
     Raises ParameterError where an energy lies beyond the float range.
     """
-    s = _scale(p.delta, p.omega)
+    s = rate_scale(p.delta, p.omega)
     half, w = 0.5 * p.delta / s, p.omega / s
     r = math.sqrt(half**2 + w**2)
     ratio = 0.0 if r == 0.0 else half / r
     sin_b = math.sqrt(0.5 * (1.0 - ratio))
     cos_b = math.sqrt(0.5 * (1.0 + ratio))
-    upper, lower, r = _in_range(((half + r) * s, (half - r) * s, r * s), p.omega)
+    # delta/2 -+ R cancels in the energy of smaller magnitude: -omega**2 / (the other one).
+    far = half + math.copysign(r, half)
+    near = -p.omega * (w / far) if half else -far * s
+    upper, lower, r = _in_range((max(far * s, near), min(far * s, near), r * s), p.omega)
     return DressedState(energies=(upper, lower), splitting=r, bogoliubov=(sin_b, cos_b))
 
 
@@ -141,7 +128,7 @@ def mollow_splitting(gamma: float, omega: float) -> float:
 
     Raises ParameterError where it lies beyond the float range.
     """
-    s = _scale(gamma, omega)
+    s = rate_scale(gamma, omega)
     g, w = gamma / s, omega / s
     return _in_range((math.sqrt((2.0 * w) ** 2 - (0.25 * g) ** 2) * s,), omega)[0]
 
@@ -163,8 +150,8 @@ def mollow_coefficients(p: SingleParams) -> SpectralDecomposition:
     ------
     UnsupportedConfigurationError
         For delta != 0, where no closed-form decomposition is available, and
-        where omega**2 is 0 (undriven or underflowing): the side-pole
-        weights divide by it.
+        where the side-pole weights' factor 8 omega**2 / (gamma**2 + 8 omega**2)
+        is below the smallest normal float (undriven, or omega / gamma < 1e-154).
     ParameterError
         Where a pole lies beyond the float range (omega above about 9e307).
     """
@@ -173,17 +160,17 @@ def mollow_coefficients(p: SingleParams) -> SpectralDecomposition:
             "Mollow coefficients are only available at resonance (delta = 0); "
             "use the numerical pair machinery for detuned spectra"
         )
-    s = _scale(p.gamma, p.omega)
+    s = rate_scale(p.gamma, p.omega)
     if s != 1.0:
         return _rates_times(mollow_coefficients(SingleParams(0.0, p.gamma / s, p.omega / s)),
                             s, p.omega)
     g, w = p.gamma, p.omega
-    if w**2 == 0.0:
-        raise UnsupportedConfigurationError(
-            f"the emitter is undriven or omega**2 underflows (omega = {w:.3g}); "
-            "its spectrum has no pole decomposition")
     delta_weight = g**2 / (g**2 + 8.0 * w**2)
     share = 8.0 * w**2 / (g**2 + 8.0 * w**2)
+    if share < 2.0**-1022:
+        raise UnsupportedConfigurationError(
+            f"the emitter is undriven or omega**2 underflows against gamma**2 (omega / gamma = "
+            f"{w / g:.3g}); its spectrum has no pole decomposition")
     central = SpectralComponent(0.0, g, 0.5, 0.0)
     num = g**2 - 16.0 * w**2
     gm_sq = (0.25 * g) ** 2 - (2.0 * w) ** 2
@@ -254,19 +241,17 @@ class SingleSpectrum:
 def single_spectrum(p: SingleParams, grid: np.ndarray) -> SingleSpectrum:
     """Exact resonant emission spectrum evaluated pointwise on a grid.
 
-    The grid holds frequencies relative to the emitter transition, in units
-    of gamma's frequency scale, strictly increasing.  The returned values are
-    the incoherent density only; the Rayleigh delta weight is reported
-    separately and never binned onto the grid.  An undriven emitter has no
-    incoherent emission: all-zero values, delta weight 1, degenerate flag.
+    The grid holds frequencies relative to the emitter transition, strictly increasing.  The
+    values are the incoherent density only; the Rayleigh delta weight is reported separately.
+    An undriven emitter has no incoherent emission: all-zero values, delta weight 1,
+    degenerate flag.
 
-    The values are of degree -1 in the rates and the grid: they are evaluated
-    at both divided by a power of two s, then divided by s.  Where omega
-    exceeds both gamma and _POLE_DRIVE they are mollow_coefficients'
-    lineshapes, and s is the power of two nearest the geometric mean of gamma
-    and the largest shift, so neither the widths' squares nor the shifts'
-    leave the floats; elsewhere s is _scale's.
-    """
+    Up to omega / gamma = _POLE_RATIO the values are one term with no cancellation,
+    (8/pi) gamma / (gamma**2/4 + x**2) omega**2 (x**2 + gamma**2 + 2 omega**2) / D with
+    D = 4 ((x - 2 omega)(x + 2 omega))**2 + gamma**2 (5 x**2 + 16 omega**2) + gamma**4, at x
+    and the rates divided per point by the power of two that takes the largest just under
+    2**100.  Above it they are mollow_coefficients' lineshapes at the grid and rates divided
+    by the power of two nearest the geometric mean of gamma and the largest shift."""
     if p.delta != 0.0:
         raise UnsupportedConfigurationError(
             "the closed-form spectrum is only available at resonance (delta = 0); "
@@ -275,21 +260,17 @@ def single_spectrum(p: SingleParams, grid: np.ndarray) -> SingleSpectrum:
     grid = _as_grid(grid)
     if p.omega == 0.0:
         return SingleSpectrum(np.zeros_like(grid), 1.0, degenerate=True)
-    if p.omega > max(p.gamma, _POLE_DRIVE):
+    if p.omega > _POLE_RATIO * p.gamma:
         d = mollow_coefficients(p)
         top = max(-grid[0], grid[-1], 2.0 * p.omega)
         s = math.ldexp(1.0, (math.frexp(p.gamma)[1] + math.frexp(top)[1]) // 2)
         values = evaluate_spectrum(_rates_times(d, 1.0 / s, p.omega), grid / s) / s
         return SingleSpectrum(values, d.delta_weight)
-    s = _scale(p.gamma, p.omega)
-    g, w, grid = p.gamma / s, p.omega / s, grid / s
-    x2 = grid * grid
-    central = (0.5 / math.pi) * (0.5 * g) / ((0.5 * g) ** 2 + x2)
-    side = (
-        (g / math.pi)
-        * (x2 + g**2 - 16.0 * w**2)
-        / (4.0 * x2 * x2 + x2 * (5.0 * g**2 - 32.0 * w**2) + (g**2 + 8.0 * w**2) ** 2)
-    )
-    delta_weight = g**2 / (g**2 + 8.0 * w**2)
-    return SingleSpectrum((central - side) / s, delta_weight)
-
+    e = _EXPONENT - np.frexp(np.maximum(np.abs(grid), max(p.gamma, p.omega)))[1]
+    g, w, x = np.ldexp(p.gamma, e), np.ldexp(p.omega, e), np.ldexp(grid, e)
+    y, x2, g2 = (x - 2.0 * w) * (x + 2.0 * w), x * x, g * g
+    den = 4.0 * y * y + g2 * (5.0 * x2 + 16.0 * w * w) + g2 * g2
+    values = (8.0 / math.pi) * (g / (0.25 * g2 + x2)) * (w * w) * (x2 + g2 + 2.0 * w * w) / den
+    s = rate_scale(p.gamma, p.omega)
+    g, w = p.gamma / s, p.omega / s
+    return SingleSpectrum(np.ldexp(values, e), g**2 / (g**2 + 8.0 * w**2))

@@ -355,13 +355,14 @@ def _as_grid(grid) -> np.ndarray:
 
 
 def default_grid(p: SystemParams, points: int = 2001) -> np.ndarray:
-    """Symmetric frequency grid wide enough for every predicted peak.
+    """Symmetric frequency grid around the drive, from the parameters alone.
 
-    Spans 1.5 * (f + g + 3 gamma0) around the drive, where f is the dressed
-    splitting, so the outermost quintuplet satellites stay in-window.
+    Spans 1.5 * (f + g + |delta| + 3 gamma0), where f is the dressed splitting:
+    the quintuplet satellites and, off resonance, the lines near +-(delta +- g)
+    stay in-window.  The window is a heuristic, not a bound on every pole.
     """
     f = math.sqrt(p.g**2 + 4.0 * max(p.omega1, p.omega2) ** 2)
-    half = 1.5 * (f + p.g + 3.0 * p.gamma0)
+    half = 1.5 * (f + p.g + abs(p.delta) + 3.0 * p.gamma0)
     return np.linspace(-half, half, points)
 
 

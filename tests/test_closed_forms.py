@@ -1,10 +1,13 @@
 """Analytic populations and correlators per regime, their limits and identities."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from mollowpair import closed_forms as cf
-from mollowpair.errors import UnsupportedConfigurationError
+from mollowpair.errors import ParameterError, UnsupportedConfigurationError
 from mollowpair.moments import build_moment_system, populations, steady_state
 from mollowpair.params import (
     Regime,
@@ -154,6 +157,111 @@ def test_strong_drive_limit_needs_the_drive_far_above_every_rate():
     assert pops.as_array().tolist() == [0.25] * 4
     # A coupling past 1e154 squares to inf; the limit takes it scaled.
     assert cf.coherent_populations(1e200, 1e300, 1.0).as_array().tolist() == [0.25] * 4
+
+
+# --- rates out of [2**-100, 2**100] ------------------------------------------
+
+def _exact_populations(regime: str, coupling: float, omega: float, gamma0: float) -> list:
+    """The regime's populations in rational arithmetic, at the rates taken exactly."""
+    c, w, g0 = Fraction(coupling), Fraction(omega), Fraction(gamma0)
+    pops = _STRONG_DRIVE[regime][0].__wrapped__(c, w, g0)
+    rho = [pops.rho00, pops.rho10, pops.rho01, pops.rho11]
+    if regime == "unidirectional":  # its form writes rho10 with a float 1.0; rho10 = n0 - rho11
+        rho[1] = 4 * w * w / (8 * w * w + g0 * g0) - rho[3]
+    return rho
+
+
+@pytest.mark.parametrize("regime, rates", [
+    ("coherent", (1e100, 1.0, 1.0)), ("coherent", (1e45, 1e51, 1.0)),
+    ("coherent", (1e-170, 1e-170, 1e-170)), ("dissipative", (1e-170, 1e-170, 1e-170)),
+    ("unidirectional", (1e-170, 1e-170, 1e-170)), ("unidirectional", (1e200, 1e199, 1e200)),
+    ("dissipative", (3e-200, 1e-200, 1e-199)), ("coherent", (1.0, 1e-120, 1e-110))],
+    ids=lambda v: v if isinstance(v, str) else "-".join(f"{r:g}" for r in v))
+def test_forms_at_rates_out_of_range_match_exact_arithmetic(regime, rates):
+    # A huge coupling overflowed, a drive at 1e51 gave NaN and tiny rates divided by zero;
+    # divided by a power of two, every form keeps its digits.  g2 is rho11 / (n1 n2).
+    pops_of, g2_of = _STRONG_DRIVE[regime][:2]
+    exact = _exact_populations(regime, *rates)
+    pops = pops_of(*rates)
+    np.testing.assert_allclose(pops.as_array(), [float(v) for v in exact], rtol=0.0, atol=1e-15)
+    assert pops.total == pytest.approx(1.0, abs=1e-15)
+    r00, r10, r01, r11 = exact
+    assert g2_of(*rates) == pytest.approx(float(r11 / ((r10 + r11) * (r01 + r11))),
+                                          rel=1e-14, abs=0.0)
+
+
+def test_coherent_forms_at_a_huge_coupling():
+    # g = 1e100 with omega = gamma0 = 1: rho10 = 1e-200 and g2 = g**2 / 6 to rounding.
+    assert cf.coherent_populations(1e100, 1.0, 1.0).rho10 == pytest.approx(1e-200, rel=1e-15)
+    assert cf.coherent_g2(1e100, 1.0, 1.0) == pytest.approx(1e200 / 6, rel=1e-15)
+
+
+@pytest.mark.parametrize("gamma0", [1.0, 1e100, 1e-50])
+def test_trapping_below_every_drive_in_range_is_its_weak_drive_limit(gamma0):
+    # At gamma = gamma0 every term carries omega**2; at omega / gamma0 = 1e-250 its square
+    # underflows, and the omega -> 0+ limit is the value to rounding.
+    pops = cf.dissipative_populations(gamma0, 1e-250 * gamma0, gamma0)
+    assert pops.as_array().tolist() == [0.5, 0.25, 0.25, 0.0] and not pops.degenerate
+    # At the smallest ratio that rates in range reach, the form still runs.
+    pops = cf.dissipative_populations(gamma0, 2.0**-200 * gamma0, gamma0)
+    np.testing.assert_allclose(pops.as_array(), [0.5, 0.25, 0.25, 2.0**-402], rtol=1e-15)
+
+
+def test_rate_scale_is_one_in_range_and_a_power_of_two_outside():
+    assert cf.rate_scale(0.0, 2.0**100, 2.0**-100) == 1.0
+    for rates, top in [((3e200, 1.0), 3e200), ((1.0, 1e-120), 1.0), ((-1e-170, 0.0), 1e-170),
+                       ((1e-320, 5e-324), 1e-320)]:
+        s = cf.rate_scale(*rates)
+        assert math.frexp(s)[0] == 0.5
+        assert top / s < 2.0**100 and (top / s >= 2.0**99 or s == 5e-324)
+
+
+def _draws(rng, regime: str, spread: float, count: int = 300):
+    """Rates at a magnitude drawn over the float range, each within 10**+-spread of it."""
+    for _ in range(count):
+        base = rng.uniform(-300.0 + spread, 300.0 - spread)
+        exponents = base + rng.uniform(-spread, spread, 3)
+        coupling, omega, gamma0 = (float(v) for v in 10.0**exponents)
+        if regime != "coherent":  # one-way and dissipative coupling stay at or below gamma0
+            coupling = min(coupling, gamma0) * float(rng.choice([1.0, rng.uniform()]))
+        yield coupling, omega, gamma0
+
+
+@pytest.mark.parametrize("regime", list(_STRONG_DRIVE))
+def test_forms_keep_their_digits_at_any_magnitude(regime):
+    # Rate ratios up to 1e100, at magnitudes from 1e-250 to 1e250: the populations stay
+    # normalized to rounding, and g2 is finite wherever it is below the largest float.
+    pops_of, g2_of = _STRONG_DRIVE[regime][:2]
+    for rates in _draws(np.random.default_rng(2031), regime, 50.0):
+        pops = pops_of(*rates)
+        assert np.all(pops.as_array() >= 0.0)
+        assert pops.total == pytest.approx(1.0, abs=1e-15)
+        if regime != "coherent":
+            assert math.isfinite(g2_of(*rates))
+
+
+@pytest.mark.parametrize("regime", list(_STRONG_DRIVE))
+def test_no_form_returns_nan_over_the_float_range(regime):
+    # Any ratio: each form is finite, or raises ParameterError where a coherent value or the
+    # coherent form leaves the floats (g2 above 1e308, g / gamma0 above about 1e250).
+    pops_of, g2_of = _STRONG_DRIVE[regime][:2]
+    for rates in _draws(np.random.default_rng(2032), regime, 300.0):
+        for form in (pops_of, g2_of):
+            try:
+                value = form(*rates)
+            except ParameterError as exc:
+                assert regime == "coherent" and "beyond the float range" in str(exc)
+                continue
+            assert np.all(np.isfinite(value.as_array() if form is pops_of else value))
+
+
+@pytest.mark.parametrize("call", [lambda: cf.coherent_g2(1e100, 1e-100, 1.0),
+                                  lambda: cf.coherent_populations(1e201, 1e37, 1e-276)],
+                         ids=["g2-above-1e308", "coupling-ratio-1e477"])
+def test_results_beyond_the_float_range_raise_parameter_error(call):
+    with pytest.raises(ParameterError, match=r"the ratios of these rates take the closed form "
+                                             r"beyond the float range$"):
+        call()
 
 
 # --- cross-regime consistency ------------------------------------------------

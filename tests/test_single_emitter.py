@@ -210,7 +210,7 @@ def test_integral_plus_delta_normalizes():
     # Wide grid: the incoherent integral plus the delta weight is 1.
     grid = np.linspace(-2000.0, 2000.0, 400001)
     spec = single_spectrum(SingleParams(gamma=1.0, omega=1.0), grid)
-    integral = np.trapezoid(spec.values, grid)
+    integral = np.sum(0.5 * (spec.values[1:] + spec.values[:-1]) * np.diff(grid))
     assert integral + spec.delta_weight == pytest.approx(1.0, abs=2e-3)
 
 
@@ -230,7 +230,8 @@ def _exact_spectrum(x: float, gamma: float, omega: float) -> float:
 
 
 @pytest.mark.parametrize("delta, gamma, omega", [(0.0, 1.0, w) for w in HUGE_DRIVES] + [
-    (1e300, 1e300, 1e300), (1e300, 1.0, 1.0), (1.0, 1e300, 1e-10), (-3e200, 2e180, 5e199)])
+    (1e300, 1e300, 1e300), (1e300, 1.0, 1.0), (1.0, 1e300, 1e-10), (-3e200, 2e180, 5e199),
+    (1e10, 1.0, 1e-3), (-1e300, 1.0, 1.0), (0.0, 1e-170, 1e-170), (1e-170, 1e-170, 1e-170)])
 def test_population_and_dressed_state_with_huge_rates(delta, gamma, omega):
     d, g, w = Fraction(delta), Fraction(gamma), Fraction(omega)
     den = 2 * w * w + d * d + g * g / 4
@@ -242,10 +243,14 @@ def test_population_and_dressed_state_with_huge_rates(delta, gamma, omega):
     assert single_population(omega, gamma) == pytest.approx(
         float(w * w / (2 * w * w + g * g / 4)), rel=1e-15, abs=0.0)
     with localcontext() as ctx:
-        ctx.prec = 50
+        ctx.prec = 700  # delta/2 - R cancels to 1e-600 of delta at delta = 1e300, omega = 1
         r = (Decimal(delta) ** 2 / 4 + Decimal(omega) ** 2).sqrt()
+        energies = (float(Decimal(delta) / 2 + r), float(Decimal(delta) / 2 - r))
     dressed = dressed_state(p)
     assert dressed.splitting == pytest.approx(float(r), rel=1e-15)
+    # Both energies to rounding, the one of smaller magnitude too (-1e-16 at delta = 1e10).
+    for got, want in zip(dressed.energies, energies):
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
     assert dressed.energies[0] - dressed.energies[1] == pytest.approx(2.0 * float(r), rel=1e-15)
     if delta == 0.0:
         assert dressed.energies == (omega, -omega) and dressed.splitting == omega
@@ -272,16 +277,20 @@ def test_mollow_decomposition_at_huge_drive(omega):
     assert coeffs.lorentzian_sum + coeffs.delta_weight == 1.0
 
 
-@pytest.mark.parametrize("gamma, omega", [(1.0, w) for w in HUGE_DRIVES] + [
-    (1e200, 1e200), (8e200, 1e200), (1e200, 1e202), (1e300, 1e299), (1e-5, 1e300)],
+@pytest.mark.parametrize("gamma, omega, far", [(1.0, w, ()) for w in HUGE_DRIVES] + [
+    (1e200, 1e200, ()), (8e200, 1e200, ()), (1e200, 1e202, ()), (1e300, 1e299, ()),
+    (1e-5, 1e300, ()), (1.0, 1e8, ()), (1.0, 1.0, (-1e200, 1e200)),
+    (1e-170, 1e-170, (-1e-100, 1e-100))],
     ids=[f"drive-{w:g}" for w in HUGE_DRIVES]
-    + ["equal", "critical", "supercritical", "weak-drive", "strong-drive"])
-def test_spectrum_at_huge_rates_matches_exact_arithmetic(gamma, omega):
+    + ["equal", "critical", "supercritical", "weak-drive", "strong-drive", "sidebands-at-1e8",
+       "grid-to-1e200", "tiny-rates"])
+def test_spectrum_at_huge_rates_matches_exact_arithmetic(gamma, omega, far):
     # The values, of degree -1 in the rates and the grid, are computed at both divided by
-    # a power of two and divided by it: no overflow on the way, nor a NaN.
+    # a power of two and divided by it: no overflow on the way, nor a NaN.  The one-term
+    # form has no cancellation at the sidebands x = +-2 omega, nor far out on the grid.
     grid = np.concatenate((np.linspace(-3.0, 3.0, 7) * omega,
                            gamma * np.array([-2.0, 0.0, 0.5, 2.0, 3.0]),
-                           2.0 * omega + gamma * np.array([-1.0, 0.5, 3.0])))
+                           2.0 * omega + gamma * np.array([-1.0, 0.5, 1.0, 3.0]), far))
     grid = np.unique(grid)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         got = single_spectrum(SingleParams(gamma=gamma, omega=omega), grid)

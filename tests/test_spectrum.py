@@ -1,6 +1,7 @@
 """Pole decomposition of the two-time regression system and grid evaluation."""
 
-from dataclasses import astuple
+import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from mollowpair.single_emitter import (
     mollow_coefficients,
     single_spectrum,
 )
-from mollowpair.spec import load_preset
+from mollowpair.spec import load_preset, preset_names
 from mollowpair.spectrum import (
     SpectralComponent,
     SpectralDecomposition,
@@ -257,6 +258,34 @@ def test_direct_route_matches_the_resolvent_at_the_spectrum_presets(name, monkey
         got = evaluate_spectrum(decompose_spectrum(p), grid)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref), value
     assert rows == []
+
+
+def test_default_grid_holds_every_line_at_large_detuning():
+    # The lines sit near +-(delta +- g); a window that ignored delta missed over half of
+    # sum |L_zeta| at most draws with |delta| from 10 to 1e3.
+    rng = np.random.default_rng(2020)
+    for _ in range(200):
+        delta = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(0.0, 3.0))
+        p = replace(random_params(rng), delta=delta)
+        components = decompose_spectrum(p).components
+        weights = np.abs([c.L_zeta for c in components])
+        shifts = np.abs([c.omega_zeta for c in components])
+        assert np.all(shifts[weights >= 1e-3 * weights.sum()] <= default_grid(p, 3)[-1]), p
+
+
+def test_default_grid_keeps_its_bits_at_resonance():
+    # Every spectrum preset has delta = 0, where the window is today's, bit for bit.
+    for name in preset_names():
+        spec = load_preset(name)
+        if not {"spectrum", "decomposition"} & set(spec.observables):
+            continue
+        for value in spec.grid.values():
+            p = spec.point(value)
+            assert p.delta == 0.0
+            f = math.sqrt(p.g**2 + 4.0 * max(p.omega1, p.omega2) ** 2)
+            half = 1.5 * (f + p.g + 3.0 * p.gamma0)
+            old = np.linspace(-half, half, spec.spectrum_points)
+            assert default_grid(p, spec.spectrum_points).tobytes() == old.tobytes(), name
 
 
 def test_exactly_singular_eigenbasis_row_takes_the_krylov_route(rng, monkeypatch):

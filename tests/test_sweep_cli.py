@@ -244,20 +244,34 @@ def _unnoted_non_finite(result: SweepResult) -> list:
             if (v is None or not np.isfinite(v)) and not note]
 
 
-@pytest.mark.parametrize("fixed", [
-    ("--regime", "coherent", "--set", "g=1"), ("--regime", "dissipative", "--set", "gamma=0.5"),
-    ("--regime", "unidirectional-forward", "--set", "gamma=1")], ids=lambda a: a[1])
-def test_closed_forms_past_the_float_range_write_their_limits(fixed, tmp_path):
-    # omega1**6 overflows from about 1e51: the closed forms return the strong-drive
-    # limits there, which are their values to rounding, never NaN.
+_STRONG = "omega1:1e40:1e200:5:log"
+
+
+@pytest.mark.parametrize("args", [
+    ("--regime", "coherent", "--set", "g=1", "--sweep", _STRONG),
+    ("--regime", "dissipative", "--set", "gamma=0.5", "--sweep", _STRONG),
+    ("--regime", "unidirectional-forward", "--set", "gamma=1", "--sweep", _STRONG),
+    ("--regime", "coherent", "--set", "g=1e100", "--sweep", "omega1:1:2:2:linear"),
+    ("--regime", "dissipative", "--set", "gamma0=1e-170", "--set", "gamma=1e-170",
+     "--sweep", "omega1:1e-170:2e-170:2:linear"),
+    ("--regime", "coherent", "--set", "g=1e45", "--sweep", "omega1:1e51:2e51:2:linear"),
+    ("--regime", "unidirectional-forward", "--set", "gamma0=1e200", "--set", "gamma=1e200",
+     "--sweep", "omega1:1e199:1e201:3:log")],
+    ids=["coherent", "dissipative", "unidirectional-forward", "coherent-g-1e100",
+         "dissipative-rates-1e-170", "coherent-g-1e45-drive-1e51", "unidirectional-rates-1e200"])
+def test_closed_forms_past_the_float_range_write_their_limits(args, tmp_path):
+    # The closed forms run at their rates divided by a power of two, and return the
+    # strong-drive limits (g2 = 1) at a drive 1e10 times every other rate: a huge coupling
+    # or gamma0, a huge or tiny drive, never a traceback (exit 1) or NaN.
     out = tmp_path / "sweep.json"
-    assert cli.main([*fixed, "--sweep", "omega1:1e40:1e200:5:log", "--observable",
-                     "populations,g2", "--format", "json", "--out", str(out)]) == 0
+    assert cli.main([*args, "--observable", "populations,g2", "--format", "json",
+                     "--out", str(out)]) == 0
     result = parse_json(out.read_bytes())
     assert set(result.paths) == {"populations:closed-form;g2:closed-form"}
     assert _unnoted_non_finite(result) == []
     for row in result.rows:
-        assert sum(row[1:5]) == pytest.approx(1.0, abs=1e-15) and row[5] == 1.0
+        assert sum(row[1:5]) == pytest.approx(1.0, abs=1e-15)
+        assert row[5] == 1.0 or _STRONG not in args
 
 
 @pytest.mark.parametrize("name", preset_names())
