@@ -283,16 +283,11 @@ def covers(p: SystemParams, regime: Regime) -> bool:
 
 
 def _dispatch(p: SystemParams, regime: Regime, column: int, noun: str):
-    if p.delta != 0.0 or p.omega2 != 0.0:
+    if not covers(p, regime):
         raise UnsupportedConfigurationError(
-            "closed forms exist only at resonance with emitter 1 driven "
-            f"(delta = 0, omega2 = 0); got delta={p.delta}, omega2={p.omega2}. "
-            "Use the moment solver for this configuration."
-        )
-    if regime not in _REGIMES:
-        raise UnsupportedConfigurationError(
-            f"no closed-form {noun} for regime {regime}; use the moment solver"
-        )
+            f"no closed-form {noun} for {regime} at delta={p.delta}, omega2={p.omega2}: they "
+            "cover the coherent, dissipative and forward one-way regimes at resonance with "
+            "emitter 1 alone driven (delta = 0, omega2 = 0); use the moment solver")
     entry = _REGIMES[regime]
     return entry[column](getattr(p, entry[2]), p.omega1, p.gamma0)
 

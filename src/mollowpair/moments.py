@@ -321,16 +321,23 @@ def populations(state: MomentState) -> Populations:
     return Populations(*_populations(state.n1, state.n2, state.nX))
 
 
+def _g2(n1: np.ndarray, n2: np.ndarray, nx: np.ndarray) -> list:
+    """nX / (n1 n2) of each point as a float, or None where n1 n2 is below G2_NORM_FLOOR."""
+    norm = n1 * n2
+    null = norm < G2_NORM_FLOOR
+    return [None if z else v for v, z in zip((nx / np.where(null, 1.0, norm)).tolist(),
+                                              null.tolist())]
+
+
 def g2_cross(state: MomentState) -> float:
-    """Normalized zero-delay cross-correlator nX / (n1 * n2).
+    """Normalized zero-delay cross-correlator nX / (n1 * n2): _g2's batch of one.
 
     The weak-drive limit is 0/0; callers must use the closed-form limits
     there instead of this estimator.
     """
-    norm = state.n1 * state.n2
-    if norm < G2_NORM_FLOOR:
+    (g2,) = _g2(*np.array([[state.n1], [state.n2], [state.nX]]))
+    if g2 is None:
         raise UndefinedCorrelatorError(
-            f"n1*n2 = {norm:.3e} underflows; the correlator is undefined at "
-            "vanishing drive, use the closed-form weak-drive limits"
-        )
-    return state.nX / norm
+            f"n1*n2 = {state.n1 * state.n2:.3e} underflows; the correlator is undefined at "
+            "vanishing drive, use the closed-form weak-drive limits")
+    return g2

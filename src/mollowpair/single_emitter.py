@@ -49,6 +49,12 @@ class SingleParams:
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
 
 
+def _at_resonance(p: SingleParams, what: str) -> None:
+    if p.delta != 0.0:
+        raise UnsupportedConfigurationError(f"{what} only available at resonance (delta = 0); "
+                                            "use the numerical pair machinery for detuned spectra")
+
+
 @dataclass(frozen=True)
 class DressedState:
     """Dressed energies, splitting and Bogoliubov coefficients."""
@@ -59,31 +65,25 @@ class DressedState:
 
 
 def steady_population_coherence(p: SingleParams) -> tuple[float, complex]:
-    """Steady-state excited population n and coherence <sigma>."""
-    return _population_coherence(p.delta, p.gamma, p.omega)
+    """Steady-state excited population n and coherence <sigma>.
 
-
-def single_population(omega: float, gamma0: float) -> float:
-    """Resonant steady population n0 of a solitary emitter with decay gamma0."""
-    return _population_coherence(0.0, gamma0, omega)[0]
-
-
-def _population_coherence(delta, gamma, omega) -> tuple[float, complex]:
-    """n = omega**2 / den and <sigma> = -omega (delta + i gamma / 2) / den, with den =
-    2 omega**2 + delta**2 + gamma**2 / 4: of degree 0 in the rates, divided by rate_scale."""
-    s = rate_scale(delta, gamma, omega)
-    delta, gamma, omega = delta / s, gamma / s, omega / s
+    n = omega**2 / den and <sigma> = -omega (delta + i gamma / 2) / den, with den =
+    2 omega**2 + delta**2 + gamma**2 / 4: of degree 0 in the rates, divided by rate_scale.
+    """
+    s = rate_scale(p.delta, p.gamma, p.omega)
+    delta, gamma, omega = p.delta / s, p.gamma / s, p.omega / s
     den = 2.0 * omega**2 + delta**2 + (0.5 * gamma) ** 2
     return omega**2 / den, -omega * (delta + 0.5j * gamma) / den
 
 
+def single_population(omega: float, gamma0: float) -> float:
+    """Resonant steady population n0 of a solitary emitter with decay gamma0."""
+    return steady_population_coherence(SingleParams(gamma=gamma0, omega=omega))[0]
+
+
 def critical_drive(gamma: float) -> float:
     """Drive amplitude where the regression eigenvalues collide: gamma/8."""
-    if not (gamma > 0.0):
-        raise ParameterError(f"gamma must be > 0, got {gamma}")
-    if not math.isfinite(gamma):
-        raise ParameterError(f"gamma must be finite, got {gamma}")
-    return gamma / 8.0
+    return SingleParams(gamma=gamma).gamma / 8.0
 
 
 def dressed_state(p: SingleParams) -> DressedState:
@@ -126,11 +126,16 @@ def regression_system(p: SingleParams) -> tuple[np.ndarray, np.ndarray]:
 def mollow_splitting(gamma: float, omega: float) -> float:
     """Supercritical sideband frequency sqrt((2*omega)**2 - (gamma/4)**2).
 
-    Raises ParameterError where it lies beyond the float range.
+    Raises ParameterError below gamma/8 and where it lies beyond the float range.
     """
+    SingleParams(gamma=gamma, omega=omega)  # the domain of both rates
     s = rate_scale(gamma, omega)
     g, w = gamma / s, omega / s
-    return _in_range((math.sqrt((2.0 * w) ** 2 - (0.25 * g) ** 2) * s,), omega)[0]
+    square = (2.0 * w) ** 2 - (0.25 * g) ** 2
+    if square < 0.0:
+        raise ParameterError(f"omega = {omega!r} lies below gamma/8 = {gamma / 8.0!r} "
+                             f"(gamma = {gamma!r}): the sidebands do not split")
+    return _in_range((math.sqrt(square) * s,), omega)[0]
 
 
 def mollow_coefficients(p: SingleParams) -> SpectralDecomposition:
@@ -155,11 +160,7 @@ def mollow_coefficients(p: SingleParams) -> SpectralDecomposition:
     ParameterError
         Where a pole lies beyond the float range (omega above about 9e307).
     """
-    if p.delta != 0.0:
-        raise UnsupportedConfigurationError(
-            "Mollow coefficients are only available at resonance (delta = 0); "
-            "use the numerical pair machinery for detuned spectra"
-        )
+    _at_resonance(p, "Mollow coefficients are")
     s = rate_scale(p.gamma, p.omega)
     if s != 1.0:
         return _rates_times(mollow_coefficients(SingleParams(0.0, p.gamma / s, p.omega / s)),
@@ -252,11 +253,7 @@ def single_spectrum(p: SingleParams, grid: np.ndarray) -> SingleSpectrum:
     and the rates divided per point by the power of two that takes the largest just under
     2**100.  Above it they are mollow_coefficients' lineshapes at the grid and rates divided
     by the power of two nearest the geometric mean of gamma and the largest shift."""
-    if p.delta != 0.0:
-        raise UnsupportedConfigurationError(
-            "the closed-form spectrum is only available at resonance (delta = 0); "
-            "use the numerical pair machinery for detuned spectra"
-        )
+    _at_resonance(p, "the closed-form spectrum is")
     grid = _as_grid(grid)
     if p.omega == 0.0:
         return SingleSpectrum(np.zeros_like(grid), 1.0, degenerate=True)

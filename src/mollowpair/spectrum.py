@@ -197,28 +197,27 @@ def decompose_spectrum(p: SystemParams, emitter: int = 1) -> SpectralDecompositi
     drive), each cluster is expanded over its invariant subspace.  A visible
     Jordan pair becomes one second-order pole, a component with nonzero
     L2_zeta/K2_zeta; an invisible one has weights below _prune's cut and drops.
+    An undefined spectrum raises UnsupportedConfigurationError with the engine's reason.
     """
     d = _check_defined(p, emitter)
     if d is None:
         system = build_moment_systems([p])
         real_m, rhs = _real_system(system)
         (d,) = _decompose_stack(system.matrix, real_m, _solve_stack(real_m, rhs)[0], emitter)
-    if isinstance(d, UnsupportedConfigurationError):
-        raise d
+    if isinstance(d, str):
+        raise UnsupportedConfigurationError(f"{d}; its spectrum is undefined")
     return d
 
 
-def _check_defined(p: SystemParams, emitter: int) -> UnsupportedConfigurationError | None:
-    """The error of a spectrum that is undefined before anything is solved, or None.
+def _check_defined(p: SystemParams, emitter: int) -> str | None:
+    """Why the spectrum is undefined before anything is solved, or None.
 
     Undriven, the pair has no spectrum, and at g = 0, gamma = gamma0 M is singular.
     """
     if emitter not in (1, 2):
         raise ParameterError(f"emitter must be 1 or 2, got {emitter}")
     if p.omega1 == 0.0 and p.omega2 == 0.0:
-        return UnsupportedConfigurationError(
-            "neither emitter is driven (omega1 = omega2 = 0); its spectrum is undefined"
-        )
+        return "neither emitter is driven (omega1 = omega2 = 0)"
     return None
 
 
@@ -230,7 +229,7 @@ def _decompose_stack(m: np.ndarray, real_m: np.ndarray, u: np.ndarray, emitter: 
     rounding-level weights that _prune drops.  Every other point takes
     _krylov_poles.  Both routes fill one zero-padded pole array for _prune.
     A point whose emitter population is at most ROUNDING_POPULATION (n1 + n2)
-    gets an UnsupportedConfigurationError in place of its decomposition.
+    gets the reason its spectrum is undefined in place of its decomposition.
     """
     # The correlator <sig_e^dag(0) sig_e(tau)> sits at the sigma_e coordinate.
     readout = IDX_S1 if emitter == 1 else IDX_S2
@@ -252,9 +251,8 @@ def _decompose_stack(m: np.ndarray, real_m: np.ndarray, u: np.ndarray, emitter: 
     if not direct.all():
         poles[~direct] = _krylov_poles(m[~direct], w[~direct], scale[~direct], readout)
     pruned = iter(_prune(poles, n_e, coh, emitter))
-    return [next(pruned) if row else UnsupportedConfigurationError(
-        f"emitter {emitter} is not excited (population at the rounding level of n1 + n2); "
-        "its spectrum is undefined") for row in excited.tolist()]
+    return [next(pruned) if row else f"emitter {emitter} is not excited (population at the "
+            "rounding level of n1 + n2)" for row in excited.tolist()]
 
 
 def _krylov_poles(m, w, scale, readout) -> np.ndarray:

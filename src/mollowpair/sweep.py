@@ -34,10 +34,10 @@ import numpy as np
 
 from . import __version__
 from . import closed_forms
-from .errors import ParameterError, SweepSpecError, UnsupportedConfigurationError
+from .errors import ParameterError, SweepSpecError
 from .floattext import _G17, _json_list, _table_texts
-from .moments import (G2_NORM_FLOOR, IDX_N1, IDX_N2, IDX_NX, MomentSystem, _populations,
-                      _real_system, _solve_stack, build_moment_systems)
+from .moments import (IDX_N1, IDX_N2, IDX_NX, _g2, _populations, _real_system, _solve_stack,
+                      build_moment_systems)
 from .params import classify_regime
 # The spec document and the preset catalog live in spec; they stay importable from here.
 from .spec import (GridSpec, SweepSpec, _load_preset_file, load_preset, preset_description,
@@ -129,23 +129,26 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     fast = [k for k in range(n) if closed[k]]
     want_state = "populations" in obs or "g2" in obs
     want_spectrum = "spectrum" in obs or "decomposition" in obs
-    # decomposed[k]: point k's decomposition, or the error that leaves its spectrum undefined.
+    # decomposed[k]: point k's decomposition, or the reason its spectrum is undefined.
     decomposed = [_check_defined(p, 1) if want_spectrum else None for p in points]
     spectral = [want_spectrum and d is None for d in decomposed]
     solve = [k for k in range(n) if (want_state and not closed[k]) or spectral[k]]
     u = np.zeros((n, 15), dtype=complex)  # the moments of the solved points, zero elsewhere
     want_eigs = "eigenvalues" in obs
-    # One build of M: every point when its eigenvalues are asked for, else the solved ones.
+    # One build of M and its real form, whose eig gives exact conjugate pairs: every point
+    # when its eigenvalues are asked for, else the solved ones.
     if want_eigs or solve:
         built = build_moment_systems(points if want_eigs else [points[k] for k in solve])
+        m, (real_m, rhs) = built.matrix, _real_system(built)
+    if want_eigs:
+        eigs = np.linalg.eigvals(real_m)
+        m, real_m, rhs = m[solve], real_m[solve], rhs[solve]
     if solve:
-        system = MomentSystem(built.matrix[solve], built.drive[solve]) if want_eigs else built
-        real_m, rhs = _real_system(system)
         u[solve] = _solve_stack(real_m, rhs, lambda row: where(solve[row]))[0]
         if any(spectral):
             mask = [spectral[k] for k in solve]  # the solved points that are decomposed
             for k, d in zip(np.flatnonzero(spectral), _decompose_stack(
-                    system.matrix[mask], real_m[mask], u[spectral], 1)):
+                    m[mask], real_m[mask], u[spectral], 1)):
                 decomposed[k] = d
 
     # The table's (name, column) pairs, each named where it is built; one label
@@ -165,14 +168,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         note_parts.append(degenerate)
 
     if "g2" in obs:
-        # Null without drive, or where the moment path's n1 * n2 underflows.
-        driven = [p.omega1 != 0.0 or p.omega2 != 0.0 for p in points]
-        norm = n1 * n2
-        null = norm < G2_NORM_FLOOR
-        g2 = [v if on and not z else None
-              for v, z, on in zip((nx / np.where(null, 1.0, norm)).tolist(), null.tolist(), driven)]
+        # Null where n1 * n2 underflows, as at an undriven point, whose moments solve to 0;
+        # a closed-form point's omega2 is 0, so omega1 alone drives it.
+        g2 = _g2(n1, n2, nx)
         for k in fast:
-            g2[k] = closed_forms.regime_g2(points[k], regimes[k]) if driven[k] else None
+            g2[k] = closed_forms.regime_g2(points[k], regimes[k]) if points[k].omega1 else None
         table.append(("g2", g2))
         path_parts.append(["g2:null" if v is None else ("g2:moments", "g2:closed-form")[c]
                            for v, c in zip(g2, closed)])
@@ -181,8 +181,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     if want_spectrum:
         cells = []  # (delta weight, path, note) of each point
         for value, p, d in zip(swept, points, decomposed):
-            if isinstance(d, UnsupportedConfigurationError):
-                cells.append((None, "spectrum:null", f"spectrum:{d.args[0].split(';')[0]}"))
+            if isinstance(d, str):
+                cells.append((None, "spectrum:null", f"spectrum:{d}"))
                 continue
             labels, note = [], ""
             if "decomposition" in obs:
@@ -206,7 +206,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         note_parts.append(cell_notes)
 
     if want_eigs:
-        eigs = np.linalg.eigvals(built.matrix)
         eigs = np.take_along_axis(eigs, np.lexsort((eigs.imag, eigs.real)), axis=-1)
         table += zip([f"eig{k:02d}_{part}" for k in range(15) for part in ("re", "im")],
                      np.stack((eigs.real, eigs.imag), axis=-1).reshape(n, 30).T.tolist())

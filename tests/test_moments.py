@@ -353,18 +353,20 @@ def test_one_factorization_per_stack(monkeypatch):
     assert calls == [(np.float64, (31, 15, 15)), (np.float64, (1, 15, 15))]
 
 
-def _exact_steady_state(system):
-    """u = M^-1 P in exact rational arithmetic, as (re, im) Fraction pairs.
+def _exact(z):
+    """The complex float z as an exact (re, im) pair of Fractions."""
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _exact_solve(a, b):
+    """x = a^-1 b in exact rational arithmetic; every entry an (re, im) pair of Fractions.
 
     Gaussian elimination on the real form [[A, -B], [B, A]] [x; y] = [p; q]
-    of (A + iB)(x + iy) = p + iq, with every float entry taken exactly.
+    of (A + iB)(x + iy) = p + iq.
     """
-    n = len(system.drive)
-    re = [[Fraction(v.real) for v in row] for row in system.matrix.tolist()]
-    im = [[Fraction(v.imag) for v in row] for row in system.matrix.tolist()]
-    drive = system.drive.tolist()
-    rows = ([re[i] + [-v for v in im[i]] + [Fraction(drive[i].real)] for i in range(n)]
-            + [im[i] + re[i] + [Fraction(drive[i].imag)] for i in range(n)])
+    n = len(b)
+    rows = ([[v for v, _ in a[i]] + [-v for _, v in a[i]] + [b[i][0]] for i in range(n)]
+            + [[v for _, v in a[i]] + [v for v, _ in a[i]] + [b[i][1]] for i in range(n)])
     size = 2 * n
     for col in range(size):
         pivot = next(r for r in range(col, size) if rows[r][col])
@@ -378,6 +380,13 @@ def _exact_steady_state(system):
         acc = sum((rows[r][c] * sol[c] for c in range(r + 1, size)), Fraction(0))
         sol[r] = (rows[r][size] - acc) / rows[r][r]
     return [(sol[i], sol[n + i]) for i in range(n)]
+
+
+def _exact_steady_state(system):
+    """u = M^-1 P in exact rational arithmetic, as (re, im) Fraction pairs, with every
+    float entry of M and P taken exactly."""
+    return _exact_solve([list(map(_exact, row)) for row in system.matrix.tolist()],
+                        list(map(_exact, system.drive.tolist())))
 
 
 @pytest.mark.parametrize("p, tol", [

@@ -54,6 +54,28 @@ def test_critical_drive_scaling():
         critical_drive(np.inf)
 
 
+@pytest.mark.parametrize("call, args, match", [
+    (mollow_splitting, (1.0, 0.1), r"^omega = 0\.1 lies below gamma/8 = 0\.125 \(gamma = 1\.0\)"),
+    (mollow_splitting, (1.0, -1.0), "^omega must be >= 0, got -1.0$"),
+    (mollow_splitting, (0.0, 1.0), "^gamma must be > 0, got 0.0$"),
+    (mollow_splitting, (np.nan, 1.0), "^gamma must be > 0, got nan$"),
+    (single_population, (1.0, 0.0), "^gamma must be > 0, got 0.0$"),
+    (single_population, (-1.0, 1.0), "^omega must be >= 0, got -1.0$"),
+], ids=["splitting-subcritical", "splitting-negative-omega", "splitting-zero-gamma",
+        "splitting-nan-gamma", "population-zero-gamma", "population-negative-omega"])
+def test_rates_outside_the_domain_raise_parameter_error(call, args, match):
+    # Each entry point checks its rates as SingleParams does and names the
+    # rate at fault; below gamma/8, where the radicand is negative,
+    # mollow_splitting names omega, gamma/8 and gamma.
+    with pytest.raises(ParameterError, match=match):
+        call(*args)
+
+
+def test_mollow_splitting_closes_at_the_critical_drive():
+    assert mollow_splitting(1.0, 0.125) == 0.0
+    assert mollow_splitting(8.0, 1.0) == 0.0
+
+
 @pytest.mark.parametrize("field, value", [("omega", np.nan), ("omega", np.inf),
                                           ("delta", np.nan), ("delta", -np.inf),
                                           ("gamma", np.inf)])

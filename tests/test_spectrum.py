@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import astuple, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import mollowpair.spectrum as spectrum
 from mollowpair.errors import ParameterError, UnsupportedConfigurationError
 from mollowpair.liouville import build_liouvillian, liouville_spectrum, steady_state_dm
 from mollowpair.moments import (
+    IDX_N1,
     IDX_S1,
     IDX_S2,
     SEED_SELECTION,
@@ -51,6 +53,7 @@ from mollowpair.spectrum import (
 )
 
 from conftest import random_params
+from test_moments import _exact, _exact_solve, _exact_steady_state
 
 
 def test_boundary_vector_operator_identities():
@@ -131,6 +134,49 @@ def _resolvent_spectrum(p, grid):
     shifted = system.matrix - 1j * grid[:, None, None] * np.eye(15)
     x = np.linalg.solve(shifted, np.broadcast_to(w[:, None], (grid.size, 15, 1)))[..., 0]
     return x[:, IDX_S1].real / (np.pi * st.n1)
+
+
+def _exact_spectrum(p, omegas):
+    """Emitter 1's Re[e_r^T (M - i omega)^-1 w] / (pi n_1) in exact rational arithmetic.
+
+    w = <sigma_1^dag O_i> - u_i conj(<sigma_1>) is formed from the exact u of
+    the float M and P, and (M - i omega) x = w is solved exactly at each float
+    omega, taken exactly; only the division by pi is rounded.
+    """
+    system = build_moment_system(p)
+    u = _exact_steady_state(system)
+    sr, si = u[IDX_S1]
+    seeds = [next((u[j] for j, v in enumerate(row) if v), (0, 0))
+             for row in SEED_SELECTION[1].tolist()]
+    w = [(br - (ur * sr + ui * si), bi - (ui * sr - ur * si))
+         for (br, bi), (ur, ui) in zip(seeds, u)]
+    m = [list(map(_exact, row)) for row in system.matrix.tolist()]
+    out = []
+    for omega in map(Fraction, omegas):
+        shifted = [[(re, im - omega) if i == j else (re, im) for j, (re, im) in enumerate(row)]
+                   for i, row in enumerate(m)]
+        out.append(float(_exact_solve(shifted, w)[IDX_S1][0] / u[IDX_N1][0]) / math.pi)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("p", [
+    SystemParams(delta=-0.83, g=0.37, theta=2.1, gamma=0.64, phi=4.4, omega1=1.9, omega2=0.55),
+    unidirectional_pair(1.0, 0.125),
+    unidirectional_pair(1.0, 0.1255),
+    load_preset("fig9").point(1.0),
+], ids=["both-driven", "one-way-at-critical-drive", "one-way-near-critical-drive", "fig9-middle"])
+def test_spectrum_matches_exact_arithmetic_at_poles_and_worst_grid_points(p):
+    # Against exact rational arithmetic on the float M, at every kept pole
+    # centre and at the three grid points where the pole sum and the M
+    # resolvent differ most, in corners where the two agree to about 1e-12;
+    # at the critical drive gamma0/8 the pole sum holds a second-order pole.
+    # Production is within about 2e-15 of the largest exact value at each.
+    d = decompose_spectrum(p)
+    grid = default_grid(p)
+    worst = np.argsort(np.abs(evaluate_spectrum(d, grid) - _resolvent_spectrum(p, grid)))[-3:]
+    probes = np.unique(np.concatenate(([c.omega_zeta for c in d.components], grid[worst])))
+    exact = _exact_spectrum(p, probes)
+    assert np.max(np.abs(evaluate_spectrum(d, probes) - exact)) <= 1e-11 * np.max(exact)
 
 
 @pytest.mark.parametrize("p", [
@@ -390,9 +436,7 @@ def _per_point_decomposition(p, emitter):
     state, m = steady_state(system), system.matrix
     n_e, coh = (state.n1, state.s1) if emitter == 1 else (state.n2, state.s2)
     if n_e <= spectrum.ROUNDING_POPULATION * (state.n1 + state.n2):
-        return UnsupportedConfigurationError(
-            f"emitter {emitter} is not excited (population at the rounding level of n1 + n2); "
-            "its spectrum is undefined")
+        return f"emitter {emitter} is not excited (population at the rounding level of n1 + n2)"
     readout = IDX_S1 if emitter == 1 else IDX_S2
     w = SEED_SELECTION[emitter] @ state.u - state.u * np.conj(coh)
     scale = max(float(np.linalg.norm(m, ord=np.inf)), p.gamma0)
@@ -441,7 +485,7 @@ def test_stack_engine_matches_per_point_reduction_bitwise(emitter, rng):
     system = build_moment_systems(ps)
     real_m, rhs = _real_system(system)
     got = spectrum._decompose_stack(system.matrix, real_m, _solve_stack(real_m, rhs)[0], emitter)
-    assert (emitter == 2) == isinstance(got[22], UnsupportedConfigurationError)
+    assert (emitter == 2) == isinstance(got[22], str)
     for p, d in zip(ps, got):
         assert repr(d) == repr(_per_point_decomposition(p, emitter)), p
 
@@ -479,7 +523,7 @@ def test_dispersive_component_integrates_to_zero():
         delta_weight=0.0, emitter=1)
     grid = np.linspace(-500.0, 500.0, 200001)
     vals = evaluate_spectrum(d, grid)
-    assert abs(np.trapezoid(vals, grid)) < 1e-3
+    assert abs(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))) < 1e-3
 
 
 def test_grid_validation():

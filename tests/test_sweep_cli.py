@@ -24,10 +24,11 @@ from mollowpair import closed_forms
 from mollowpair.errors import (ConditionWarning, SweepSpecError, UndefinedCorrelatorError,
                                UnsupportedConfigurationError)
 from mollowpair.liouville import build_liouvillian, liouville_spectrum
-from mollowpair.moments import (IDX_N1, IDX_N2, IDX_NX, build_moment_system, g2_cross, populations,
-                               steady_state)
-from mollowpair.params import (REGIME_PINS, Regime, SystemParams, classify_regime, coherent_pair,
-                               dissipative_pair, unidirectional_pair)
+from mollowpair.moments import (IDX_N1, IDX_N2, IDX_NX, _real_system, build_moment_system,
+                               build_moment_systems, g2_cross, populations, steady_state)
+from mollowpair.params import (REGIME_PINS, Regime, SystemParams, asymmetric_pair,
+                               classify_regime, coherent_pair, dissipative_pair,
+                               unidirectional_pair)
 from mollowpair.single_emitter import SingleParams, single_spectrum
 from mollowpair.spec import OBSERVABLES
 from mollowpair.spectrum import decompose_spectrum, default_grid, evaluate_spectrum
@@ -496,7 +497,7 @@ def _per_point_reference(spec, columns):
                                                  d.delta_weight))
                     path.append("spectrum:eigendecomposition")
         if "eigenvalues" in obs:
-            eigs = np.linalg.eigvals(build_moment_system(p).matrix)
+            eigs = np.linalg.eigvals(_real_system(build_moment_systems([p]))[0][0])
             for z in eigs[np.lexsort((eigs.imag, eigs.real))]:
                 row += [float(z.real), float(z.imag)]
             path.append("eigenvalues:moments")
@@ -568,6 +569,23 @@ def test_batched_sweep_matches_per_point_reference(kw, closed):
     assert result.decompositions == ref.decompositions
     assert emit(result, "json") == emit(ref, "json")
     assert emit(result, "csv") == emit(ref, "csv")
+
+
+@pytest.mark.parametrize("p", [
+    coherent_pair(0.8, 1.0), dissipative_pair(0.5, 0.7), asymmetric_pair(0.6, 0.9, 0.8, 1.3),
+], ids=["coherent", "dissipative", "asymmetric"])
+def test_eigenvalues_are_closed_under_conjugation_bit_for_bit(p):
+    # M is similar to a real matrix, so its spectrum is closed under
+    # conjugation: the real form's eig writes each real eigenvalue with imag
+    # exactly 0 and each complex one beside its exact conjugate.  An eig of
+    # the complex M leaves imaginary parts near 1e-17 on real ones.
+    fixed = {k: v for k, v in dataclasses.asdict(p).items() if k != "omega1"}
+    spec = SweepSpec(param="omega1", grid=GridSpec(min=0.5 * p.omega1, max=p.omega1, count=3),
+                     fixed=fixed, observables=("eigenvalues",))
+    for row in run_sweep(spec).rows:
+        eigs = [tuple(pair) for pair in np.reshape(row[1:], (15, 2)).tolist()]
+        assert sorted((re, -im) for re, im in eigs) == sorted(eigs)
+        assert any(im == 0.0 for _, im in eigs)
 
 
 def test_moment_route_makes_no_per_point_state(monkeypatch):
