@@ -7,6 +7,10 @@ out term by term rather than algebraically simplified, so each piece stays
 auditable.  One table of the three covered regimes serves covers(p, regime),
 regime_populations and regime_g2.
 
+The dissipative and one-way g2 are nX / (n1 n2) of their populations, or the
+weak-drive limit where rho11 underflows.  coherent_g2 keeps its own form: its g is
+not bounded by gamma0, and at rate ratios near 1e120 its rho11 underflows.
+
 Every form is homogeneous of degree 0 in its rates: _at_scaled_rates runs it at
 them divided by rate_scale's power of two, which is exact, or at strong drive
 returns its limit.
@@ -19,7 +23,7 @@ import functools
 import math
 
 from .errors import ParameterError, UnsupportedConfigurationError
-from .moments import Populations
+from .moments import G2_NORM_FLOOR, Populations
 from .params import Regime, SystemParams
 
 
@@ -71,6 +75,26 @@ def _at_scaled_rates(limit):
                                  "closed form beyond the float range")
         return scaled
     return wrap
+
+
+def _g2_from_populations(populations, weak_limit):
+    """Make a stub its regime's g2: rho11 / (rho10 + rho11) / (rho01 + rho11) of the populations
+    form's body, or weak_limit where rho11 underflows.  g2 is even in the coupling: below 2**-60
+    gamma0 it is its value there to rounding, whose rho11 underflows only at negligible drive."""
+    body = populations.__wrapped__
+
+    def derive(stub):
+        @_at_scaled_rates(lambda coupling, gamma0: 1.0)
+        @functools.wraps(stub)
+        def g2(coupling: float, omega: float, gamma0: float) -> float:
+            if 0.0 <= coupling < 2.0**-60 * gamma0:
+                coupling = 2.0**-60 * gamma0
+            pops = body(coupling, omega, gamma0)
+            if pops.rho11 < G2_NORM_FLOOR:
+                return weak_limit(coupling, gamma0)
+            return pops.rho11 / (pops.rho10 + pops.rho11) / (pops.rho01 + pops.rho11)
+        return g2
+    return derive
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +193,13 @@ def dissipative_populations(gamma: float, omega: float, gamma0: float) -> Popula
     y2, w2, c2 = gamma * gamma, omega * omega, gamma0 * gamma0
     w4, w6 = w2 * w2, w2 * w2 * w2
     den = (
-        (9 * c2 - y2) * (gamma0 * c2 - gamma0 * y2) ** 2
+        (9 * c2 - y2) * (gamma0 * (gamma0 - gamma) * (gamma0 + gamma)) ** 2
         + 4 * c2 * w2 * (3 * y2 * y2 + 2 * y2 * c2 + 27 * c2 * c2)
         - 32 * w4 * (y2 - 10 * c2) * (y2 + c2)
         + 64 * w6 * (y2 + 4 * c2)
     )
     n00 = (
-        (9 * c2 - y2) * (gamma0 * c2 - gamma0 * y2) ** 2
+        (9 * c2 - y2) * (gamma0 * (gamma0 - gamma) * (gamma0 + gamma)) ** 2
         + 8 * c2 * w2 * (2 * y2 * y2 - 3 * y2 * c2 + 9 * c2 * c2)
         + 4 * w4 * (44 * c2 * c2 + 29 * y2 * c2 - 5 * y2 * y2)
         + 16 * w6 * (8 * c2 + y2)
@@ -192,32 +216,14 @@ def dissipative_populations(gamma: float, omega: float, gamma0: float) -> Popula
     return Populations(n00 / den, n10 / den, n01 / den, n11 / den)
 
 
-@_at_scaled_rates(lambda coupling, gamma0: 1.0)
+def dissipative_g2_weak_limit(gamma: float, gamma0: float) -> float:
+    """Weak-drive limit (gamma**2 - gamma0**2)**2 / (4*gamma0**4), exact near trapping."""
+    return ((gamma0 - gamma) * (gamma0 + gamma)) ** 2 / (4 * gamma0**4)
+
+
+@_g2_from_populations(dissipative_populations, dissipative_g2_weak_limit)
 def dissipative_g2(gamma: float, omega: float, gamma0: float) -> float:
     """Zero-delay cross-correlator with purely dissipative coupling."""
-    y2, w2, c2 = gamma * gamma, omega * omega, gamma0 * gamma0
-    w4 = w2 * w2
-    term2 = (
-        0.25
-        * y2
-        * (y2 * y2 - 11 * y2 * c2 + 18 * c2 * c2 - 2 * w2 * (y2 + 6 * c2))
-        / (
-            c2 * c2 * (y2 - 9 * c2)
-            + 2 * w2 * (2 * y2 * y2 - 17 * y2 * c2 - 18 * c2 * c2)
-            - 8 * w4 * (y2 + 4 * c2)
-        )
-    )
-    term3 = (
-        0.25
-        * (4 * c2 * w2 - 27 * c2 * c2 + y2 * (3 * c2 - 10 * w2))
-        / (9 * c2 * c2 - y2 * c2 + 18 * c2 * w2 + 8 * w4)
-    )
-    return 1.0 + term2 + term3
-
-
-def dissipative_g2_weak_limit(gamma: float, gamma0: float) -> float:
-    """Weak-drive limit (gamma**2 - gamma0**2)**2 / (4*gamma0**4)."""
-    return (gamma * gamma - gamma0 * gamma0) ** 2 / (4 * gamma0**4)
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +256,9 @@ def unidirectional_populations(gamma: float, omega: float, gamma0: float) -> Pop
     return Populations(rho00, rho10, rho01, rho11)
 
 
-@_at_scaled_rates(lambda coupling, gamma0: 1.0)
+@_g2_from_populations(unidirectional_populations, lambda gamma, gamma0: 0.25)
 def unidirectional_g2(gamma: float, omega: float, gamma0: float) -> float:
-    """Zero-delay cross-correlator under forward one-way coupling.
-
-    The constant denominator term must carry gamma0**4 for dimensional
-    consistency; that weight also pins the weak-drive limit to exactly 1/4.
-    """
-    y2, w2, c2 = gamma * gamma, omega * omega, gamma0 * gamma0
-    num = (c2 + 8 * w2) * (9 * c2 + 4 * w2)
-    den = 36 * c2 * c2 + 8 * w2 * (2 * y2 + 9 * c2) + 32 * w2 * w2
-    return num / den
+    """Zero-delay cross-correlator under forward one-way coupling; 1/4 at weak drive."""
 
 
 # ---------------------------------------------------------------------------

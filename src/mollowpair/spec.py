@@ -28,9 +28,9 @@ if TYPE_CHECKING:
 OBSERVABLES = ("populations", "g2", "spectrum", "decomposition", "eigenvalues")
 
 
-def _check_keys(kind, doc) -> None:
-    """Raise SweepSpecError unless doc is a dict keyed by exactly the fields of kind."""
-    names = [f.name for f in dataclasses.fields(kind)]
+def _check_keys(kind, doc, names=None) -> None:
+    """Raise SweepSpecError unless doc is a dict keyed by exactly names, or kind's fields."""
+    names = names or [f.name for f in dataclasses.fields(kind)]
     if not isinstance(doc, dict) or doc.keys() != set(names):
         got = ", ".join(doc) if isinstance(doc, dict) else type(doc).__name__
         raise SweepSpecError(f"a {kind.__name__} document has the keys "

@@ -166,6 +166,11 @@ def _cluster_poles(h, vals, vecs, b, c, groups) -> list[tuple[complex, complex, 
     return poles + [(0j, 0j, 0j)] * (n - len(poles))
 
 
+def _check_emitter(emitter: int) -> None:
+    if emitter not in (1, 2):
+        raise ParameterError(f"emitter must be 1 or 2, got {emitter}")
+
+
 def boundary_vector(u: np.ndarray, emitter: int = 1) -> np.ndarray:
     """Zero-delay seeds Tr[O_i rho_ss sigma_e^dag] = <sigma_e^dag O_i> from moments u.
 
@@ -175,6 +180,7 @@ def boundary_vector(u: np.ndarray, emitter: int = 1) -> np.ndarray:
     emitter vanishes (sigma^dag sigma^dag = 0).  u is one moment vector or
     a stack of them, one per row.
     """
+    _check_emitter(emitter)
     return (SEED_SELECTION[emitter] @ u[..., None])[..., 0]
 
 
@@ -214,8 +220,7 @@ def _check_defined(p: SystemParams, emitter: int) -> str | None:
 
     Undriven, the pair has no spectrum, and at g = 0, gamma = gamma0 M is singular.
     """
-    if emitter not in (1, 2):
-        raise ParameterError(f"emitter must be 1 or 2, got {emitter}")
+    _check_emitter(emitter)
     if p.omega1 == 0.0 and p.omega2 == 0.0:
         return "neither emitter is driven (omega1 = omega2 = 0)"
     return None

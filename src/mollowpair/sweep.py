@@ -40,8 +40,8 @@ from .moments import (IDX_N1, IDX_N2, IDX_NX, _g2, _populations, _real_system, _
                       build_moment_systems)
 from .params import classify_regime
 # The spec document and the preset catalog live in spec; they stay importable from here.
-from .spec import (GridSpec, SweepSpec, _load_preset_file, load_preset, preset_description,
-                   preset_names)
+from .spec import (GridSpec, SweepSpec, _check_keys, _load_preset_file, load_preset,
+                   preset_description, preset_names)
 from .spectrum import _check_defined, _decompose_stack, default_grid, evaluate_spectrum
 
 
@@ -279,6 +279,11 @@ def _json_spectra(spectra: tuple[SpectrumBlock, ...]) -> Iterator[bytes]:
     yield b"\n ]" if spectra else b"[]"
 
 
+#: The keys of the document _emit_json writes: _header's, the table's and the blocks'.
+_DOC_KEYS = ("artifact_version", "columns", "decompositions", "notes", "paths", "regimes", "rows",
+             "schema", "schema_version", "spec", "spectra")
+
+
 def _emit_json(result: SweepResult) -> bytes:
     """json.dumps(doc, sort_keys=True, indent=1) of the whole result, spectra in bulk.
 
@@ -296,7 +301,8 @@ def _emit_json(result: SweepResult) -> bytes:
 def parse_json(data: bytes | str) -> SweepResult:
     """Rebuild a SweepResult from its JSON serialization (emit inverse)."""
     doc = json.loads(data)
-    if doc.get("schema") != "mollowpair.sweep" or doc.get("schema_version") != 1:
+    _check_keys(SweepResult, doc, _DOC_KEYS)
+    if doc["schema"] != "mollowpair.sweep" or doc["schema_version"] != 1:
         raise SweepSpecError("not a mollowpair sweep document (schema mismatch)")
     return SweepResult(
         SweepSpec.from_dict(doc["spec"]), tuple(doc["columns"]), tuple(map(tuple, doc["rows"])),

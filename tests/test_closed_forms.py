@@ -175,7 +175,10 @@ def _exact_populations(regime: str, coupling: float, omega: float, gamma0: float
     ("coherent", (1e100, 1.0, 1.0)), ("coherent", (1e45, 1e51, 1.0)),
     ("coherent", (1e-170, 1e-170, 1e-170)), ("dissipative", (1e-170, 1e-170, 1e-170)),
     ("unidirectional", (1e-170, 1e-170, 1e-170)), ("unidirectional", (1e200, 1e199, 1e200)),
-    ("dissipative", (3e-200, 1e-200, 1e-199)), ("coherent", (1.0, 1e-120, 1e-110))],
+    ("dissipative", (3e-200, 1e-200, 1e-199)), ("coherent", (1.0, 1e-120, 1e-110)),
+    ("dissipative", (1e-200, 1.0, 1.0)), ("unidirectional", (1e-200, 1.0, 1.0)),
+    ("dissipative", (0.5, 1e-200, 1.0)), ("unidirectional", (0.5, 1e-200, 1.0)),
+    ("dissipative", (0.9999999999, 1e-100, 1.0))],
     ids=lambda v: v if isinstance(v, str) else "-".join(f"{r:g}" for r in v))
 def test_forms_at_rates_out_of_range_match_exact_arithmetic(regime, rates):
     # A huge coupling overflowed, a drive at 1e51 gave NaN and tiny rates divided by zero;
@@ -188,6 +191,22 @@ def test_forms_at_rates_out_of_range_match_exact_arithmetic(regime, rates):
     r00, r10, r01, r11 = exact
     assert g2_of(*rates) == pytest.approx(float(r11 / ((r10 + r11) * (r01 + r11))),
                                           rel=1e-14, abs=0.0)
+
+
+def test_dissipative_forms_keep_their_digits_near_trapping():
+    # gamma0**2 - gamma**2 cancelled in the populations (5.0e-13 at the third pinned point),
+    # and 1 + term2 + term3 in g2 (8.0e-4 at the first); both now keep every digit.
+    rng = np.random.default_rng(2033)
+    pinned = [(0.9999999999, 1e-7, 1.0), (0.999999, 1e-5, 1.0), (0.9999, 1e-6, 1.0),
+              (59.491591294269455, 0.06088985002813123, 59.49159928830835)]
+    drawn = [(c * (1 - 10 ** rng.uniform(-10, 0)), c * 10 ** rng.uniform(-7, 1), c)
+             for c in 10 ** rng.uniform(-3, 3, 200)]
+    for rates in pinned + drawn:
+        r00, r10, r01, r11 = exact = _exact_populations("dissipative", *rates)
+        for got, want in zip(cf.dissipative_populations(*rates).as_array(), exact):
+            assert got == pytest.approx(float(want), rel=1e-14, abs=0.0), rates
+        assert cf.dissipative_g2(*rates) == pytest.approx(
+            float(r11 / ((r10 + r11) * (r01 + r11))), rel=1e-14, abs=0.0), rates
 
 
 def test_coherent_forms_at_a_huge_coupling():

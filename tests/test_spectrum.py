@@ -547,6 +547,18 @@ def test_non_finite_grid_is_rejected(spectrum_of, grid):
         spectrum_of(np.array(grid))
 
 
+@pytest.mark.parametrize("emitter", [0, 3])
+@pytest.mark.parametrize("call", [
+    lambda e: boundary_vector(steady_state(build_moment_system(coherent_pair(1.0, 1.0))).u, e),
+    lambda e: decompose_spectrum(coherent_pair(1.0, 1.0), e),
+    lambda e: decompose_spectrum(SystemParams(g=1.0), e),
+], ids=["boundary_vector", "decompose_spectrum", "decompose_spectrum-undriven"])
+def test_engine_rejects_unknown_emitter(call, emitter):
+    # One check serves both; boundary_vector raised a bare KeyError.
+    with pytest.raises(ParameterError, match=f"^emitter must be 1 or 2, got {emitter}$"):
+        call(emitter)
+
+
 def test_engine_matches_oracle_across_regimes():
     cases = [
         coherent_pair(1.0, 1.0),

@@ -139,6 +139,25 @@ def test_parse_json_rejects_infinite_grid_bound():
         parse_json(text)
 
 
+_DOC_KEYS_TEXT = ("artifact_version, columns, decompositions, notes, paths, regimes, rows, "
+                  "schema, schema_version, spec, spectra")
+
+
+@pytest.mark.parametrize("replace, message", [
+    (lambda d: [1, 2], f"a SweepResult document has the keys {_DOC_KEYS_TEXT}; got list"),
+    (lambda d: {"schema": "mollowpair.sweep", "schema_version": 1},
+     f"a SweepResult document has the keys {_DOC_KEYS_TEXT}; got schema, schema_version"),
+    (lambda d: {**d, "extra": 1},
+     f"a SweepResult document has the keys {_DOC_KEYS_TEXT}; got {_DOC_KEYS_TEXT}, extra"),
+    (lambda d: {**d, "schema_version": 2}, "not a mollowpair sweep document (schema mismatch)")],
+    ids=["list", "header-only", "extra-key", "schema-version-2"])
+def test_parse_json_rejects_what_is_not_a_sweep_document(replace, message):
+    # The list raised AttributeError and the header alone KeyError: 'spec'.
+    doc = replace(json.loads(emit(run_sweep(small_spec()), "json")))
+    with pytest.raises(SweepSpecError, match=f"^{re.escape(message)}$"):
+        parse_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d.update(fastpath="no"), "fastpath must be a bool, got 'no'"),
     (lambda d: d.update(spectrum_points=101.5), "spectrum_points must be an int, got 101.5"),
@@ -290,6 +309,17 @@ def test_fastpath_agrees_with_forced_numeric():
     assert "closed-form" in fast.paths[0] and "moments" in slow.paths[0]
     for rf, rs in zip(fast.rows, slow.rows):
         np.testing.assert_allclose(rf, rs, atol=1e-9)
+
+
+def test_fastpath_agrees_with_forced_numeric_near_trapping():
+    # The dissipative g2 polynomial cancelled here: the fast path was off by 8e-4 of
+    # g2 = 4.0000009997e-14 at omega1 = 1e-7.  1e-9 is the benchmark's closed-form tolerance.
+    spec = SweepSpec(param="omega1", grid=GridSpec(1e-7, 1e-6, 2, "log"),
+                     fixed={"g": 0.0, "gamma": 0.9999999999}, observables=("g2",))
+    fast, slow = run_sweep(spec), run_sweep(dataclasses.replace(spec, fastpath=False))
+    assert fast.paths == ("g2:closed-form",) * 2 and slow.paths == ("g2:moments",) * 2
+    for (_, g2_fast), (_, g2_slow) in zip(fast.rows, slow.rows):
+        assert g2_fast == pytest.approx(g2_slow, rel=1e-9, abs=0.0)
 
 
 def test_spectrum_sweep_blocks():
