@@ -7,9 +7,9 @@ out term by term rather than algebraically simplified, so each piece stays
 auditable.  One table of the three covered regimes serves covers(p, regime),
 regime_populations and regime_g2.
 
-The dissipative and one-way g2 are nX / (n1 n2) of their populations, or the
-weak-drive limit where rho11 underflows.  coherent_g2 keeps its own form: its g is
-not bounded by gamma0, and at rate ratios near 1e120 its rho11 underflows.
+Every g2 is nX / (n1 n2) of its regime's populations: the dissipative and one-way ones of
+the populations themselves (the weak-drive limit where rho11 underflows), the coherent one
+with omega**2 and g**2 divided out, so no term cancels and omega = 0 gives its weak limit.
 
 Every form is homogeneous of degree 0 in its rates: _at_scaled_rates runs it at
 them divided by rate_scale's power of two, which is exact, or at strong drive
@@ -113,17 +113,24 @@ def coherent_strong_drive_populations(g: float, gamma0: float) -> Populations:
     return Populations(lead, lead, tail, tail)
 
 
-@_at_scaled_rates(coherent_strong_drive_populations)
-def coherent_populations(g: float, omega: float, gamma0: float) -> Populations:
-    """Steady populations with purely coherent coupling."""
+def _coherent_den(g: float, omega: float, gamma0: float) -> float:
+    """The common denominator of the coherent populations."""
     g2, w2, c2 = g * g, omega * omega, gamma0 * gamma0
     w4, w6 = w2 * w2, w2 * w2 * w2
-    den = (
+    return (
         (4 * g2 + 9 * c2) * (4 * g2 * gamma0 + gamma0 * c2) ** 2
         + 4 * c2 * w2 * (16 * g2 * g2 + 48 * g2 * c2 + 27 * c2 * c2)
         + 64 * w4 * (4 * g2 * g2 + 11 * g2 * c2 + 5 * c2 * c2)
         + 256 * w6 * (g2 + c2)
     )
+
+
+@_at_scaled_rates(coherent_strong_drive_populations)
+def coherent_populations(g: float, omega: float, gamma0: float) -> Populations:
+    """Steady populations with purely coherent coupling."""
+    g2, w2, c2 = g * g, omega * omega, gamma0 * gamma0
+    w4, w6 = w2 * w2, w2 * w2 * w2
+    den = _coherent_den(g, omega, gamma0)
     n00 = (
         (4 * g2 + 9 * c2) * (8 * c2 * c2 * w2 + (4 * g2 * gamma0 + gamma0 * c2) ** 2)
         + 16 * w4 * (4 * g2 * g2 + 13 * g2 * c2 + 11 * c2 * c2)
@@ -140,23 +147,13 @@ def coherent_populations(g: float, omega: float, gamma0: float) -> Populations:
 
 @_at_scaled_rates(lambda coupling, gamma0: 1.0)
 def coherent_g2(g: float, omega: float, gamma0: float) -> float:
-    """Zero-delay cross-correlator with purely coherent coupling."""
+    """Zero-delay cross-correlator with purely coherent coupling: nX / (n1 n2) of
+    coherent_populations, whose n10 = w2 x10, n01 = g2 w2 x01 and n11 = g2 w4 y."""
     g2, w2, c2 = g * g, omega * omega, gamma0 * gamma0
-    w4 = w2 * w2
-    term2 = (
-        g2 * (4 * g2 + 3 * c2) * (4 * g2 + 9 * c2 + 4 * w2)
-        / (
-            4 * g2 * c2 * c2
-            + 9 * c2 * c2 * c2
-            + 4 * w2 * (8 * g2 * g2 + 22 * g2 * c2 + 9 * c2 * c2)
-            + 32 * w4 * (g2 + c2)
-        )
-    )
-    term3 = (
-        (16 * g2 * g2 + 27 * c2 * c2 - 4 * c2 * w2 + 16 * g2 * (3 * c2 + w2))
-        / (4 * (9 * c2 * c2 + 18 * c2 * w2 + 8 * w4 + 4 * g2 * (c2 + 2 * w2)))
-    )
-    return 1.0 + term2 - term3
+    y = 16 * (4 * g2 + 9 * c2 + 4 * w2)
+    x10 = (4 * g2 + 9 * c2) * (4 * c2 * c2 + 16 * w2 * (g2 + c2)) + 64 * w2 * w2 * (g2 + 2 * c2)
+    x01 = 16 * (9 * c2 * c2 + 9 * c2 * w2 + 4 * w2 * w2 + 4 * g2 * (c2 + w2))
+    return y / (x10 + g2 * w2 * y) * (_coherent_den(g, omega, gamma0) / (x01 + w2 * y))
 
 
 def coherent_g2_weak_limit(g: float, gamma0: float) -> float:

@@ -304,6 +304,9 @@ def parse_json(data: bytes | str) -> SweepResult:
     _check_keys(SweepResult, doc, _DOC_KEYS)
     if doc["schema"] != "mollowpair.sweep" or doc["schema_version"] != 1:
         raise SweepSpecError("not a mollowpair sweep document (schema mismatch)")
+    for kind, key in ((SpectrumBlock, "spectra"), (DecompositionBlock, "decompositions")):
+        for block in doc[key]:
+            _check_keys(kind, block)
     return SweepResult(
         SweepSpec.from_dict(doc["spec"]), tuple(doc["columns"]), tuple(map(tuple, doc["rows"])),
         tuple(doc["regimes"]), tuple(doc["paths"]), tuple(doc["notes"]),

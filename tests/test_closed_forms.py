@@ -1,6 +1,7 @@
 """Analytic populations and correlators per regime, their limits and identities."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -72,6 +73,11 @@ def test_dissipative_degenerate_point_flagged():
     assert pops.degenerate
     np.testing.assert_allclose(pops.as_array(), [1, 0, 0, 0])
     assert not cf.dissipative_populations(0.5, 0.0, 1.0).degenerate
+
+
+def test_dissipative_rejects_gamma_above_gamma0():
+    with pytest.raises(ParameterError, match=r"needs 0 <= gamma <= gamma0, got 1\.5$"):
+        cf.dissipative_populations(1.5, 1.0, 1.0)
 
 
 def test_dissipative_g2_limits():
@@ -249,14 +255,29 @@ def _draws(rng, regime: str, spread: float, count: int = 300):
 @pytest.mark.parametrize("regime", list(_STRONG_DRIVE))
 def test_forms_keep_their_digits_at_any_magnitude(regime):
     # Rate ratios up to 1e100, at magnitudes from 1e-250 to 1e250: the populations stay
-    # normalized to rounding, and g2 is finite wherever it is below the largest float.
+    # normalized to rounding, and g2 is finite.
     pops_of, g2_of = _STRONG_DRIVE[regime][:2]
     for rates in _draws(np.random.default_rng(2031), regime, 50.0):
         pops = pops_of(*rates)
         assert np.all(pops.as_array() >= 0.0)
         assert pops.total == pytest.approx(1.0, abs=1e-15)
-        if regime != "coherent":
-            assert math.isfinite(g2_of(*rates))
+        assert math.isfinite(g2_of(*rates))
+
+
+@pytest.mark.parametrize("spread", [3, 12, 50, 100])
+def test_coherent_g2_matches_exact_arithmetic(spread):
+    # 1 + term2 - term3 cancelled where gamma0 is small against g or omega: it was off by up
+    # to 3.3e-13 with rates within 10**+-3 of each other, 1.0 within 10**+-12, 4e41 within
+    # 10**+-50 and 6e82 within 10**+-100, and gave 0.0 at the pinned point.
+    pinned = [(24670013227.75413, 105.45865234439898, 1.2100776521409249e-12)]
+    for rates in pinned + list(_draws(np.random.default_rng(spread), "coherent", spread, 100)):
+        r00, r10, r01, r11 = _exact_populations("coherent", *rates)
+        want = r11 / ((r10 + r11) * (r01 + r11))
+        if want > Fraction(sys.float_info.max):
+            with pytest.raises(ParameterError, match="beyond the float range"):
+                cf.coherent_g2(*rates)
+        else:
+            assert cf.coherent_g2(*rates) == pytest.approx(float(want), rel=1e-14, abs=0.0), rates
 
 
 @pytest.mark.parametrize("regime", list(_STRONG_DRIVE))

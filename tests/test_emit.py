@@ -162,6 +162,7 @@ def test_roundtrip_is_bool_true_and_exact():
     other = SweepResult(**{**result.__dict__, "spectra": (result.spectra[0], nudged)})
     assert (other == result) is False
     assert (parse_json(emit(other, "json")) == other) is True
+    assert (block == 1) is False  # __eq__ defers to the other operand
 
 
 def test_spectrum_block_arrays_are_read_only_copies():

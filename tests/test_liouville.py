@@ -6,6 +6,7 @@ import pytest
 from mollowpair import closed_forms as cf
 from mollowpair.errors import (
     DegenerateSteadyStateError,
+    NumericalError,
     ParameterError,
     UnsupportedConfigurationError,
 )
@@ -14,6 +15,7 @@ from mollowpair.liouville import (
     devectorize,
     liouville_spectrum,
     steady_state_dm,
+    validate_density_matrix,
     vectorize,
 )
 from mollowpair.moments import build_moment_system, steady_state
@@ -39,6 +41,17 @@ def random_unit_trace_hermitian(rng):
 def test_vectorize_roundtrip(rng):
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     np.testing.assert_array_equal(devectorize(vectorize(a)), a)
+
+
+@pytest.mark.parametrize("rho, message", [
+    (np.array([[0.5, 0.1], [0.0, 0.5]]), "Hermiticity residual 1.000e-01"),
+    (np.diag([0.5, 0.6]), "trace deviates from 1 by 1.000e-01"),
+    (np.diag([1.5, -0.5]), "negative eigenvalue -5.000e-01")],
+    ids=["not-hermitian", "trace", "negative-eigenvalue"])
+def test_validate_density_matrix_names_each_failure(rho, message):
+    validate_density_matrix(np.diag([0.25, 0.75]))
+    with pytest.raises(NumericalError, match=f"^rho: {message}$"):
+        validate_density_matrix(rho, "rho")
 
 
 def test_trace_preservation(rng):

@@ -199,3 +199,5 @@ def test_config_rejects_duplicate_and_garbage():
         parse_config("g = 1\ng = 2")
     with pytest.raises(ParameterError, match="not a number"):
         parse_config("g = strong")
+    with pytest.raises(ParameterError, match="line 1: expected 'key = value', got 'g 1.0'"):
+        parse_config("g 1.0")

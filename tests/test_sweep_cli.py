@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import io
 import itertools
 import json
 import os
@@ -26,9 +27,9 @@ from mollowpair.errors import (ConditionWarning, SweepSpecError, UndefinedCorrel
 from mollowpair.liouville import build_liouvillian, liouville_spectrum
 from mollowpair.moments import (IDX_N1, IDX_N2, IDX_NX, _real_system, build_moment_system,
                                build_moment_systems, g2_cross, populations, steady_state)
-from mollowpair.params import (REGIME_PINS, Regime, SystemParams, asymmetric_pair,
-                               classify_regime, coherent_pair, dissipative_pair,
-                               unidirectional_pair)
+from mollowpair.params import (CONFIG_KEYS, REGIME_PINS, Regime, SystemParams,
+                               asymmetric_pair, classify_regime, coherent_pair,
+                               dissipative_pair, unidirectional_pair)
 from mollowpair.single_emitter import SingleParams, single_spectrum
 from mollowpair.spec import OBSERVABLES
 from mollowpair.spectrum import decompose_spectrum, default_grid, evaluate_spectrum
@@ -141,6 +142,7 @@ def test_parse_json_rejects_infinite_grid_bound():
 
 _DOC_KEYS_TEXT = ("artifact_version, columns, decompositions, notes, paths, regimes, rows, "
                   "schema, schema_version, spec, spectra")
+_SPECTRUM_KEYS_TEXT = "a SpectrumBlock document has the keys value, grid, values, delta_weight"
 
 
 @pytest.mark.parametrize("replace, message", [
@@ -149,10 +151,22 @@ _DOC_KEYS_TEXT = ("artifact_version, columns, decompositions, notes, paths, regi
      f"a SweepResult document has the keys {_DOC_KEYS_TEXT}; got schema, schema_version"),
     (lambda d: {**d, "extra": 1},
      f"a SweepResult document has the keys {_DOC_KEYS_TEXT}; got {_DOC_KEYS_TEXT}, extra"),
-    (lambda d: {**d, "schema_version": 2}, "not a mollowpair sweep document (schema mismatch)")],
-    ids=["list", "header-only", "extra-key", "schema-version-2"])
+    (lambda d: {**d, "schema_version": 2}, "not a mollowpair sweep document (schema mismatch)"),
+    (lambda d: {**d, "spectra": [{"value": 1.0, "values": [0.0], "delta_weight": 0.0}]},
+     f"{_SPECTRUM_KEYS_TEXT}; got value, values, delta_weight"),
+    (lambda d: {**d, "spectra": [{"value": 1.0, "grid": [0.0], "values": [0.0],
+                                  "delta_weight": 0.0, "extra": 1}]},
+     f"{_SPECTRUM_KEYS_TEXT}; got value, grid, values, delta_weight, extra"),
+    (lambda d: {**d, "decompositions": [{"value": 1.0, "delta_weight": 0.0}]},
+     "a DecompositionBlock document has the keys value, components, delta_weight; "
+     "got value, delta_weight"),
+    (lambda d: {**d, "spectra": [1]}, f"{_SPECTRUM_KEYS_TEXT}; got int")],
+    ids=["list", "header-only", "extra-key", "schema-version-2", "spectrum-without-grid",
+         "spectrum-extra-key", "decomposition-without-components", "spectrum-not-object"])
 def test_parse_json_rejects_what_is_not_a_sweep_document(replace, message):
-    # The list raised AttributeError and the header alone KeyError: 'spec'.
+    # The list raised AttributeError and the header alone KeyError: 'spec'; a spectrum
+    # block without grid, with an extra key or not an object raised TypeError, and a
+    # decomposition block without components KeyError: 'components'.
     doc = replace(json.loads(emit(run_sweep(small_spec()), "json")))
     with pytest.raises(SweepSpecError, match=f"^{re.escape(message)}$"):
         parse_json(json.dumps(doc))
@@ -292,6 +306,18 @@ def test_closed_forms_past_the_float_range_write_their_limits(args, tmp_path):
     for row in result.rows:
         assert sum(row[1:5]) == pytest.approx(1.0, abs=1e-15)
         assert row[5] == 1.0 or _STRONG not in args
+
+
+def test_cli_coherent_g2_keeps_its_digits_where_gamma0_is_tiny(capsys):
+    # The closed form cancelled between two terms here and wrote 0 for both rows; the
+    # moment solver is no other route, since its matrix is singular (exit 3).
+    assert cli.main(["--regime", "coherent", "--set", "g=24670013227.75413",
+                     "--set", "gamma0=1.2100776521409249e-12",
+                     "--sweep", "omega1:105.45865234439898:106:2:linear",
+                     "--observable", "g2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["omega1,g2", "105.45865234439898,1.0000000000018014",
+                         "106,1.0000000000017648"]
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -1102,6 +1128,49 @@ def test_cli_validation_error_exit_2():
     proc = run_cli("--set", "gamma=2", "--set", "gamma0=1",
                    "--sweep", "omega1:1:2:2:linear")
     assert proc.returncode == 2
+
+
+_SWEEP = ["--sweep", "omega1:1:2:2:linear"]
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["--set", "g", *_SWEEP], 2, "error: --set expects key=value, got 'g'\n"),
+    (["--set", "foo=1", *_SWEEP], 2,
+     f"error: unknown parameter 'foo' (valid: {', '.join(CONFIG_KEYS)})\n"),
+    (["--set", "g=abc", *_SWEEP], 2, "error: 'abc' is not a number\n"),
+    (["--set", "g=1"], 2, "mollowpair: error: either --preset or --sweep is required\n"),
+    (["--config", "{tmp}/missing.cfg", *_SWEEP], 4,
+     "I/O error: [Errno 2] No such file or directory: '{tmp}/missing.cfg'\n"),
+    (["--sweep", "omega1:1:2:2:cubic"], 2, "error: bad --sweep value 'omega1:1:2:2:cubic': "
+     "grid scale must be 'linear' or 'log', got 'cubic'\n"),
+    ([*_SWEEP, "--observable", "spectrum", "--spectrum-points", "5"], 2,
+     "error: spectrum_points must be >= 9\n"),
+    (["--set", "g=nan", *_SWEEP], 2,
+     "error: g must be finite, got nan at sweep point 0 (omega1 = 1.0)\n"),
+    (["--set", "omega2=-1", *_SWEEP], 2,
+     "error: omega2 must be >= 0, got -1.0 at sweep point 0 (omega1 = 1.0)\n"),
+    (["--set", "gamma=-0.5", *_SWEEP], 2,
+     "error: gamma must be >= 0, got -0.5 at sweep point 0 (omega1 = 1.0)\n")],
+    ids=["set-without-value", "set-unknown-key", "set-not-a-number", "no-preset-or-sweep",
+         "missing-config", "unknown-grid-scale", "too-few-spectrum-points", "set-nan",
+         "negative-omega2", "negative-gamma"])
+def test_cli_rejects_each_bad_input_with_its_exit_code(argv, code, err, tmp_path, capsys):
+    try:
+        got = cli.main([arg.format(tmp=tmp_path) for arg in argv])
+    except SystemExit as exc:  # argparse's own usage error
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.out) == (code, "")
+    assert captured.err.endswith(err.format(tmp=tmp_path))
+
+
+def test_cli_writes_text_to_a_text_only_stdout(tmp_path, monkeypatch):
+    # A stdout without a binary buffer gets the decoded bytes of the --out file.
+    args = ["--set", "g=1", *_SWEEP, "--observable", "populations,g2"]
+    assert cli.main([*args, "--out", str(tmp_path / "sweep.csv")]) == 0
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert cli.main(args) == 0
+    assert sys.stdout.getvalue() == (tmp_path / "sweep.csv").read_bytes().decode()
 
 
 def test_cli_numerical_error_exit_3():
