@@ -6,7 +6,7 @@ that system splits the spectrum into Lorentzian/dispersive components with a
 separate coherent (Rayleigh) delta weight; evaluating the components on a
 grid is then trivial.  The two-time boundary vector is a selection of the
 one-time moments, so one moment solve per point seeds the whole spectrum,
-and a sweep decomposes all its points in one batched pass.
+and a sweep routes all its points in one batched pass.
 
 One batched eig of the full regression matrix M routes the points.  Where
 its eigenvector basis V has an exact 1-norm condition number
@@ -15,11 +15,11 @@ weights V^-1 w) and its eigenvalues lie pairwise at least CLUSTER_GAP apart
 (the generic case), a point is expanded over M's own eigenvectors: the
 direct route.  Elsewhere M is defective or nearly so (at zero coherent
 coupling it carries a Jordan chain, mostly invisible to the emitter
-correlator), so the Krylov route first restricts the system to the subspace
-that is both reachable from the boundary vector and observable by the
-readout.  Eigenvalues that still collide there are decomposed through their
-invariant subspace; a visible defect becomes a second-order pole with its
-own lineshape.  A spectrum is undefined where neither emitter is driven, or
+correlator), so the Krylov route first restricts each such point's system
+to the subspace that is both reachable from the boundary vector and
+observable by the readout.  Eigenvalues that still collide there are
+decomposed through their invariant subspace; a visible defect becomes a
+second-order pole with its own lineshape.  A spectrum is undefined where neither emitter is driven, or
 where the emitter's population is at the rounding level of n1 + n2.  The
 path is numpy only and never calls the density-matrix oracle.
 """
@@ -81,40 +81,28 @@ class SpectralDecomposition:
         return sum(c.L_zeta for c in self.components)
 
 
-def _norms(v: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row, bit for bit: dots of the same strided real/imag views."""
-    re, im = v.real, v.imag
-    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+def _invariant_basis(m: np.ndarray, w: np.ndarray, scale: float) -> np.ndarray:
+    """Orthonormal basis of the smallest M-invariant subspace containing w.
 
-
-def _invariant_bases(m, w, scale) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases q[i, :, :dims[i]] of the smallest M-invariant subspaces containing w.
-
-    Arnoldi with full reorthogonalization, in lockstep over the stack; a row
-    stops when its next direction couples below 1e-10 of its matrix scale,
-    which keeps roundoff from dragging in invisible sectors (at zero coherent
-    coupling M hides a Jordan chain the correlator never touches).  Products
-    take whole-stack views, never row-indexed copies: an operand's memory
-    layout picks the BLAS kernel, and with it the bits.
+    Arnoldi with full reorthogonalization; terminates when the next direction
+    couples below 1e-10 of the matrix scale, which keeps roundoff from
+    dragging in invisible sectors (at zero coherent coupling M hides a Jordan
+    chain the correlator never touches).
     """
-    q = np.zeros(w.shape + w.shape[1:], dtype=complex)
-    nw = _norms(w)
-    live = nw != 0.0
-    q[live, :, 0] = w[live] / nw[live, None]
-    dims = live.astype(int)
-    for k in range(w.shape[1] - 1):
-        if not live.any():
-            break
-        v = (m @ q[:, :, k, None])[..., 0]
-        basis = q[:, :, :k + 1]
-        basis_h = basis.conj().transpose(0, 2, 1)
+    q = np.zeros((len(w), len(w)), dtype=complex)
+    nw = np.linalg.norm(w)
+    if nw == 0.0:
+        return q[:, :0]
+    q[:, 0] = w / nw
+    for k in range(1, len(w)):
+        v = m @ q[:, k - 1]
         for _ in range(2):
-            v -= (basis @ (basis_h @ v[..., None]))[..., 0]
-        nv = _norms(v)
-        live &= ~(nv < 1e-10 * scale)
-        q[live, :, k + 1] = v[live] / nv[live, None]
-        dims += live
-    return q, dims
+            v -= q[:, :k] @ (q[:, :k].conj().T @ v)
+        nv = np.linalg.norm(v)
+        if nv < 1e-10 * scale:
+            return q[:, :k]
+        q[:, k] = v / nv
+    return q
 
 
 def _cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
@@ -231,8 +219,9 @@ def _decompose_stack(m: np.ndarray, real_m: np.ndarray, u: np.ndarray, emitter: 
 
     On the direct route each eigenvalue of M is a pole with weight
     V[readout, k] (V^-1 w)_k; the sectors the correlator never sees get
-    rounding-level weights that _prune drops.  Every other point takes
-    _krylov_poles.  Both routes fill one zero-padded pole array for _prune.
+    rounding-level weights that _prune drops; these points share one eig and
+    one LU.  Every other point takes _krylov_poles, one reduction per point.
+    Both routes fill one zero-padded pole array for _prune.
     A point whose emitter population is at most ROUNDING_POPULATION (n1 + n2)
     gets the reason its spectrum is undefined in place of its decomposition.
     """
@@ -263,44 +252,32 @@ def _decompose_stack(m: np.ndarray, real_m: np.ndarray, u: np.ndarray, emitter: 
 def _krylov_poles(m, w, scale, readout) -> np.ndarray:
     """Poles (lambda, b1, b2) of a stack's rows from a minimal realization, zero-padded (N, 15, 3).
 
-    The reductions run over the stack, row groups of equal reachable and then
-    observed dimension in lockstep.  Each group's reduced systems are
-    decomposed where they are formed: one eig and one LU for weights and cond;
-    only the cluster step runs per point.  A row whose correlator realizes to
+    For points whose eigenbasis of M is ill-conditioned or whose eigenvalues
+    cluster: each row is restricted to the subspace reached from its boundary
+    vector, then to the part observed by the readout functional.  Sectors
+    that are reachable but invisible to the emitter correlator drop out here
+    instead of poisoning the eigenvector basis.  The reduced system gets one
+    eig and one LU for weights and cond.  A row whose correlator realizes to
     nothing keeps zeros.
     """
-    # The Krylov route, for points whose eigenbasis of M is ill-conditioned or
-    # whose eigenvalues cluster: restrict to the subspace reached from the
-    # boundary, then to the part observed by the readout functional.  Sectors
-    # that are reachable but invisible to the emitter correlator drop out here
-    # instead of poisoning the eigenvector basis.
     poles = np.zeros(w.shape + (3,), dtype=complex)
-    reach, dims = _invariant_bases(m, w, scale)
-    for d in np.unique(dims[dims > 0]):
-        sel = np.flatnonzero(dims == d)
-        q = reach[sel][:, :, :d]
-        qh = q.conj().transpose(0, 2, 1)
-        m_r = qh @ m[sel] @ q
-        b_r = (qh @ w[sel][..., None])[..., 0]
-        c_r = np.conj(q[:, readout, :])
-        obs, odims = _invariant_bases(m_r.conj().transpose(0, 2, 1), c_r, scale[sel])
-        for e in np.unique(odims[odims > 0]):
-            sub = np.flatnonzero(odims == e)
-            idx, o = sel[sub], obs[sub][:, :, :e]
-            oh = o.conj().transpose(0, 2, 1)
-            h = oh @ m_r[sub] @ o
-            b_h, c_h = (oh @ b_r[sub][..., None])[..., 0], (oh @ c_r[sub][..., None])[..., 0]
-            vals, vecs = np.linalg.eig(h)
-            # One LU gives every row's weights and cond.  A suspicious basis means poles have
-            # collided: each cluster goes through its invariant subspace, Jordan blocks included.
-            weights, _, cond = _solve_inverse(vecs, b_h)
-            contrib = (c_h.conj()[:, None, :] @ vecs)[:, 0, :] * weights
-            poles[idx, :e, :2] = np.stack((vals, contrib), axis=-1)
-            for j in np.flatnonzero(cond > SUSPECT_COND):
-                groups = _cluster_indices(vals[j], CLUSTER_GAP * scale[idx[j]])
-                if groups:
-                    poles[idx[j], :e] = _cluster_poles(h[j], vals[j], vecs[j], b_h[j], c_h[j],
-                                                       groups)
+    for row, s in enumerate(scale.tolist()):
+        reach = _invariant_basis(m[row], w[row], s)
+        m_r = reach.conj().T @ m[row] @ reach
+        b_r, c_r = reach.conj().T @ w[row], np.conj(reach[readout, :])
+        obs = _invariant_basis(m_r.conj().T, c_r, s)
+        e = obs.shape[1]
+        if e == 0:
+            continue
+        h, b_h, c_h = obs.conj().T @ m_r @ obs, obs.conj().T @ b_r, obs.conj().T @ c_r
+        vals, vecs = np.linalg.eig(h)
+        (weights,), _, (cond,) = _solve_inverse(vecs[None], b_h[None])
+        poles[row, :e, :2] = np.stack((vals, (c_h.conj() @ vecs) * weights), axis=-1)
+        # A suspicious basis means poles have collided: each cluster goes through its
+        # invariant subspace, Jordan blocks included.
+        groups = _cluster_indices(vals, CLUSTER_GAP * s) if cond > SUSPECT_COND else []
+        if groups:
+            poles[row, :e] = _cluster_poles(h, vals, vecs, b_h, c_h, groups)
     return poles
 
 

@@ -40,8 +40,8 @@ from .moments import (IDX_N1, IDX_N2, IDX_NX, _g2, _populations, _real_system, _
                       build_moment_systems)
 from .params import classify_regime
 # The spec document and the preset catalog live in spec; they stay importable from here.
-from .spec import (GridSpec, SweepSpec, _check_keys, _load_preset_file, load_preset,
-                   preset_description, preset_names)
+from .spec import (GridSpec, SweepSpec, _check_keys, _check_type, _load_preset_file,
+                   load_preset, preset_description, preset_names)
 from .spectrum import _check_defined, _decompose_stack, default_grid, evaluate_spectrum
 
 
@@ -304,9 +304,16 @@ def parse_json(data: bytes | str) -> SweepResult:
     _check_keys(SweepResult, doc, _DOC_KEYS)
     if doc["schema"] != "mollowpair.sweep" or doc["schema_version"] != 1:
         raise SweepSpecError("not a mollowpair sweep document (schema mismatch)")
+    for key in ("columns", "decompositions", "notes", "paths", "regimes", "spectra"):
+        _check_type(key, doc[key], list, "a list")
     for kind, key in ((SpectrumBlock, "spectra"), (DecompositionBlock, "decompositions")):
         for block in doc[key]:
             _check_keys(kind, block)
+    for key, table in [("rows", doc["rows"])] + [("components", b["components"])
+                                                 for b in doc["decompositions"]]:
+        _check_type(key, table, list, "a list")
+        for i, item in enumerate(table):
+            _check_type(f"{key}[{i}]", item, list, "a list")
     return SweepResult(
         SweepSpec.from_dict(doc["spec"]), tuple(doc["columns"]), tuple(map(tuple, doc["rows"])),
         tuple(doc["regimes"]), tuple(doc["paths"]), tuple(doc["notes"]),

@@ -1,6 +1,7 @@
 """The scripts under scripts/, run as a user runs them, against the library."""
 
 import hashlib
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -54,11 +55,19 @@ def test_reproduce_figures_writes_every_preset_as_emitted(tmp_path):
 def test_output_manifest_hashes_every_preset_and_the_landscape(tmp_path):
     lines = run_script("output_manifest.py", cwd=tmp_path).stdout.splitlines()
     digests, names = zip(*(line.split("  ") for line in lines))
-    assert list(names) == [f"{name}.{fmt}" for name in preset_names() for fmt in ("csv", "json")
-                           ] + ["coupling_landscape.csv", "manifest"]
+    corners = ["corner-critical-drive", "corner-trapping-line", "corner-strong-coherent",
+               "corner-backward-one-way", "corner-large-detuning"]
+    assert list(names) == [f"{name}.{fmt}" for name in [*preset_names(), *corners]
+                           for fmt in ("csv", "json")] + ["coupling_landscape.csv", "manifest"]
+    # The corner sweeps are the script's own CORNERS.
+    script = importlib.util.spec_from_file_location("output_manifest",
+                                                    ROOT / "scripts" / "output_manifest.py")
+    manifest = importlib.util.module_from_spec(script)
+    script.loader.exec_module(manifest)
+    specs = [load_preset(name) for name in preset_names()] + [manifest.CORNERS[c] for c in corners]
     expected = []
-    for name in preset_names():
-        result = run_sweep(load_preset(name))
+    for spec in specs:
+        result = run_sweep(spec)
         expected += [hashlib.sha256(emit(result, fmt)).hexdigest() for fmt in ("csv", "json")]
     run_script("coupling_landscape.py", tmp_path / "landscape.csv", cwd=tmp_path)
     expected.append(hashlib.sha256((tmp_path / "landscape.csv").read_bytes()).hexdigest())

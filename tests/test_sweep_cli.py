@@ -160,13 +160,30 @@ _SPECTRUM_KEYS_TEXT = "a SpectrumBlock document has the keys value, grid, values
     (lambda d: {**d, "decompositions": [{"value": 1.0, "delta_weight": 0.0}]},
      "a DecompositionBlock document has the keys value, components, delta_weight; "
      "got value, delta_weight"),
-    (lambda d: {**d, "spectra": [1]}, f"{_SPECTRUM_KEYS_TEXT}; got int")],
+    (lambda d: {**d, "spectra": [1]}, f"{_SPECTRUM_KEYS_TEXT}; got int"),
+    (lambda d: {**d, "spectra": 1}, "spectra must be a list, got 1"),
+    (lambda d: {**d, "decompositions": 1}, "decompositions must be a list, got 1"),
+    (lambda d: {**d, "rows": 5}, "rows must be a list, got 5"),
+    (lambda d: {**d, "rows": [5, 6]}, "rows[0] must be a list, got 5"),
+    (lambda d: {**d, "columns": 3}, "columns must be a list, got 3"),
+    (lambda d: {**d, "paths": 7}, "paths must be a list, got 7"),
+    (lambda d: {**d, "decompositions": [{"value": 1.0, "components": 5, "delta_weight": 0.0}]},
+     "components must be a list, got 5"),
+    (lambda d: {**d, "decompositions": [{"value": 1.0, "components": [5], "delta_weight": 0.0}]},
+     "components[0] must be a list, got 5"),
+    (lambda d: {**d, "columns": "abc"}, "columns must be a list, got 'abc'"),
+    (lambda d: {**d, "regimes": "coherent"}, "regimes must be a list, got 'coherent'"),
+    (lambda d: {**d, "notes": "x"}, "notes must be a list, got 'x'")],
     ids=["list", "header-only", "extra-key", "schema-version-2", "spectrum-without-grid",
-         "spectrum-extra-key", "decomposition-without-components", "spectrum-not-object"])
+         "spectrum-extra-key", "decomposition-without-components", "spectrum-not-object",
+         "spectra-not-list", "decompositions-not-list", "rows-not-list", "row-not-list",
+         "columns-not-list", "paths-not-list", "components-not-list", "component-not-list",
+         "columns-string", "regimes-string", "notes-string"])
 def test_parse_json_rejects_what_is_not_a_sweep_document(replace, message):
     # The list raised AttributeError and the header alone KeyError: 'spec'; a spectrum
     # block without grid, with an extra key or not an object raised TypeError, and a
-    # decomposition block without components KeyError: 'components'.
+    # decomposition block without components KeyError: 'components'.  A number where a
+    # list belongs raised TypeError, and a string was split into characters.
     doc = replace(json.loads(emit(run_sweep(small_spec()), "json")))
     with pytest.raises(SweepSpecError, match=f"^{re.escape(message)}$"):
         parse_json(json.dumps(doc))
